@@ -1,10 +1,9 @@
 // Result-cache benchmarks: what a content-addressed hit costs (the
 // latency every deduplicated submission pays instead of a grade), digest
 // throughput over realistic submission sizes, and the headline workload
-// from DESIGN.md "Caching & dedup" -- a 1000-submission queue drain where
-// 90% of uploads are duplicates, cold vs warm vs kill-switch. The warm
-// drain is the number the ROADMAP's "never compute the same answer
-// twice" line rests on.
+// from DESIGN.md "Caching & dedup" -- a 1000-upload semester through the
+// grading service where 90% of uploads are duplicates, cold vs a warm
+// re-run answered from the result cache.
 
 #include <benchmark/benchmark.h>
 
@@ -14,9 +13,9 @@
 
 #include "cache/cache.hpp"
 #include "cache/digest.hpp"
-#include "mooc/grading_queue.hpp"
+#include "mooc/cohort.hpp"
+#include "mooc/grading_service.hpp"
 #include "util/budget.hpp"
-#include "util/parallel.hpp"
 
 namespace {
 
@@ -60,18 +59,24 @@ void BM_CacheMissLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheMissLatency);
 
-// ---- the 90%-duplicates queue drain -------------------------------------
+// ---- the 90%-duplicates semester through the grading service ------------
 
-/// 1000 submissions, 100 unique (every upload repeated 10x) -- the shape
-/// of a cohort resubmitting around a deadline. Each body is a few hundred
-/// bytes so digesting is realistic, not free.
-std::vector<std::string> duplicate_heavy_corpus() {
-  std::vector<std::string> subs;
-  subs.reserve(1000);
-  for (int i = 0; i < 1000; ++i)
-    subs.push_back("solution variant " + std::to_string(i % 100) + "\n" +
-                   std::string(300, static_cast<char>('a' + i % 26)));
-  return subs;
+/// 1000 uploads of 100 unique bodies over 10 ticks, each tick carrying one
+/// upload of every body -- the shape of a cohort resubmitting around a
+/// deadline. Each body is a few hundred bytes so digesting is realistic,
+/// not free. The first tick grades the pool; later ticks replay it from
+/// the service's in-run memo.
+mooc::SubmissionTrace duplicate_heavy_trace() {
+  mooc::SubmissionTrace trace;
+  trace.num_courses = 1;
+  trace.ticks = 10;
+  for (int b = 0; b < 100; ++b)
+    trace.bodies.push_back("solution variant " + std::to_string(b) + "\n" +
+                           std::string(300, static_cast<char>('a' + b % 26)));
+  for (std::uint32_t k = 0; k < 1000; ++k)
+    trace.events.push_back({.body = k % 100, .arrival_tick = k / 100,
+                            .deadline_tick = k / 100 + 1});
+  return trace;
 }
 
 /// A deliberately non-trivial grade: re-digests the submission 64 times,
@@ -87,55 +92,48 @@ double slow_grade(const std::string& s, const util::Budget&) {
   return static_cast<double>(d.lo % 101);
 }
 
-void BM_QueueDrainColdCache(benchmark::State& state) {
-  const auto subs = duplicate_heavy_corpus();
-  mooc::QueueOptions qopt;
-  qopt.cache_domain = "bench.queue";
+mooc::GradingService duplicate_heavy_service() {
+  mooc::ServiceOptions opt;
+  opt.queue_cap = 1024;
+  opt.admit_quota = 1024;
+  opt.service_rate = 1024;
+  opt.record_outcomes = false;
+  opt.queue.cache_domain = "bench.service";
+  return mooc::GradingService(opt, slow_grade);
+}
+
+void BM_ServiceColdCache(benchmark::State& state) {
+  const auto trace = duplicate_heavy_trace();
+  const auto service = duplicate_heavy_service();
   for (auto _ : state) {
-    cache::Cache::global().clear();  // every drain starts cold
-    auto res = mooc::drain_queue(subs, slow_grade, qopt);
+    cache::Cache::global().clear();  // every run starts cold
+    auto res = service.run(trace);
     benchmark::DoNotOptimize(res);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(subs.size()));
+                          static_cast<std::int64_t>(trace.events.size()));
   cache::Cache::global().clear();
 }
-BENCHMARK(BM_QueueDrainColdCache)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceColdCache)->Unit(benchmark::kMillisecond);
 
-void BM_QueueDrainWarmCache(benchmark::State& state) {
-  const auto subs = duplicate_heavy_corpus();
-  mooc::QueueOptions qopt;
-  qopt.cache_domain = "bench.queue";
+void BM_ServiceWarmRerun(benchmark::State& state) {
+  // Every unique body is answered from the result cache (engine id
+  // "mooc.service"); nothing is graded.
+  const auto trace = duplicate_heavy_trace();
+  const auto service = duplicate_heavy_service();
   cache::Cache::global().clear();
   {
-    auto prefill = mooc::drain_queue(subs, slow_grade, qopt);
+    auto prefill = service.run(trace);
     benchmark::DoNotOptimize(prefill);
   }
   for (auto _ : state) {
-    auto res = mooc::drain_queue(subs, slow_grade, qopt);
+    auto res = service.run(trace);
     benchmark::DoNotOptimize(res);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(subs.size()));
+                          static_cast<std::int64_t>(trace.events.size()));
   cache::Cache::global().clear();
 }
-BENCHMARK(BM_QueueDrainWarmCache)->Unit(benchmark::kMillisecond);
-
-void BM_QueueDrainKillSwitch(benchmark::State& state) {
-  // L2L_CACHE=0 equivalent: the verbatim grade-everything path, the
-  // baseline both cached drains are measured against.
-  const auto subs = duplicate_heavy_corpus();
-  mooc::QueueOptions qopt;
-  qopt.cache_domain = "bench.queue";
-  cache::set_enabled(false);
-  for (auto _ : state) {
-    auto res = mooc::drain_queue(subs, slow_grade, qopt);
-    benchmark::DoNotOptimize(res);
-  }
-  cache::set_enabled(true);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(subs.size()));
-}
-BENCHMARK(BM_QueueDrainKillSwitch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceWarmRerun)->Unit(benchmark::kMillisecond);
 
 }  // namespace

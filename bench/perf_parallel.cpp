@@ -1,6 +1,7 @@
 // Parallel execution core benchmarks: facade overhead, plus 1/2/4/8-thread
 // scaling of every subsystem the pool backs -- SpMV, CG dot products,
-// fault simulation, and batch grading. Run with
+// and fault simulation. Grading's thread scaling on real artifacts is the
+// end-to-end benchmark's semester_unique workload. Run with
 //   perf_parallel --benchmark_format=json --benchmark_out=BENCH_parallel.json
 // (tools/run_benches.sh does this for every perf binary) to record the
 // speedup trajectory machine-readably.
@@ -13,12 +14,8 @@
 #include "fault/faults.hpp"
 #include "fault/simulator.hpp"
 #include "gen/function_gen.hpp"
-#include "gen/routing_gen.hpp"
-#include "grader/route_grader.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/sparse.hpp"
-#include "route/router.hpp"
-#include "route/solution.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -121,36 +118,6 @@ void BM_FaultSimThreadScaling(benchmark::State& state) {
   state.counters["detected"] = detected;  // thread-invariant by design
 }
 BENCHMARK(BM_FaultSimThreadScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GraderBatchThreadScaling(benchmark::State& state) {
-  // The paper's load profile: many student submissions, one problem.
-  const int threads = static_cast<int>(state.range(0));
-  util::Rng rng(66);
-  gen::RoutingGenOptions gopt;
-  gopt.width = gopt.height = 48;
-  gopt.num_nets = 30;
-  const auto p = gen::generate_routing(gopt, rng);
-  const auto good = route::write_solution(route::route_all(p));
-  std::vector<std::string> submissions(64, good);
-  util::set_num_threads(threads);
-  double score = 0;
-  for (auto _ : state) {
-    const auto grades = grader::grade_routing_batch(p, submissions);
-    score = grades.front().score;
-  }
-  util::set_num_threads(0);
-  state.counters["threads"] = threads;
-  state.counters["submissions"] = static_cast<double>(submissions.size());
-  state.counters["score"] = score;
-}
-BENCHMARK(BM_GraderBatchThreadScaling)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

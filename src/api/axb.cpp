@@ -126,25 +126,14 @@ AxbResult run_solver(const AxbRequest& req) {
 }  // namespace
 
 AxbResult solve_axb(const AxbRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "axb";
-    key.input = cache::digest_bytes(req.input);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled()) {
     cache::Hasher h;
     h.u64(kAxbFormatVersion).boolean(req.use_cg);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      AxbResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
+    key = cache::CacheKey{"axb", cache::digest_bytes(req.input), h.finish()};
   }
-  AxbResult res = run_solver(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<AxbResult>(
+      key, deserialize, [&] { return run_solver(req); }, serialize);
 }
 
 }  // namespace l2l::api

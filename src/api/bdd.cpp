@@ -259,25 +259,14 @@ BddScriptResult run_script(const BddScriptRequest& req) {
 }  // namespace
 
 BddScriptResult run_bdd_script(const BddScriptRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "bdd";
-    key.input = cache::digest_bytes(req.script);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled()) {
     cache::Hasher h;
     h.u64(kBddFormatVersion).i64(req.node_limit);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      BddScriptResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
+    key = cache::CacheKey{"bdd", cache::digest_bytes(req.script), h.finish()};
   }
-  BddScriptResult res = run_script(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<BddScriptResult>(
+      key, deserialize, [&] { return run_script(req); }, serialize);
 }
 
 }  // namespace l2l::api

@@ -207,29 +207,18 @@ EsopResult synthesize_esop(const EsopRequest& req) {
   // A wall-clock deadline makes the stopping point non-reproducible:
   // never store or replay such results. The deterministic guards
   // (max_terms, conflict_limit, prop_limit) are config-digest inputs.
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "esop";
-    key.input = cache::digest_bytes(req.input);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled()) {
     cache::Hasher h;
     h.u64(kEsopFormatVersion)
         .i32(req.max_terms)
         .i64(req.conflict_limit)
         .i64(req.prop_limit)
         .boolean(req.show_stats);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      EsopResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
+    key = cache::CacheKey{"esop", cache::digest_bytes(req.input), h.finish()};
   }
-  EsopResult res = run_synthesis(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<EsopResult>(
+      key, deserialize, [&] { return run_synthesis(req); }, serialize);
 }
 
 }  // namespace l2l::api

@@ -71,28 +71,18 @@ EspressoResult run_minimizer(const EspressoRequest& req) {
 }  // namespace
 
 EspressoResult minimize_pla(const EspressoRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "espresso";
-    key.input = cache::digest_bytes(req.pla);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled()) {
     cache::Hasher h;
     h.u64(kEspressoFormatVersion)
         .boolean(req.exact)
         .boolean(req.single_pass)
         .boolean(req.show_stats);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      EspressoResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
+    key = cache::CacheKey{"espresso", cache::digest_bytes(req.pla),
+                          h.finish()};
   }
-  EspressoResult res = run_minimizer(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<EspressoResult>(
+      key, deserialize, [&] { return run_minimizer(req); }, serialize);
 }
 
 }  // namespace l2l::api

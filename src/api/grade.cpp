@@ -15,7 +15,9 @@ namespace {
 // entries instead of misreading them.
 constexpr std::uint64_t kGradeFormatVersion = 2;
 
-void append_route_grade(std::string& out, const grader::RouteGrade& g) {
+std::string serialize_route(const RouteGradeResult& res) {
+  const grader::RouteGrade& g = res.grade;
+  std::string out;
   cache::append_i64(out, static_cast<std::int64_t>(g.nets.size()));
   for (const auto& net : g.nets) {
     cache::append_i64(out, net.net_id);
@@ -34,9 +36,12 @@ void append_route_grade(std::string& out, const grader::RouteGrade& g) {
   detail::append_diagnostics(out, g.lint);
   detail::append_diagnostics(out, g.sema);
   detail::append_status(out, g.status);
+  return out;
 }
 
-bool read_route_grade(cache::RecordReader& in, grader::RouteGrade& g) {
+bool deserialize_route(std::string_view bytes, RouteGradeResult& res) {
+  cache::RecordReader in(bytes);
+  grader::RouteGrade& g = res.grade;
   std::int64_t num_nets = 0;
   if (!in.next_i64(num_nets) || num_nets < 0) return false;
   g.nets.clear();
@@ -66,10 +71,12 @@ bool read_route_grade(cache::RecordReader& in, grader::RouteGrade& g) {
   g.total_nets = static_cast<int>(total_nets);
   g.total_wirelength = static_cast<int>(wirelength);
   g.total_vias = static_cast<int>(vias);
-  return true;
+  return in.complete();
 }
 
-void append_place_grade(std::string& out, const grader::PlaceGrade& g) {
+std::string serialize_place(const PlaceGradeResult& res) {
+  const grader::PlaceGrade& g = res.grade;
+  std::string out;
   cache::append_i64(out, g.legal ? 1 : 0);
   cache::append_record(out, g.reason);
   cache::append_f64(out, g.hpwl);
@@ -80,9 +87,12 @@ void append_place_grade(std::string& out, const grader::PlaceGrade& g) {
   detail::append_diagnostics(out, g.lint);
   detail::append_diagnostics(out, g.sema);
   detail::append_status(out, g.status);
+  return out;
 }
 
-bool read_place_grade(cache::RecordReader& in, grader::PlaceGrade& g) {
+bool deserialize_place(std::string_view bytes, PlaceGradeResult& res) {
+  cache::RecordReader in(bytes);
+  grader::PlaceGrade& g = res.grade;
   std::int64_t legal = 0;
   if (!in.next_i64(legal) || !in.next_string(g.reason) ||
       !in.next_f64(g.hpwl) || !in.next_f64(g.quality_ratio) ||
@@ -93,7 +103,7 @@ bool read_place_grade(cache::RecordReader& in, grader::PlaceGrade& g) {
       !detail::read_status(in, g.status))
     return false;
   g.legal = legal != 0;
-  return true;
+  return in.complete();
 }
 
 }  // namespace
@@ -106,41 +116,31 @@ RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
 RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
                                         const cache::Digest128& problem_digest,
                                         const RouteGradeRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "grader.route";
-    key.input = cache::digest_bytes(req.submission);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled()) {
     cache::Hasher h;
     h.u64(kGradeFormatVersion)
         .u64(problem_digest.hi)
         .u64(problem_digest.lo)
         .i64(req.step_limit);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      RouteGradeResult res;
-      cache::RecordReader in(*hit);
-      if (read_route_grade(in, res.grade) && in.complete()) {
-        res.cached = true;
+    key = cache::CacheKey{"grader.route", cache::digest_bytes(req.submission),
+                          h.finish()};
+  }
+  return detail::cached_call<RouteGradeResult>(
+      key, deserialize_route,
+      [&] {
+        RouteGradeResult res;
+        util::Budget budget;
+        const util::Budget* guard = nullptr;
+        if (req.step_limit >= 0 || req.time_limit_ms >= 0) {
+          if (req.step_limit >= 0) budget.set_step_limit(req.step_limit);
+          if (req.time_limit_ms >= 0) budget.set_deadline_ms(req.time_limit_ms);
+          guard = &budget;
+        }
+        res.grade = grader::grade_routing_text(problem, req.submission, guard);
         return res;
-      }
-    }
-  }
-  RouteGradeResult res;
-  util::Budget budget;
-  const util::Budget* guard = nullptr;
-  if (req.step_limit >= 0 || req.time_limit_ms >= 0) {
-    if (req.step_limit >= 0) budget.set_step_limit(req.step_limit);
-    if (req.time_limit_ms >= 0) budget.set_deadline_ms(req.time_limit_ms);
-    guard = &budget;
-  }
-  res.grade = grader::grade_routing_text(problem, req.submission, guard);
-  if (cacheable) {
-    std::string bytes;
-    append_route_grade(bytes, res.grade);
-    cache::Cache::global().insert(key, bytes);
-  }
-  return res;
+      },
+      serialize_route);
 }
 
 PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
@@ -154,11 +154,8 @@ PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
                                         const place::Grid& grid,
                                         const cache::Digest128& problem_digest,
                                         const PlaceGradeRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "grader.place";
-    key.input = cache::digest_bytes(req.submission);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled()) {
     cache::Hasher h;
     h.u64(kGradeFormatVersion)
         .u64(problem_digest.hi)
@@ -168,26 +165,18 @@ PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
         .f64(grid.width)
         .f64(grid.height)
         .f64(req.reference_hpwl);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      PlaceGradeResult res;
-      cache::RecordReader in(*hit);
-      if (read_place_grade(in, res.grade) && in.complete()) {
-        res.cached = true;
+    key = cache::CacheKey{"grader.place", cache::digest_bytes(req.submission),
+                          h.finish()};
+  }
+  return detail::cached_call<PlaceGradeResult>(
+      key, deserialize_place,
+      [&] {
+        PlaceGradeResult res;
+        res.grade = grader::grade_placement_text(problem, grid, req.submission,
+                                                 req.reference_hpwl);
         return res;
-      }
-    }
-  }
-  PlaceGradeResult res;
-  res.grade =
-      grader::grade_placement_text(problem, grid, req.submission,
-                                   req.reference_hpwl);
-  if (cacheable) {
-    std::string bytes;
-    append_place_grade(bytes, res.grade);
-    cache::Cache::global().insert(key, bytes);
-  }
-  return res;
+      },
+      serialize_place);
 }
 
 }  // namespace l2l::api

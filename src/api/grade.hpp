@@ -1,6 +1,6 @@
 #pragma once
 // Auto-grader facades: the cached text-in/grade-out entry points the
-// grading queue, batch drivers, and benchmarks share. The facade owns
+// grading service's callbacks, tools, and benchmarks share. The facade owns
 // the keying -- submission text digested as the input, problem digest
 // folded into the config together with the deterministic limits -- so
 // "the same submission against the same problem is graded once" holds
@@ -36,8 +36,8 @@ struct RouteGradeResult {
 RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
                                         const RouteGradeRequest& req);
 
-/// Batch variant: the caller precomputes routing_problem_digest once and
-/// reuses it for every submission against the same problem.
+/// Digest-reusing variant: the caller precomputes routing_problem_digest
+/// once and reuses it for every submission against the same problem.
 RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
                                         const cache::Digest128& problem_digest,
                                         const RouteGradeRequest& req);

@@ -63,58 +63,55 @@ bool deserialize(std::string_view bytes, std::string& blif,
 }  // namespace
 
 MlsResult optimize_blif(const MlsRequest& req) {
-  MlsResult res;
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "mls";
-    key.input = cache::digest_bytes(req.blif);
-    key.config = config_digest(req.options);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      if (deserialize(*hit, res.blif, res.stats)) {
-        res.cached = true;
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled())
+    key = cache::CacheKey{"mls", cache::digest_bytes(req.blif),
+                          config_digest(req.options)};
+  return detail::cached_call<MlsResult>(
+      key,
+      [](std::string_view bytes, MlsResult& res) {
+        return deserialize(bytes, res.blif, res.stats);
+      },
+      [&] {
+        MlsResult res;
+        network::Network net;
+        try {
+          net = network::parse_blif(req.blif);
+        } catch (const std::exception& e) {
+          res.status = util::Status::parse_error(e.what());
+          return res;
+        }
+        res.stats = mls::optimize(net, req.options);
+        res.blif = network::write_blif(net);
         return res;
-      }
-    }
-  }
-  network::Network net;
-  try {
-    net = network::parse_blif(req.blif);
-  } catch (const std::exception& e) {
-    res.status = util::Status::parse_error(e.what());
-    return res;
-  }
-  res.stats = mls::optimize(net, req.options);
-  res.blif = network::write_blif(net);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res.blif, res.stats));
-  return res;
+      },
+      [](const MlsResult& res) -> std::optional<std::string> {
+        // An unparsable input is answered afresh every time, never stored.
+        if (!res.status.ok()) return std::nullopt;
+        return serialize(res.blif, res.stats);
+      });
 }
 
 MlsNetworkResult optimize_network(network::Network& net,
                                   const mls::ScriptOptions& opt,
                                   bool use_cache) {
-  MlsNetworkResult res;
-  const bool cacheable = use_cache && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "mls";
-    key.input = cache::digest_bytes(network::write_blif(net));
-    key.config = config_digest(opt);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      std::string blif;
-      if (deserialize(*hit, blif, res.stats)) {
+  std::optional<cache::CacheKey> key;
+  if (use_cache && cache::enabled())
+    key = cache::CacheKey{"mls", cache::digest_bytes(network::write_blif(net)),
+                          config_digest(opt)};
+  return detail::cached_call<MlsNetworkResult>(
+      key,
+      [&](std::string_view bytes, MlsNetworkResult& res) {
+        std::string blif;
+        if (!deserialize(bytes, blif, res.stats)) return false;
         net = network::parse_blif(blif);
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  // Miss: optimize in place -- bit-for-bit the uncached code path.
-  res.stats = mls::optimize(net, opt);
-  if (cacheable)
-    cache::Cache::global().insert(key,
-                                  serialize(network::write_blif(net), res.stats));
-  return res;
+        return true;
+      },
+      // Miss: optimize in place -- bit-for-bit the uncached code path.
+      [&] { return MlsNetworkResult{mls::optimize(net, opt)}; },
+      [&](const MlsNetworkResult& res) {
+        return serialize(network::write_blif(net), res.stats);
+      });
 }
 
 }  // namespace l2l::api

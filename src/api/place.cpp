@@ -1,5 +1,6 @@
 #include "api/place.hpp"
 
+#include "api/detail.hpp"
 #include "cache/cache.hpp"
 #include "place/wirelength.hpp"
 
@@ -55,27 +56,20 @@ bool deserialize(std::string_view bytes, PlaceResult& res) {
 
 PlaceResult place_and_legalize(const gen::PlacementProblem& problem,
                                const PlaceRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled() &&
-                         req.options.budget == nullptr;
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "place";
-    key.input = placement_problem_digest(problem);
-    key.config = config_digest(req);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      PlaceResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled() && req.options.budget == nullptr)
+    key = cache::CacheKey{"place", placement_problem_digest(problem),
+                          config_digest(req)};
+  return detail::cached_call<PlaceResult>(
+      key, deserialize,
+      [&] {
+        PlaceResult res;
+        const auto continuous = place::place_quadratic(problem, req.options);
+        res.placement = place::legalize(problem, continuous, req.grid);
+        res.hpwl = place::hpwl(problem, res.placement.to_continuous(req.grid));
         return res;
-      }
-    }
-  }
-  PlaceResult res;
-  const auto continuous = place::place_quadratic(problem, req.options);
-  res.placement = place::legalize(problem, continuous, req.grid);
-  res.hpwl = place::hpwl(problem, res.placement.to_continuous(req.grid));
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+      },
+      serialize);
 }
 
 cache::Digest128 placement_problem_digest(const gen::PlacementProblem& p) {

@@ -27,7 +27,8 @@ cache::Digest128 config_digest(const route::RouterOptions& opt) {
   return h.finish();
 }
 
-std::string serialize(const route::RouteSolution& sol) {
+std::string serialize(const RouteResult& res) {
+  const route::RouteSolution& sol = res.solution;
   std::string out;
   cache::append_i64(out, static_cast<std::int64_t>(sol.nets.size()));
   for (const auto& net : sol.nets) {
@@ -51,7 +52,8 @@ std::string serialize(const route::RouteSolution& sol) {
   return out;
 }
 
-bool deserialize(std::string_view bytes, route::RouteSolution& sol) {
+bool deserialize(std::string_view bytes, RouteResult& res) {
+  route::RouteSolution& sol = res.solution;
   cache::RecordReader in(bytes);
   std::int64_t num_nets = 0;
   if (!in.next_i64(num_nets) || num_nets < 0) return false;
@@ -95,25 +97,14 @@ bool deserialize(std::string_view bytes, route::RouteSolution& sol) {
 
 RouteResult route_nets(const gen::RoutingProblem& problem,
                        const RouteRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled() &&
-                         req.options.budget == nullptr;
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "route";
-    key.input = routing_problem_digest(problem);
-    key.config = config_digest(req.options);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      RouteResult res;
-      if (deserialize(*hit, res.solution)) {
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  RouteResult res;
-  res.solution = route::route_all(problem, req.options);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res.solution));
-  return res;
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled() && req.options.budget == nullptr)
+    key = cache::CacheKey{"route", routing_problem_digest(problem),
+                          config_digest(req.options)};
+  return detail::cached_call<RouteResult>(
+      key, deserialize,
+      [&] { return RouteResult{route::route_all(problem, req.options)}; },
+      serialize);
 }
 
 cache::Digest128 routing_problem_digest(const gen::RoutingProblem& p) {

@@ -79,12 +79,8 @@ SatResult run_solver(const SatRequest& req) {
 SatResult solve_sat(const SatRequest& req) {
   // A wall-clock deadline (or an external budget the caller wired into
   // options) makes the stopping point non-reproducible: bypass the cache.
-  const bool cacheable = req.cacheable() && cache::enabled() &&
-                         req.options.budget == nullptr;
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "sat";
-    key.input = cache::digest_bytes(req.dimacs);
+  std::optional<cache::CacheKey> key;
+  if (req.cacheable() && cache::enabled() && req.options.budget == nullptr) {
     cache::Hasher h;
     h.u64(kSatFormatVersion)
         .boolean(req.options.use_vsids)
@@ -96,18 +92,10 @@ SatResult solve_sat(const SatRequest& req) {
         .i64(req.options.conflict_limit)
         .i64(req.prop_limit)
         .boolean(req.show_stats);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      SatResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
+    key = cache::CacheKey{"sat", cache::digest_bytes(req.dimacs), h.finish()};
   }
-  SatResult res = run_solver(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<SatResult>(
+      key, deserialize, [&] { return run_solver(req); }, serialize);
 }
 
 }  // namespace l2l::api

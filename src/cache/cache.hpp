@@ -1,6 +1,7 @@
 #pragma once
 // l2l::cache -- the content-addressed result cache behind every engine
-// facade (see l2l/api.hpp) and the grading-queue submission dedup.
+// facade (see l2l/api.hpp; each one round-trips through
+// api::detail::cached_call) and the grading service's cross-run replay.
 //
 // The MOOC graded tens of thousands of near-identical ASCII submissions;
 // the ROADMAP north star is "never compute the same answer twice". The
@@ -20,10 +21,10 @@
 // entirely for wall-clock-limited runs, whose truncation point is not
 // reproducible. Hit/miss/evict counters flow through l2l::obs per-thread
 // shards and export byte-identically at any L2L_THREADS *provided the
-// call sequence is deterministic*; the parallel consumers (grading queue,
-// batch graders) arrange that by deduplicating work in a sequential
-// pre-pass, so which lookups hit and which miss never depends on the
-// thread schedule.
+// call sequence is deterministic*; the one parallel consumer, the grading
+// service, arranges that by looking up at its sequential scheduling pass
+// and inserting at its sequential fold, so which lookups hit and which
+// miss never depends on the thread schedule.
 //
 // In-memory tier: an LRU sharded by key hash (fixed shard count,
 // independent of L2L_THREADS), bounded in entries and bytes per shard.
@@ -55,7 +56,7 @@ bool enabled();
 void set_enabled(bool on);
 
 /// The content-addressed key. `engine` is a short stable id ("sat",
-/// "grader.route", "mooc.queue", ...); `input` digests the canonical
+/// "grader.route", "mooc.service", ...); `input` digests the canonical
 /// input text; `config` digests every option that changes the result.
 struct CacheKey {
   std::string engine;

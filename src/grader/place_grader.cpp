@@ -1,19 +1,13 @@
 #include "grader/place_grader.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <map>
 #include <sstream>
 #include <string_view>
-#include <thread>
 
-#include "cache/cache.hpp"
 #include "lint/lint.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sema/sema.hpp"
 #include "place/wirelength.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::grader {
@@ -170,77 +164,6 @@ PlaceGrade grade_placement_text(const gen::PlacementProblem& problem,
     g.report = head + g.report;
   }
   return g;
-}
-
-std::vector<PlaceGrade> grade_placement_batch(
-    const gen::PlacementProblem& problem, const place::Grid& grid,
-    const std::vector<std::string>& submissions, double reference_hpwl,
-    const BatchOptions& opt) {
-  obs::ScopedSpan span("grader.place.batch", "grader");
-  obs::count("grader.place.batch_calls");
-  obs::count("grader.place.submissions",
-             static_cast<std::int64_t>(submissions.size()));
-  std::vector<PlaceGrade> grades(submissions.size());
-  // Intra-batch dedup, same scheme as grade_routing_batch: sequential
-  // exact-text pre-pass, grade each unique submission once, copy the
-  // rest. L2L_CACHE=0 (or a wall-clock limit) grades everything.
-  std::vector<std::size_t> canonical(submissions.size());
-  const bool dedup = cache::enabled() && opt.time_limit_ms < 0;
-  {
-    std::map<std::string_view, std::size_t> first;
-    for (std::size_t i = 0; i < submissions.size(); ++i)
-      canonical[i] =
-          dedup ? first.emplace(submissions[i], i).first->second : i;
-  }
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < submissions.size(); ++i)
-    if (canonical[i] == i) work.push_back(i);
-  util::parallel_for(
-      0, static_cast<std::int64_t>(work.size()), 1,
-      [&](std::int64_t s) {
-        const auto i = work[static_cast<std::size_t>(s)];
-        obs::ScopedSpan sub_span("grader.place.submission", "grader");
-        const int attempts = std::max(1, opt.max_attempts);
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-          if (attempt > 0) obs::count("grader.place.retries");
-          if (attempt > 0 && opt.backoff_base_ms > 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                static_cast<std::int64_t>(opt.backoff_base_ms)
-                << (attempt - 1)));
-          try {
-            grades[i] = grade_placement_text(problem, grid, submissions[i],
-                                             reference_hpwl);
-            break;  // deterministic outcome: retrying cannot change it
-          } catch (const std::exception& e) {
-            grades[i] = PlaceGrade{};
-            grades[i].status = util::Status::internal(e.what());
-            grades[i].report = util::format(
-                "PLACEMENT GRADE: internal error (%s), score 0\n", e.what());
-          } catch (...) {
-            grades[i] = PlaceGrade{};
-            grades[i].status = util::Status::internal("unknown error");
-            grades[i].report =
-                "PLACEMENT GRADE: internal error (unknown), score 0\n";
-          }
-        }
-      });
-  // Sequential epilogue: replay duplicates, then outcome tallies in
-  // submission order.
-  std::int64_t deduped = 0;
-  for (std::size_t i = 0; i < submissions.size(); ++i)
-    if (canonical[i] != i) {
-      grades[i] = grades[canonical[i]];
-      ++deduped;
-    }
-  if (obs::enabled()) {
-    if (dedup) obs::count("grader.place.deduped", deduped);
-    std::int64_t failed = 0;
-    for (const auto& g : grades) failed += g.status.ok() ? 0 : 1;
-    obs::count("grader.place.failed", failed);
-    obs::count("grader.place.graded",
-               static_cast<std::int64_t>(grades.size()) - failed);
-  }
-  return grades;
 }
 
 }  // namespace l2l::grader

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "grader/batch.hpp"
 #include "place/legalize.hpp"
 #include "util/status.hpp"
 
@@ -35,7 +34,8 @@ struct PlaceGrade {
   /// with semantic defects to the wrong portal. Never changes the score;
   /// a placement submission has none.
   std::vector<util::Diagnostic> sema;
-  /// Non-ok when grading itself failed (internal error in the batch path).
+  /// Always ok: the text grader reports problems as diagnostics. Kept
+  /// so the cached grade record (api/grade.cpp) keeps its layout.
   util::Status status;
 };
 
@@ -74,14 +74,5 @@ PlaceGrade grade_placement_text(const gen::PlacementProblem& problem,
                                 const place::Grid& grid,
                                 const std::string& text,
                                 double reference_hpwl);
-
-/// Score many independent submissions against the same problem, spread
-/// across the worker pool. Result order matches submission order and is
-/// identical at any L2L_THREADS. Each submission is isolated: exception
-/// barrier plus a bounded retry loop (see BatchOptions).
-std::vector<PlaceGrade> grade_placement_batch(
-    const gen::PlacementProblem& problem, const place::Grid& grid,
-    const std::vector<std::string>& submissions, double reference_hpwl,
-    const BatchOptions& opt = {});
 
 }  // namespace l2l::grader

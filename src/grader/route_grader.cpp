@@ -1,17 +1,11 @@
 #include "grader/route_grader.hpp"
 
-#include <chrono>
 #include <map>
 #include <set>
-#include <string_view>
-#include <thread>
 
-#include "cache/cache.hpp"
 #include "lint/lint.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sema/sema.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::grader {
@@ -177,87 +171,6 @@ RouteGrade grade_routing_text(const gen::RoutingProblem& problem,
     g.report = head + g.report;
   }
   return g;
-}
-
-std::vector<RouteGrade> grade_routing_batch(
-    const gen::RoutingProblem& problem,
-    const std::vector<std::string>& submissions, const BatchOptions& opt) {
-  obs::ScopedSpan span("grader.route.batch", "grader");
-  obs::count("grader.route.batch_calls");
-  obs::count("grader.route.submissions",
-             static_cast<std::int64_t>(submissions.size()));
-  std::vector<RouteGrade> grades(submissions.size());
-  // Intra-batch dedup: a sequential exact-text pre-pass maps duplicate
-  // submissions onto their first occurrence, so identical uploads are
-  // graded once and copied. Sequential so the grade/copy split never
-  // depends on the thread schedule; disabled with the cache kill switch
-  // (L2L_CACHE=0 grades everything, the pre-dedup behavior) and under a
-  // wall-clock limit (a deadline outcome is not content-addressable).
-  std::vector<std::size_t> canonical(submissions.size());
-  const bool dedup = cache::enabled() && opt.time_limit_ms < 0;
-  {
-    std::map<std::string_view, std::size_t> first;
-    for (std::size_t i = 0; i < submissions.size(); ++i)
-      canonical[i] =
-          dedup ? first.emplace(submissions[i], i).first->second : i;
-  }
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < submissions.size(); ++i)
-    if (canonical[i] == i) work.push_back(i);
-  util::parallel_for(
-      0, static_cast<std::int64_t>(work.size()), 1,
-      [&](std::int64_t s) {
-        const auto i = work[static_cast<std::size_t>(s)];
-        // One span per submission: the Chrome trace shows each worker
-        // lane's grading intervals. Counters here are commutative sums,
-        // deterministic because outcomes per submission are.
-        obs::ScopedSpan sub_span("grader.route.submission", "grader");
-        const int attempts = std::max(1, opt.max_attempts);
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-          if (attempt > 0) obs::count("grader.route.retries");
-          if (attempt > 0 && opt.backoff_base_ms > 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                static_cast<std::int64_t>(opt.backoff_base_ms) << (attempt - 1)));
-          util::Budget guard;
-          if (opt.step_limit >= 0) guard.set_step_limit(opt.step_limit);
-          if (opt.time_limit_ms >= 0) guard.set_deadline_ms(opt.time_limit_ms);
-          const util::Budget* budget =
-              guard.has_step_limit() || guard.has_deadline() ? &guard : nullptr;
-          try {
-            grades[i] = grade_routing_text(problem, submissions[i], budget);
-            break;  // deterministic outcome: retrying cannot change it
-          } catch (const std::exception& e) {
-            grades[i] = RouteGrade{};
-            grades[i].total_nets = static_cast<int>(problem.nets.size());
-            grades[i].status = util::Status::internal(e.what());
-            grades[i].report = util::format(
-                "ROUTING GRADE: internal error (%s), score 0\n", e.what());
-          } catch (...) {
-            grades[i] = RouteGrade{};
-            grades[i].total_nets = static_cast<int>(problem.nets.size());
-            grades[i].status = util::Status::internal("unknown error");
-            grades[i].report =
-                "ROUTING GRADE: internal error (unknown), score 0\n";
-          }
-        }
-      });
-  // Sequential epilogue: replay duplicates, then outcome tallies in
-  // submission order.
-  std::int64_t deduped = 0;
-  for (std::size_t i = 0; i < submissions.size(); ++i)
-    if (canonical[i] != i) {
-      grades[i] = grades[canonical[i]];
-      ++deduped;
-    }
-  if (obs::enabled()) {
-    if (dedup) obs::count("grader.route.deduped", deduped);
-    std::int64_t failed = 0;
-    for (const auto& g : grades) failed += g.status.ok() ? 0 : 1;
-    obs::count("grader.route.failed", failed);
-    obs::count("grader.route.graded",
-               static_cast<std::int64_t>(grades.size()) - failed);
-  }
-  return grades;
 }
 
 }  // namespace l2l::grader

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "grader/batch.hpp"
 #include "route/solution.hpp"
 #include "util/budget.hpp"
 #include "util/status.hpp"
@@ -63,14 +62,5 @@ RouteGrade grade_routing(const gen::RoutingProblem& problem,
 RouteGrade grade_routing_text(const gen::RoutingProblem& problem,
                               const std::string& solution_text,
                               const util::Budget* budget = nullptr);
-
-/// Score many independent submissions against the same problem, spread
-/// across the worker pool (the MOOC's planet-scale grading queue). The
-/// result vector is in submission order and identical at any L2L_THREADS.
-/// Each submission is isolated: its own resource guard and exception
-/// barrier, plus a bounded retry loop (see BatchOptions).
-std::vector<RouteGrade> grade_routing_batch(
-    const gen::RoutingProblem& problem,
-    const std::vector<std::string>& submissions, const BatchOptions& opt = {});
 
 }  // namespace l2l::grader

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "cache/cache.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::mooc {
 namespace {
-
-constexpr std::uint64_t kQueueFormatVersion = 1;
 
 /// splitmix64: the standard 64-bit finalizer. Good enough to turn
 /// (seed, submission, attempt) into an independent uniform draw.
@@ -55,6 +49,9 @@ void grade_one_submission(std::uint64_t fault_key,
                           const QueueOptions& opt, SubmissionOutcome& out,
                           FaultTally& tally) {
   const int max_attempts = 1 + std::max(0, opt.max_retries);
+  // Whether the latest failed attempt was a grader throw (poison input)
+  // rather than an injected fault; it picks kFailed over kExhausted.
+  bool grader_threw = false;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     ++out.attempts;
     if (attempt > 0) {
@@ -78,6 +75,7 @@ void grade_one_submission(std::uint64_t fault_key,
     if (uniform01(opt.fault_seed, ui, ua, 0x7261776bull) <
         opt.transient_fault_rate) {
       ++tally.transients;
+      grader_threw = false;
       out.status = util::Status::internal("injected transient fault");
       out.diagnostic =
           util::format("worker crashed on attempt %d (injected)", attempt + 1);
@@ -85,6 +83,7 @@ void grade_one_submission(std::uint64_t fault_key,
     }
     if (uniform01(opt.fault_seed, ui, ua, 0x7374616cull) < opt.stall_rate) {
       ++tally.stalls;
+      grader_threw = false;
       out.status = util::Status::timeout("injected worker stall");
       out.diagnostic =
           util::format("worker stalled on attempt %d (injected)", attempt + 1);
@@ -120,18 +119,17 @@ void grade_one_submission(std::uint64_t fault_key,
       // out.
       out.status = util::Status::internal(e.what());
       out.diagnostic = util::format("grader error: %s", e.what());
+      grader_threw = true;
       continue;
     } catch (...) {
       out.status = util::Status::internal("unknown grader error");
       out.diagnostic = "grader error: unknown";
+      grader_threw = true;
       continue;
     }
   }
   // All attempts consumed without a graded result.
-  out.kind = out.status.code == util::StatusCode::kInternalError &&
-                     out.diagnostic.rfind("grader error", 0) == 0
-                 ? OutcomeKind::kFailed
-                 : OutcomeKind::kExhausted;
+  out.kind = grader_threw ? OutcomeKind::kFailed : OutcomeKind::kExhausted;
 }
 
 std::string serialize_outcome(const SubmissionOutcome& out) {
@@ -164,185 +162,6 @@ bool deserialize_outcome(std::string_view bytes, SubmissionOutcome& out) {
   out.backoff_ticks = static_cast<int>(backoff);
   out.status.code = static_cast<util::StatusCode>(code);
   return true;
-}
-
-namespace {
-
-void fold_stats(QueueResult& res, const std::vector<FaultTally>& tallies) {
-  for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
-    const auto& out = res.outcomes[i];
-    res.stats.total_attempts += out.attempts;
-    res.stats.injected_transients += tallies[i].transients;
-    res.stats.injected_stalls += tallies[i].stalls;
-    switch (out.kind) {
-      case OutcomeKind::kGraded: ++res.stats.graded; break;
-      case OutcomeKind::kFailed: ++res.stats.failed; break;
-      case OutcomeKind::kBudget: ++res.stats.budget_exceeded; break;
-      case OutcomeKind::kExhausted: ++res.stats.retries_exhausted; break;
-      case OutcomeKind::kRejected: ++res.stats.lint_rejected; break;
-    }
-  }
-}
-
-void export_metrics(const QueueResult& res, std::size_t submissions,
-                    bool cached_path) {
-  // Metrics flush from the sequential fold: every number below comes from
-  // the already-deterministic QueueStats, not from the worker lanes.
-  if (!obs::enabled()) return;
-  obs::count("mooc.queue.drains");
-  obs::count("mooc.queue.submissions", static_cast<std::int64_t>(submissions));
-  obs::count("mooc.queue.graded", res.stats.graded);
-  obs::count("mooc.queue.failed", res.stats.failed);
-  obs::count("mooc.queue.budget_exceeded", res.stats.budget_exceeded);
-  obs::count("mooc.queue.retries_exhausted", res.stats.retries_exhausted);
-  obs::count("mooc.queue.lint_rejected", res.stats.lint_rejected);
-  obs::count("mooc.queue.attempts", res.stats.total_attempts);
-  obs::count("mooc.queue.transients", res.stats.injected_transients);
-  obs::count("mooc.queue.stalls", res.stats.injected_stalls);
-  if (cached_path) {
-    // Only the dedup path emits its counters: with L2L_CACHE=0 the
-    // metric export stays byte-identical to the pre-cache service.
-    obs::count("mooc.queue.deduped", res.stats.deduped);
-    obs::count("mooc.queue.cache_hits", res.stats.cache_hits);
-    obs::count("mooc.queue.lint_rejected_cached",
-               res.stats.lint_rejected_cached);
-  }
-  for (const auto& out : res.outcomes)
-    obs::observe("mooc.queue.attempts_per_submission", out.attempts);
-}
-
-/// The original grade-everything path: no digests, no dedup. Runs when
-/// the cache kill switch is off, byte-identical to the pre-cache queue.
-QueueResult drain_uncached(const std::vector<std::string>& submissions,
-                           const GradeFn& grade, const QueueOptions& opt) {
-  QueueResult res;
-  res.outcomes.resize(submissions.size());
-  std::vector<FaultTally> tallies(submissions.size());
-  util::parallel_for(
-      0, static_cast<std::int64_t>(submissions.size()), 1,
-      [&](std::int64_t s) {
-        const auto i = static_cast<std::size_t>(s);
-        // Per-submission span: a Chrome trace of a drain shows each worker
-        // lane's grading intervals, retries included in one span.
-        obs::ScopedSpan sub_span("mooc.queue.submission", "mooc");
-        auto& out = res.outcomes[i];
-        if (lint_pre_grade_rejects(submissions[i], opt, out)) return;
-        grade_one_submission(static_cast<std::uint64_t>(i), submissions[i], grade,
-                             opt, out, tallies[i]);
-      });
-  fold_stats(res, tallies);
-  export_metrics(res, submissions.size(), /*cached_path=*/false);
-  return res;
-}
-
-}  // namespace
-
-QueueResult drain_queue(const std::vector<std::string>& submissions,
-                        const GradeFn& grade, const QueueOptions& opt) {
-  obs::ScopedSpan span("mooc.queue.drain", "mooc");
-  if (!cache::enabled()) return drain_uncached(submissions, grade, opt);
-
-  QueueResult res;
-  res.outcomes.resize(submissions.size());
-  std::vector<FaultTally> tallies(submissions.size());
-
-  // Injected faults are keyed by submission index, so two identical
-  // submissions legitimately differ in outcome under fault injection:
-  // full-outcome dedup only applies when the simulation is fault-free and
-  // deterministic (no wall clock). Lint replay is always safe -- the lint
-  // verdict is a pure function of the submission bytes.
-  const bool dedup_outcomes = opt.transient_fault_rate == 0.0 &&
-                              opt.stall_rate == 0.0 && opt.time_limit_ms < 0;
-
-  // Sequential pre-pass: digest every submission, map duplicates to their
-  // first occurrence, and run lint once per unique upload. Sequential so
-  // hit/miss/dedup decisions never depend on the thread schedule.
-  std::vector<std::size_t> canonical(submissions.size());
-  std::vector<char> rejected(submissions.size(), 0);
-  std::vector<cache::Digest128> digests(submissions.size());
-  {
-    std::map<cache::Digest128, std::size_t> first;
-    for (std::size_t i = 0; i < submissions.size(); ++i) {
-      digests[i] = cache::digest_bytes(submissions[i]);
-      const auto [it, fresh] = first.emplace(digests[i], i);
-      canonical[i] = it->second;
-      if (fresh) {
-        rejected[i] =
-            lint_pre_grade_rejects(submissions[i], opt, res.outcomes[i]);
-      } else if (rejected[canonical[i]]) {
-        // Identical resubmission of a rejected upload: replay the
-        // verdict without re-running the lint pack.
-        res.outcomes[i] = res.outcomes[canonical[i]];
-        rejected[i] = 1;
-        ++res.stats.lint_rejected_cached;
-      }
-    }
-  }
-
-  // Cross-drain replay (opt-in via cache_domain): look finished outcomes
-  // up under (submission digest, queue-config digest). Still sequential.
-  cache::Digest128 config{};
-  std::vector<char> replayed(submissions.size(), 0);
-  const bool cross_drain = dedup_outcomes && !opt.cache_domain.empty();
-  if (cross_drain) {
-    cache::Hasher h;
-    h.u64(kQueueFormatVersion)
-        .str(opt.cache_domain)
-        .i32(opt.max_retries)
-        .i32(opt.backoff_base_ticks)
-        .i64(opt.step_limit)
-        .u64(opt.fault_seed)
-        .boolean(static_cast<bool>(opt.lint));
-    config = h.finish();
-    for (std::size_t i = 0; i < submissions.size(); ++i) {
-      if (canonical[i] != i || rejected[i]) continue;
-      const cache::CacheKey key{"mooc.queue", digests[i], config};
-      if (const auto hit = cache::Cache::global().lookup(key)) {
-        if (deserialize_outcome(*hit, res.outcomes[i])) {
-          replayed[i] = 1;
-          ++res.stats.cache_hits;
-        }
-      }
-    }
-  }
-
-  // Work list: first occurrences that still need grading. Without
-  // outcome dedup (fault injection on), every non-rejected submission
-  // grades itself -- same work as the uncached path.
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < submissions.size(); ++i) {
-    if (rejected[canonical[i]] || replayed[i]) continue;
-    if (dedup_outcomes ? canonical[i] == i : !rejected[i]) work.push_back(i);
-  }
-
-  util::parallel_for(
-      0, static_cast<std::int64_t>(work.size()), 1, [&](std::int64_t s) {
-        const auto i = work[static_cast<std::size_t>(s)];
-        obs::ScopedSpan sub_span("mooc.queue.submission", "mooc");
-        grade_one_submission(static_cast<std::uint64_t>(i), submissions[i], grade,
-                             opt, res.outcomes[i], tallies[i]);
-      });
-
-  // Sequential epilogue: persist fresh outcomes, then replay duplicates
-  // in submission order.
-  if (cross_drain) {
-    for (const std::size_t i : work) {
-      if (canonical[i] != i) continue;
-      const cache::CacheKey key{"mooc.queue", digests[i], config};
-      cache::Cache::global().insert(key, serialize_outcome(res.outcomes[i]));
-    }
-  }
-  if (dedup_outcomes) {
-    for (std::size_t i = 0; i < submissions.size(); ++i) {
-      if (canonical[i] == i || rejected[i]) continue;
-      res.outcomes[i] = res.outcomes[canonical[i]];
-      ++res.stats.deduped;
-    }
-  }
-
-  fold_stats(res, tallies);
-  export_metrics(res, submissions.size(), /*cached_path=*/true);
-  return res;
 }
 
 }  // namespace l2l::mooc

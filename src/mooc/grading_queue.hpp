@@ -1,8 +1,11 @@
 #pragma once
-// A fault-injecting simulator of the MOOC's grading queue -- the service
-// path the paper describes as "a large regression suite for a commercial
-// EDA tool" run against planet-scale student uploads. The queue wraps an
-// arbitrary grading callback with the production failure modes:
+// The per-submission stages of the MOOC's grading pipeline -- the service
+// the paper describes as "a large regression suite for a commercial EDA
+// tool" run against planet-scale student uploads. mooc::GradingService
+// (grading_service.hpp) is the one caller: it schedules, dedups and
+// journals, and hands each submission to the pre-grade lint gate and the
+// attempt loop declared here, which wrap an arbitrary grading callback
+// with the production failure modes:
 //
 //   * slow submissions   (the grader runs long; the per-submission budget
 //                         cuts it off deterministically),
@@ -13,7 +16,7 @@
 //
 // Fault injection is deterministic: whether attempt k of submission i
 // faults is a pure hash of (fault_seed, i, k), independent of thread
-// schedule, so a draining run is bit-identical at any L2L_THREADS value
+// schedule, so a service run is bit-identical at any L2L_THREADS value
 // and a test can assert exact per-submission outcomes.
 
 #include <cstdint>
@@ -55,18 +58,18 @@ struct QueueOptions {
   /// submission (kRejected) without spending a grading attempt, and the
   /// rendered findings land in the outcome's diagnostic. Deterministic,
   /// so rejection is never retried -- and with the result cache enabled,
-  /// never re-run for a byte-identical resubmission either (the digest
-  /// pre-pass replays the verdict; see lint_rejected_cached).
+  /// never re-run for a byte-identical resubmission either (the service
+  /// replays the verdict from its lint memo).
   std::function<std::vector<util::Diagnostic>(const std::string&)> lint;
-  /// Cross-drain outcome replay domain. Empty (default): identical
-  /// submissions are deduplicated within one drain only. Non-empty: the
+  /// Cross-run outcome replay domain. Empty (default): identical
+  /// submissions are deduplicated within one run only. Non-empty: the
   /// caller asserts that this string identifies the grading callback +
   /// lint pack (e.g. "hw7.route-v1"), and finished outcomes are stored
-  /// in the global result cache under engine id "mooc.queue" so a later
-  /// drain with the same domain and options replays them without
-  /// grading. Only consulted when fault injection is off (rates 0) --
-  /// injected faults are keyed by submission index, so their outcomes
-  /// are not content-addressable.
+  /// in the global result cache under engine id "mooc.service" so a
+  /// later run with the same domain and options replays them without
+  /// grading. Only consulted on fault-free ticks (rates 0) -- injected
+  /// faults are keyed by submission id, so their outcomes are not
+  /// content-addressable.
   std::string cache_domain;
 };
 
@@ -87,31 +90,6 @@ struct SubmissionOutcome {
   std::string diagnostic;      ///< human-readable failure description
 };
 
-struct QueueStats {
-  int graded = 0;
-  int failed = 0;
-  int budget_exceeded = 0;
-  int retries_exhausted = 0;
-  int lint_rejected = 0;
-  int total_attempts = 0;
-  int injected_transients = 0;
-  int injected_stalls = 0;
-  /// Submissions whose outcome was replayed from an identical earlier
-  /// submission in the same drain (the sequential digest pre-pass).
-  int deduped = 0;
-  /// Submissions answered from the cross-drain result cache
-  /// (QueueOptions::cache_domain).
-  int cache_hits = 0;
-  /// Identical resubmissions of a lint-rejected upload that were rejected
-  /// again without re-running the lint pack.
-  int lint_rejected_cached = 0;
-};
-
-struct QueueResult {
-  std::vector<SubmissionOutcome> outcomes;  ///< in submission order
-  QueueStats stats;
-};
-
 /// Injected-fault counts observed while grading one submission. Kept
 /// separate from SubmissionOutcome so replaying an outcome (dedup, cache)
 /// never replays the fault tallies that were not actually incurred.
@@ -121,32 +99,18 @@ struct FaultTally {
 };
 
 /// The grading callback: score one submission under the given resource
-/// guard. May throw (the queue isolates it); may honor the budget (the
-/// queue checks it afterwards either way).
+/// guard. May throw (the attempt loop isolates it); may honor the budget
+/// (the loop checks it afterwards either way).
 using GradeFn =
     std::function<double(const std::string& submission, const util::Budget&)>;
-
-/// Drain `submissions` through `grade` across the worker pool. Outcome
-/// order matches submission order; with wall-clock limits disabled the
-/// result is bit-identical at any L2L_THREADS value.
-///
-/// With the result cache enabled (the default; L2L_CACHE=0 restores the
-/// grade-everything path exactly), a sequential digest pre-pass
-/// deduplicates the drain: byte-identical submissions are linted once,
-/// and -- when fault injection is off -- graded once, with every
-/// duplicate replaying the first occurrence's outcome. Because the
-/// pre-pass is sequential, which submissions hit and which miss never
-/// depends on the thread schedule.
-QueueResult drain_queue(const std::vector<std::string>& submissions,
-                        const GradeFn& grade, const QueueOptions& opt = {});
 
 /// One submission through the full attempt loop: injected faults, budget
 /// guard, exception barrier, bounded retries with saturating exponential
 /// backoff. Fault draws are a pure hash of (opt.fault_seed, fault_key,
-/// attempt) -- callers choose a schedule-independent key (drain_queue uses
-/// the queue index, the GradingService the trace-wide submission id), so
-/// the outcome never depends on which worker lane runs it. Shared by
-/// drain_queue and the persistent GradingService (grading_service.hpp).
+/// attempt) -- the GradingService keys it by the trace-wide submission
+/// id, so the outcome never depends on which worker lane runs it. When
+/// every attempt fails, the last one decides the verdict: a grader throw
+/// gives kFailed, an injected fault kExhausted.
 void grade_one_submission(std::uint64_t fault_key,
                           const std::string& submission, const GradeFn& grade,
                           const QueueOptions& opt, SubmissionOutcome& out,
@@ -155,12 +119,12 @@ void grade_one_submission(std::uint64_t fault_key,
 /// Pre-grade lint for one submission: runs QueueOptions::lint (when set)
 /// and, on any error-severity finding, fills `out` with the kRejected
 /// verdict and returns true. Pure in the submission bytes, so verdicts
-/// are always replayable. Shared by drain_queue and the GradingService.
+/// are always replayable.
 bool lint_pre_grade_rejects(const std::string& submission,
                             const QueueOptions& opt, SubmissionOutcome& out);
 
-/// The result-cache wire format for a finished outcome (engine ids
-/// "mooc.queue" and "mooc.service" share it). deserialize returns false
+/// The result-cache wire format for a finished outcome (engine id
+/// "mooc.service"; the journal frames reuse it). deserialize returns false
 /// on any truncated/corrupt/out-of-range payload -- a failed decode is a
 /// cache miss, never a trusted outcome.
 std::string serialize_outcome(const SubmissionOutcome& out);

@@ -1,10 +1,11 @@
 #pragma once
 // The persistent grading service: the planet-scale operational loop the
 // paper's "large regression suite for a commercial EDA tool" actually ran
-// as. Where drain_queue (grading_queue.hpp) is a one-shot batch over a
-// pre-materialized vector, the service is a tick-driven daemon over
-// multi-course sharded bounded queues, built to survive what a semester
-// throws at it:
+// as, and the repo's only grading pipeline: every submission is isolated,
+// retried and deduplicated here, on top of the per-submission stages in
+// grading_queue.hpp (lint_pre_grade_rejects, grade_one_submission). It is
+// a tick-driven daemon over multi-course sharded bounded queues, built to
+// survive what a semester throws at it:
 //
 //   * admission control  -- per-course per-tick arrival quotas; an
 //                           arrival past the quota (or past a full queue
@@ -25,9 +26,13 @@
 //                           passes;
 //   * dedup & replay     -- byte-identical uploads replay the first
 //                           outcome (in-run dedup) and, with a
-//                           cache_domain, across runs through the PR 5
-//                           result cache -- both decided sequentially so
-//                           hits never depend on the thread schedule.
+//                           cache_domain, across runs through the result
+//                           cache (engine id "mooc.service") -- both
+//                           decided sequentially so hits never depend on
+//                           the thread schedule. Outcomes are memoized at
+//                           the tick's sequential fold, so duplicates
+//                           scheduled in the same tick both grade; a
+//                           later tick (or a warm run) replays them.
 //
 // Determinism contract: scheduling, admission, shedding, breaker
 // transitions, dedup, and every exported metric are bit-identical at any
@@ -103,9 +108,9 @@ struct ServiceOptions {
   double storm_transient_rate = 0.0;
   double storm_stall_rate = 0.0;
 
-  /// Retry/backoff/budget/fault/lint/cache_domain knobs, shared verbatim
-  /// with drain_queue. cache_domain here stores outcomes under engine id
-  /// "mooc.service".
+  /// Retry/backoff/budget/fault/lint/cache_domain knobs for the
+  /// per-submission stages (grading_queue.hpp). cache_domain stores
+  /// outcomes under engine id "mooc.service".
   QueueOptions queue;
 
   /// Record one ServiceOutcome per trace event (tests, reports). The

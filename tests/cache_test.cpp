@@ -14,7 +14,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/digest.hpp"
-#include "mooc/grading_queue.hpp"
+#include "mooc/grading_service.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -250,25 +250,33 @@ std::string counters_only_export() {
 }
 
 TEST(CacheStatsTest, QueueDrainExportIsThreadCountInvariant) {
-  // The grading queue issues its cache traffic from the sequential
-  // pre-pass, so a cold-then-warm drain pair must export byte-identical
-  // cache.hit/cache.miss counters at 1, 2, and 8 threads.
+  // The grading service issues its cache traffic from sequential program
+  // points, so a cold-then-warm run pair must export byte-identical
+  // cache.* and mooc.service.* counters at 1, 2, and 8 threads. Five
+  // bodies, four uploads each, one upload per tick: duplicates land in
+  // later ticks, where the service's fold-time memo replays them.
   obs::set_enabled(true);
-  std::vector<std::string> subs;
-  for (int i = 0; i < 20; ++i) subs.push_back("s" + std::to_string(i % 5));
-  mooc::QueueOptions qopt;
-  qopt.cache_domain = "cache-test.queue";
-  const auto grade = [](const std::string& s, const util::Budget&) {
-    return static_cast<double>(s.size());
-  };
+  mooc::SubmissionTrace trace;
+  trace.num_courses = 1;
+  for (int b = 0; b < 5; ++b) trace.bodies.push_back("s" + std::to_string(b));
+  for (std::uint32_t k = 0; k < 20; ++k)
+    trace.events.push_back({.body = k % 5, .arrival_tick = k,
+                            .deadline_tick = k + 1});
+  trace.ticks = 20;
+  mooc::ServiceOptions opt;
+  opt.queue.cache_domain = "cache-test.service";
+  const mooc::GradingService service(
+      opt, [](const std::string& s, const util::Budget&) {
+        return static_cast<double>(s.size());
+      });
 
   std::vector<std::string> exports;
   for (const int t : {1, 2, 8}) {
     util::set_num_threads(t);
     obs::Registry::global().reset();
     cache::Cache::global().clear();
-    const auto cold = mooc::drain_queue(subs, grade, qopt);
-    const auto warm = mooc::drain_queue(subs, grade, qopt);
+    const auto cold = service.run(trace);
+    const auto warm = service.run(trace);
     EXPECT_EQ(cold.stats.cache_hits, 0) << t << " threads";
     EXPECT_EQ(warm.stats.cache_hits, 5) << t << " threads";
     exports.push_back(counters_only_export());
@@ -277,8 +285,10 @@ TEST(CacheStatsTest, QueueDrainExportIsThreadCountInvariant) {
   cache::Cache::global().clear();
   obs::Registry::global().reset();
   ASSERT_EQ(exports.size(), 3u);
-  EXPECT_NE(exports[0].find("counter mooc.queue.cache_hits 5"),
+  EXPECT_NE(exports[0].find("counter mooc.service.cache_hits 5"),
             std::string::npos)
+      << exports[0];
+  EXPECT_NE(exports[0].find("counter cache.hit"), std::string::npos)
       << exports[0];
   EXPECT_EQ(exports[0], exports[1]) << "threads 1 vs 2";
   EXPECT_EQ(exports[0], exports[2]) << "threads 1 vs 8";

@@ -1,12 +1,13 @@
 // Cross-thread-count determinism: the hard design constraint of the
 // parallel execution core. Router, placer solve, fault simulation, and
-// batch grading must produce byte-identical results for L2L_THREADS in
+// grading must produce byte-identical results for L2L_THREADS in
 // {1, 2, 8}, because the auto-grader contract ("same submission, same
 // score") cannot depend on the machine that graded it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -160,29 +161,40 @@ TEST_F(DeterminismTest, BatchGradingIsThreadCountInvariant) {
   gopt.num_nets = 10;
   const auto p = gen::generate_routing(gopt, rng);
 
-  // A spread of submissions: a good one, a truncated one, garbage.
+  // A spread of submissions, all uploaded in one tick so the grading
+  // service grades them as one parallel batch: a good one, a truncated
+  // one, garbage.
   const auto good = route::write_solution(route::route_all(p));
-  std::vector<std::string> submissions;
+  mooc::SubmissionTrace trace;
+  trace.num_courses = 1;
+  trace.bodies = {good, good.substr(0, good.size() / 2),
+                  "this is not a routing solution"};
   for (int s = 0; s < 12; ++s) {
-    if (s % 3 == 0)
-      submissions.push_back(good);
-    else if (s % 3 == 1)
-      submissions.push_back(good.substr(0, good.size() / 2));
-    else
-      submissions.push_back("this is not a routing solution");
+    mooc::SubmissionEvent ev;
+    ev.student = static_cast<std::uint32_t>(s);
+    ev.body = static_cast<std::uint32_t>(s % 3);
+    ev.deadline_tick = 1;
+    trace.events.push_back(ev);
   }
+  trace.ticks = 2;
+  const mooc::GradingService service(
+      mooc::ServiceOptions{},
+      [&](const std::string& text, const util::Budget& budget) {
+        return grader::grade_routing_text(p, text, &budget).score;
+      });
 
-  std::vector<std::vector<grader::RouteGrade>> all;
+  std::vector<mooc::ServiceResult> all;
   for (const int t : kThreadCounts) {
     util::set_num_threads(t);
-    all.push_back(grader::grade_routing_batch(p, submissions));
+    all.push_back(service.run(trace));
   }
+  ASSERT_EQ(all[0].outcomes.size(), trace.events.size());
+  EXPECT_DOUBLE_EQ(all[0].outcomes[0].score, 100.0);
   for (std::size_t s = 1; s < all.size(); ++s) {
-    ASSERT_EQ(all[s].size(), all[0].size());
-    for (std::size_t i = 0; i < all[0].size(); ++i) {
-      EXPECT_EQ(all[s][i].score, all[0][i].score);
-      EXPECT_EQ(all[s][i].report, all[0][i].report);
-    }
+    EXPECT_EQ(all[s].stats, all[0].stats);
+    ASSERT_EQ(all[s].outcomes.size(), all[0].outcomes.size());
+    for (std::size_t i = 0; i < all[0].outcomes.size(); ++i)
+      EXPECT_EQ(all[s].outcomes[i], all[0].outcomes[i]) << i;
   }
 }
 
@@ -247,8 +259,9 @@ TEST_F(DeterminismTest, StepLimitedPlacerIsThreadCountInvariant) {
 }
 
 TEST_F(DeterminismTest, FaultInjectedQueueDrainIsThreadCountInvariant) {
-  std::vector<std::string> subs;
-  for (int i = 0; i < 24; ++i) subs.push_back(std::to_string(i));
+  // The attempt loop's fault draws are keyed by submission, never by the
+  // worker lane: grading 24 submissions through parallel_for yields the
+  // same outcomes and fault tallies at 1, 2, and 8 threads.
   mooc::QueueOptions qopt;
   qopt.fault_seed = 99;
   qopt.transient_fault_rate = 0.3;
@@ -264,32 +277,42 @@ TEST_F(DeterminismTest, FaultInjectedQueueDrainIsThreadCountInvariant) {
     return static_cast<double>(k);
   };
 
-  std::vector<mooc::QueueResult> runs;
+  constexpr std::int64_t kSubs = 24;
+  std::vector<std::vector<mooc::SubmissionOutcome>> runs;
+  std::vector<std::vector<mooc::FaultTally>> tallies;
   for (const int t : kThreadCounts) {
     util::set_num_threads(t);
-    runs.push_back(mooc::drain_queue(subs, grade, qopt));
+    std::vector<mooc::SubmissionOutcome> outs(kSubs);
+    std::vector<mooc::FaultTally> tally(kSubs);
+    util::parallel_for(0, kSubs, 1, [&](std::int64_t i) {
+      const auto k = static_cast<std::size_t>(i);
+      mooc::grade_one_submission(static_cast<std::uint64_t>(i),
+                                 std::to_string(i), grade, qopt, outs[k],
+                                 tally[k]);
+    });
+    runs.push_back(std::move(outs));
+    tallies.push_back(std::move(tally));
   }
+  bool saw_fault = false, saw_budget = false;
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    saw_fault = saw_fault || tallies[0][i].transients + tallies[0][i].stalls > 0;
+    saw_budget = saw_budget || runs[0][i].kind == mooc::OutcomeKind::kBudget;
+  }
+  EXPECT_TRUE(saw_fault);
+  EXPECT_TRUE(saw_budget);
   for (std::size_t s = 1; s < runs.size(); ++s) {
-    ASSERT_EQ(runs[s].outcomes.size(), runs[0].outcomes.size());
-    for (std::size_t i = 0; i < runs[0].outcomes.size(); ++i) {
-      const auto& a = runs[0].outcomes[i];
-      const auto& b = runs[s].outcomes[i];
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      const auto& a = runs[0][i];
+      const auto& b = runs[s][i];
       EXPECT_EQ(b.kind, a.kind) << "submission " << i;
       EXPECT_EQ(b.score, a.score) << "submission " << i;
       EXPECT_EQ(b.attempts, a.attempts) << "submission " << i;
       EXPECT_EQ(b.backoff_ticks, a.backoff_ticks) << "submission " << i;
       EXPECT_EQ(b.status.code, a.status.code) << "submission " << i;
       EXPECT_EQ(b.diagnostic, a.diagnostic) << "submission " << i;
+      EXPECT_EQ(tallies[s][i].transients, tallies[0][i].transients) << i;
+      EXPECT_EQ(tallies[s][i].stalls, tallies[0][i].stalls) << i;
     }
-    EXPECT_EQ(runs[s].stats.graded, runs[0].stats.graded);
-    EXPECT_EQ(runs[s].stats.failed, runs[0].stats.failed);
-    EXPECT_EQ(runs[s].stats.budget_exceeded, runs[0].stats.budget_exceeded);
-    EXPECT_EQ(runs[s].stats.retries_exhausted,
-              runs[0].stats.retries_exhausted);
-    EXPECT_EQ(runs[s].stats.total_attempts, runs[0].stats.total_attempts);
-    EXPECT_EQ(runs[s].stats.injected_transients,
-              runs[0].stats.injected_transients);
-    EXPECT_EQ(runs[s].stats.injected_stalls, runs[0].stats.injected_stalls);
   }
 }
 
@@ -708,44 +731,88 @@ TEST_F(DeterminismTest, CacheKillSwitchRestoresUncachedCounters) {
   EXPECT_NE(first.find("counter place.calls 1"), std::string::npos);
 }
 
-// Cross-drain replay: a re-drain of the same cohort under the same
-// cache_domain answers every unique submission from the cache, at any
-// thread count, with outcomes byte-identical to the cold drain.
+/// `unique` distinct bodies, each uploaded `copies` times, one upload per
+/// tick: every duplicate arrives in a later tick than its first upload.
+/// The service memoizes outcomes at each tick's fold, so spreading the
+/// copies over ticks is what makes the cold run replay them.
+mooc::SubmissionTrace spread_duplicates_trace(int unique, int copies) {
+  mooc::SubmissionTrace trace;
+  trace.num_courses = 1;
+  for (int b = 0; b < unique; ++b)
+    trace.bodies.push_back("sub" + std::to_string(b));
+  for (int k = 0; k < unique * copies; ++k) {
+    mooc::SubmissionEvent ev;
+    ev.body = static_cast<std::uint32_t>(k % unique);
+    ev.arrival_tick = static_cast<std::uint32_t>(k);
+    ev.deadline_tick = static_cast<std::uint32_t>(k + 1);
+    trace.events.push_back(ev);
+  }
+  trace.ticks = static_cast<std::uint32_t>(unique * copies);
+  return trace;
+}
+
+// Cross-run replay: a warm re-run of the same trace under the same
+// cache_domain answers every unique body from the result cache (engine id
+// "mooc.service"), at any thread count, with outcomes equal to the cold
+// run's apart from the replayed flag. A warm run killed mid-semester and
+// recovered from its journal ends exactly where the uninterrupted warm
+// run does, with the journaled cache verdicts substituted on replay.
 TEST_F(DeterminismTest, QueueWarmRedrainReplaysByteIdenticalOutcomes) {
-  std::vector<std::string> subs;
-  for (int i = 0; i < 30; ++i) subs.push_back("sub" + std::to_string(i % 10));
-  mooc::QueueOptions qopt;
-  qopt.cache_domain = "determinism-test.queue";
-  qopt.step_limit = 100;
-  const auto grade = [](const std::string& s, const util::Budget&) {
-    return static_cast<double>(s.size());
-  };
+  const auto trace = spread_duplicates_trace(10, 3);
+  mooc::ServiceOptions opt;
+  opt.queue.cache_domain = "determinism-test.service";
+  opt.queue.step_limit = 100;
+  const mooc::GradingService service(
+      opt, [](const std::string& s, const util::Budget&) {
+        return static_cast<double>(s.size());
+      });
 
   cache::Cache::global().clear();
   util::set_num_threads(1);
-  const auto cold = mooc::drain_queue(subs, grade, qopt);
+  const auto cold = service.run(trace);
   EXPECT_EQ(cold.stats.cache_hits, 0);
-  EXPECT_EQ(cold.stats.deduped, 20);  // 10 unique, each uploaded 3x
+  EXPECT_EQ(cold.stats.dedup_hits, 20);  // 10 unique, each uploaded 3x
 
+  mooc::ServiceResult uninterrupted;
   for (const int t : kThreadCounts) {
     util::set_num_threads(t);
-    const auto warm = mooc::drain_queue(subs, grade, qopt);
+    auto warm = service.run(trace);
     EXPECT_EQ(warm.stats.cache_hits, 10) << t << " threads";
+    EXPECT_EQ(warm.stats.dedup_hits, cold.stats.dedup_hits) << t << " threads";
     EXPECT_EQ(warm.stats.graded, cold.stats.graded) << t << " threads";
     EXPECT_EQ(warm.stats.total_attempts, cold.stats.total_attempts)
         << t << " threads";
     ASSERT_EQ(warm.outcomes.size(), cold.outcomes.size());
     for (std::size_t i = 0; i < cold.outcomes.size(); ++i) {
-      EXPECT_EQ(warm.outcomes[i].kind, cold.outcomes[i].kind) << i;
-      EXPECT_EQ(warm.outcomes[i].score, cold.outcomes[i].score) << i;
-      EXPECT_EQ(warm.outcomes[i].attempts, cold.outcomes[i].attempts) << i;
-      EXPECT_EQ(warm.outcomes[i].backoff_ticks, cold.outcomes[i].backoff_ticks)
-          << i;
-      EXPECT_EQ(warm.outcomes[i].status.code, cold.outcomes[i].status.code)
-          << i;
-      EXPECT_EQ(warm.outcomes[i].diagnostic, cold.outcomes[i].diagnostic) << i;
+      EXPECT_TRUE(warm.outcomes[i].replayed) << i;
+      auto want = cold.outcomes[i];
+      want.replayed = true;
+      EXPECT_EQ(warm.outcomes[i], want) << i;
     }
+    if (t == kThreadCounts[0]) uninterrupted = std::move(warm);
   }
+
+  // Halt after the first uploads' cache hits are journaled, then recover
+  // against a cold cache: only the journal's kCache frames can reproduce
+  // the replayed hits, and the live ticks after them replay from memo.
+  const std::string path =
+      ::testing::TempDir() + "l2l_determinism_warm_rerun.l2lj";
+  mooc::RunRequest req;
+  req.journal_path = path;
+  req.halt_after_ticks = 12;
+  util::Status status;
+  const auto halted = service.run(trace, req, status);
+  ASSERT_TRUE(status.ok()) << status.to_string();
+  EXPECT_TRUE(halted.halted);
+  cache::Cache::global().clear();
+  req.halt_after_ticks = -1;
+  req.recover = true;
+  const auto recovered = service.run(trace, req, status);
+  ASSERT_TRUE(status.ok()) << status.to_string();
+  EXPECT_FALSE(recovered.halted);
+  EXPECT_EQ(recovered.stats, uninterrupted.stats);
+  EXPECT_EQ(recovered.outcomes, uninterrupted.outcomes);
+  std::remove(path.c_str());
   cache::Cache::global().clear();
 }
 

@@ -7,8 +7,11 @@
 //      credit for the salvageable nets) and carry diagnostics.
 //   3. Every Budget-accepting engine stops within its guard on
 //      adversarial input and hands back a partial result plus a Status.
-//   4. The fault-injecting GradingQueue degrades gracefully: non-poison
+//   4. The per-submission attempt loop degrades gracefully: non-poison
 //      submissions still grade correctly, poison yields diagnostics.
+//   5. The GradingService, the one grading pipeline, survives overload,
+//      fault storms and the hostile corpus behind a real grader, with
+//      bit-identical results at any thread count.
 //
 // Hostile fixtures live in tests/data/hostile/ (see its README); the
 // 10 MB single-line submission is generated here rather than checked in.
@@ -318,16 +321,6 @@ TEST_F(HostileGraders, PartialCreditSurvivesMalformedBlocks) {
   EXPECT_NE(g.report.find("still graded"), std::string::npos);
 }
 
-TEST_F(HostileGraders, BatchGradingIsolatesEverySubmission) {
-  std::vector<std::string> submissions;
-  for (const auto& name : corpus()) submissions.push_back(load(name));
-  submissions.push_back(route::write_solution(route::route_all(rp_)));
-  const auto grades = grader::grade_routing_batch(rp_, submissions);
-  ASSERT_EQ(grades.size(), submissions.size());
-  // The hostile ones scored 0 (or partial); the real one scored full.
-  EXPECT_DOUBLE_EQ(grades.back().score, 100.0);
-}
-
 // ---------------------------------------------------------------------------
 // 3. Budgets terminate every engine on adversarial input.
 
@@ -463,150 +456,169 @@ TEST(Budgets, CancellationStopsTheRouterFromOutside) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. The fault-injected grading queue degrades gracefully.
+// 4. The per-submission attempt loop (grade_one_submission) degrades
+//    gracefully: poison inputs fail, budgets stop without a retry, and
+//    injected faults retry with backoff.
 
 double parse_score(const std::string& s) {
   return static_cast<double>(util::parse_int(s.substr(1)).value());
 }
 
+double grade_by_name(const std::string& s, const util::Budget&) {
+  if (s == "poison") throw std::runtime_error("unreadable submission");
+  return parse_score(s);
+}
+
+/// One submission through the attempt loop, fault-keyed by `key`.
+mooc::SubmissionOutcome grade_one(const std::string& submission,
+                                  const mooc::GradeFn& grade,
+                                  const mooc::QueueOptions& opt = {},
+                                  std::uint64_t key = 0,
+                                  mooc::FaultTally* tally = nullptr) {
+  mooc::SubmissionOutcome out;
+  mooc::FaultTally local;
+  mooc::grade_one_submission(key, submission, grade, opt, out,
+                             tally != nullptr ? *tally : local);
+  return out;
+}
+
 TEST(GradingQueue, CleanQueueGradesEverything) {
-  std::vector<std::string> subs;
-  for (int i = 0; i < 8; ++i) subs.push_back("s" + std::to_string(i));
-  const auto res = mooc::drain_queue(
-      subs, [](const std::string& s, const util::Budget&) {
-        return parse_score(s);
-      });
-  ASSERT_EQ(res.outcomes.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(res.outcomes[static_cast<std::size_t>(i)].kind,
-              mooc::OutcomeKind::kGraded);
-    EXPECT_DOUBLE_EQ(res.outcomes[static_cast<std::size_t>(i)].score, i);
-    EXPECT_EQ(res.outcomes[static_cast<std::size_t>(i)].attempts, 1);
+    const auto out = grade_one("s" + std::to_string(i), grade_by_name);
+    EXPECT_EQ(out.kind, mooc::OutcomeKind::kGraded);
+    EXPECT_DOUBLE_EQ(out.score, i);
+    EXPECT_EQ(out.attempts, 1);
+    EXPECT_TRUE(out.status.ok());
   }
-  EXPECT_EQ(res.stats.graded, 8);
-  EXPECT_EQ(res.stats.total_attempts, 8);
 }
 
 TEST(GradingQueue, PoisonSubmissionsFailWithDiagnosticsOthersGrade) {
-  std::vector<std::string> subs = {"s10", "poison", "s30", "poison", "s50"};
   mooc::QueueOptions opt;
   opt.max_retries = 2;
-  const auto res = mooc::drain_queue(
-      subs,
-      [](const std::string& s, const util::Budget&) {
-        if (s == "poison") throw std::runtime_error("unreadable submission");
-        return parse_score(s);
-      },
-      opt);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kGraded);
-  EXPECT_DOUBLE_EQ(res.outcomes[0].score, 10.0);
-  EXPECT_EQ(res.outcomes[1].kind, mooc::OutcomeKind::kFailed);
-  EXPECT_EQ(res.outcomes[1].attempts, 3);  // 1 + 2 retries
-  EXPECT_NE(res.outcomes[1].diagnostic.find("unreadable submission"),
+  const auto good = grade_one("s10", grade_by_name, opt);
+  EXPECT_EQ(good.kind, mooc::OutcomeKind::kGraded);
+  EXPECT_DOUBLE_EQ(good.score, 10.0);
+  const auto poison = grade_one("poison", grade_by_name, opt);
+  EXPECT_EQ(poison.kind, mooc::OutcomeKind::kFailed);
+  EXPECT_EQ(poison.attempts, 3);  // 1 + 2 retries
+  EXPECT_NE(poison.diagnostic.find("unreadable submission"),
             std::string::npos);
-  EXPECT_EQ(res.outcomes[4].kind, mooc::OutcomeKind::kGraded);
-  EXPECT_EQ(res.stats.graded, 3);
-  EXPECT_EQ(res.stats.failed, 2);
 }
 
 TEST(GradingQueue, SlowSubmissionsHitTheirBudgetAndAreNotRetried) {
-  std::vector<std::string> subs = {"s10", "slow", "s30"};
   mooc::QueueOptions opt;
   opt.step_limit = 4;
   opt.max_retries = 3;
-  const auto res = mooc::drain_queue(
-      subs,
-      [](const std::string& s, const util::Budget& budget) {
-        if (s == "slow") {
-          while (budget.consume(1)) {
-          }
-          return 0.0;  // honored the guard, gave up
-        }
-        budget.consume(1);
-        return parse_score(s);
+  const auto grade = [](const std::string& s, const util::Budget& budget) {
+    if (s == "slow") {
+      while (budget.consume(1)) {
+      }
+      return 0.0;  // honored the guard, gave up
+    }
+    budget.consume(1);
+    return parse_score(s);
+  };
+  EXPECT_EQ(grade_one("s10", grade, opt).kind, mooc::OutcomeKind::kGraded);
+  const auto slow = grade_one("slow", grade, opt);
+  EXPECT_EQ(slow.kind, mooc::OutcomeKind::kBudget);
+  EXPECT_EQ(slow.attempts, 1);  // deterministic: never retried
+  EXPECT_FALSE(slow.status.ok());
+  // A grader that throws the budget error is not retried either.
+  const auto thrown = grade_one(
+      "s30",
+      [](const std::string&, const util::Budget& budget) -> double {
+        budget.consume(100);
+        throw util::BudgetExceededError(budget.status());
       },
       opt);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kGraded);
-  EXPECT_EQ(res.outcomes[1].kind, mooc::OutcomeKind::kBudget);
-  EXPECT_EQ(res.outcomes[1].attempts, 1);  // deterministic: never retried
-  EXPECT_FALSE(res.outcomes[1].status.ok());
-  EXPECT_EQ(res.outcomes[2].kind, mooc::OutcomeKind::kGraded);
-  EXPECT_EQ(res.stats.budget_exceeded, 1);
+  EXPECT_EQ(thrown.kind, mooc::OutcomeKind::kBudget);
+  EXPECT_EQ(thrown.attempts, 1);
 }
 
 TEST(GradingQueue, InjectedFaultsAreRetriedWithBackoff) {
-  std::vector<std::string> subs;
-  for (int i = 0; i < 40; ++i) subs.push_back("s" + std::to_string(i % 10));
   mooc::QueueOptions opt;
   opt.fault_seed = 1234;
   opt.transient_fault_rate = 0.4;
   opt.stall_rate = 0.2;
   opt.max_retries = 4;
-  const auto res = mooc::drain_queue(
-      subs,
-      [](const std::string& s, const util::Budget&) { return parse_score(s); },
-      opt);
   // With 5 attempts at a 60% compound fault rate, nearly everything
   // grades; whatever does not is marked exhausted, never lost.
-  int graded = 0;
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    const auto& out = res.outcomes[i];
+  int graded = 0, exhausted = 0;
+  mooc::FaultTally tally;
+  for (int i = 0; i < 40; ++i) {
+    const std::string sub = "s" + std::to_string(i % 10);
+    const auto out = grade_one(sub, grade_by_name, opt,
+                               static_cast<std::uint64_t>(i), &tally);
     if (out.kind == mooc::OutcomeKind::kGraded) {
       ++graded;
-      EXPECT_DOUBLE_EQ(out.score, parse_score(subs[i]));
-      if (out.attempts > 1) EXPECT_GT(out.backoff_ticks, 0);
+      EXPECT_DOUBLE_EQ(out.score, parse_score(sub));
+      if (out.attempts > 1) {
+        EXPECT_GT(out.backoff_ticks, 0);
+      }
     } else {
+      ++exhausted;
       EXPECT_EQ(out.kind, mooc::OutcomeKind::kExhausted);
       EXPECT_EQ(out.attempts, 5);
     }
   }
   EXPECT_GT(graded, 30);
-  EXPECT_GT(res.stats.injected_transients, 0);
-  EXPECT_GT(res.stats.injected_stalls, 0);
-  EXPECT_EQ(res.stats.graded + res.stats.retries_exhausted,
-            static_cast<int>(subs.size()));
+  EXPECT_EQ(graded + exhausted, 40);
+  EXPECT_GT(tally.transients, 0);
+  EXPECT_GT(tally.stalls, 0);
 }
 
-TEST(GradingQueue, RealGraderBehindTheQueueSurvivesHostileCorpus) {
-  util::Rng rng(42);
-  gen::RoutingGenOptions ropt;
-  ropt.width = ropt.height = 16;
-  ropt.num_nets = 6;
-  const auto p = gen::generate_routing(ropt, rng);
-  const auto good = route::write_solution(route::route_all(p));
-
-  std::vector<std::string> subs;
-  for (const auto& name : corpus()) subs.push_back(load(name));
-  subs.push_back(good);
-
-  const auto res = mooc::drain_queue(
-      subs, [&](const std::string& text, const util::Budget& budget) {
-        return grader::grade_routing_text(p, text, &budget).score;
-      });
-  // Graders never throw, so every hostile file still "grades" (score 0
-  // or partial) and the real submission scores full marks.
-  for (const auto& out : res.outcomes)
-    EXPECT_EQ(out.kind, mooc::OutcomeKind::kGraded);
-  EXPECT_DOUBLE_EQ(res.outcomes.back().score, 100.0);
+TEST(GradingQueue, LastFailedAttemptPicksFailedOrExhausted) {
+  // Two attempts, both failing, in either order: the last one decides.
+  // A throw followed by an injected fault is kExhausted; an injected
+  // fault followed by a throw is kFailed. Fault draws are keyed, so scan
+  // keys until both orders have been seen.
+  mooc::QueueOptions opt;
+  opt.fault_seed = 7;
+  opt.transient_fault_rate = 0.5;
+  opt.max_retries = 1;
+  bool saw_throw_then_fault = false, saw_fault_then_throw = false;
+  for (std::uint64_t key = 0; key < 256; ++key) {
+    mooc::FaultTally tally;
+    bool fault_before_throw = false;
+    int throws = 0;
+    const auto out = grade_one(
+        "poison",
+        [&](const std::string&, const util::Budget&) -> double {
+          ++throws;
+          fault_before_throw = tally.transients > 0;
+          throw std::runtime_error("unreadable submission");
+        },
+        opt, key, &tally);
+    if (throws != 1 || tally.transients != 1) continue;
+    if (fault_before_throw) {
+      saw_fault_then_throw = true;
+      EXPECT_EQ(out.kind, mooc::OutcomeKind::kFailed) << "key " << key;
+    } else {
+      saw_throw_then_fault = true;
+      EXPECT_EQ(out.kind, mooc::OutcomeKind::kExhausted) << "key " << key;
+    }
+  }
+  EXPECT_TRUE(saw_throw_then_fault);
+  EXPECT_TRUE(saw_fault_then_throw);
 }
 
 TEST(GradingQueue, BackoffSaturatesAtMaxRetries64) {
   // Regression: backoff_base_ticks << (attempt - 1) shifted past the
   // width of int (UB) once retries ran deep. The shift is now clamped
-  // and the accumulated total saturates, so a 64-retry poison drain is
-  // well-defined and finishes with the counter pinned at INT_MAX.
+  // and the accumulated total saturates, so a 64-retry poison submission
+  // is well-defined and finishes with the counter pinned at INT_MAX.
   mooc::QueueOptions opt;
   opt.max_retries = 64;
   opt.backoff_base_ticks = 3;
-  const auto res = mooc::drain_queue(
-      {"poison"}, [](const std::string&, const util::Budget&) -> double {
+  const auto out = grade_one(
+      "poison",
+      [](const std::string&, const util::Budget&) -> double {
         throw std::runtime_error("always fails");
       },
       opt);
-  ASSERT_EQ(res.outcomes.size(), 1u);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kFailed);
-  EXPECT_EQ(res.outcomes[0].attempts, 65);  // 1 + 64 retries
-  EXPECT_EQ(res.outcomes[0].backoff_ticks, std::numeric_limits<int>::max());
+  EXPECT_EQ(out.kind, mooc::OutcomeKind::kFailed);
+  EXPECT_EQ(out.attempts, 65);  // 1 + 64 retries
+  EXPECT_EQ(out.backoff_ticks, std::numeric_limits<int>::max());
 }
 
 // ---------------------------------------------------------------------------
@@ -832,6 +844,75 @@ TEST(GradingService, GeneratedSemesterUnderOverloadNeverDropsSilently) {
   EXPECT_GT(res.stats.graded, 0);
   EXPECT_EQ(res.stats.arrivals,
             static_cast<std::int64_t>(trace.events.size()));
+}
+
+TEST(GradingQueue, RealGraderBehindTheQueueSurvivesHostileCorpus) {
+  // The real route grader behind the grading service, fed every hostile
+  // file plus one good solution, one upload per tick: graders never
+  // throw, so every hostile file still "grades" (score 0 or partial) and
+  // the good one scores full marks -- identically at 1, 2, and 8 threads.
+  util::Rng rng(42);
+  gen::RoutingGenOptions ropt;
+  ropt.width = ropt.height = 16;
+  ropt.num_nets = 6;
+  const auto p = gen::generate_routing(ropt, rng);
+
+  mooc::SubmissionTrace trace;
+  trace.num_courses = 1;
+  for (const auto& name : corpus()) trace.bodies.push_back(load(name));
+  trace.bodies.push_back(route::write_solution(route::route_all(p)));
+  for (std::uint32_t b = 0; b < trace.bodies.size(); ++b) {
+    mooc::SubmissionEvent ev;
+    ev.body = b;
+    ev.arrival_tick = b;
+    ev.deadline_tick = b + 1;
+    trace.events.push_back(ev);
+  }
+  trace.ticks = static_cast<std::uint32_t>(trace.events.size()) + 1;
+
+  const auto res = run_thread_invariant(
+      mooc::ServiceOptions{}, trace,
+      [&](const std::string& text, const util::Budget& budget) {
+        return grader::grade_routing_text(p, text, &budget).score;
+      });
+  ASSERT_EQ(res.outcomes.size(), trace.bodies.size());
+  for (const auto& out : res.outcomes)
+    EXPECT_EQ(out.disposition, mooc::Disposition::kGraded);
+  EXPECT_DOUBLE_EQ(res.outcomes.back().score, 100.0);
+  EXPECT_LT(res.outcomes.front().score, 100.0);
+}
+
+TEST_F(HostileGraders, BatchGradingIsolatesEverySubmission) {
+  // Every hostile file plus one good solution uploaded in the same tick,
+  // so the service grades them as one parallel batch: each submission
+  // gets its own outcome, equal to what the route grader gives that file
+  // alone, and the good one scores full marks.
+  mooc::SubmissionTrace trace;
+  trace.num_courses = 1;
+  for (const auto& name : corpus()) trace.bodies.push_back(load(name));
+  trace.bodies.push_back(route::write_solution(route::route_all(rp_)));
+  for (std::uint32_t b = 0; b < trace.bodies.size(); ++b) {
+    mooc::SubmissionEvent ev;
+    ev.body = b;
+    ev.deadline_tick = 1;
+    trace.events.push_back(ev);
+  }
+  trace.ticks = 2;
+
+  const auto res = run_thread_invariant(
+      mooc::ServiceOptions{}, trace,
+      [&](const std::string& text, const util::Budget& budget) {
+        return grader::grade_routing_text(rp_, text, &budget).score;
+      });
+  ASSERT_EQ(res.outcomes.size(), trace.bodies.size());
+  for (std::size_t i = 0; i < trace.bodies.size(); ++i) {
+    EXPECT_EQ(res.outcomes[i].disposition, mooc::Disposition::kGraded) << i;
+    EXPECT_EQ(res.outcomes[i].final_tick, 0u) << i;
+    EXPECT_DOUBLE_EQ(res.outcomes[i].score,
+                     grader::grade_routing_text(rp_, trace.bodies[i]).score)
+        << i;
+  }
+  EXPECT_DOUBLE_EQ(res.outcomes.back().score, 100.0);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // registered semantic rule fires on a seeded defect and stays silent on a
 // clean artifact, the repo's own data/ artifacts are semantically clean,
 // the hostile corpus (cyclic netlists, multi-driven nets, a 10k-gate SCC
-// ring) is diagnosed without crashing, the grading queue rejects
+// ring) is diagnosed without crashing, the grading service rejects
 // semantically broken submissions before any engine runs, and reports
 // render byte-identically at any thread count.
 
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "mooc/grading_queue.hpp"
+#include "mooc/grading_service.hpp"
 #include "mooc/submission_lint.hpp"
 #include "network/blif.hpp"
 #include "obs/metrics.hpp"
@@ -256,30 +256,37 @@ TEST(SemaDispatch, MalformedArtifactsYieldNoFindings) {
   EXPECT_TRUE(analyze_pla(".i -5\n.o 1\n00 1\n").empty());
 }
 
-// ---- queue/service integration ------------------------------------------
+// ---- service integration ------------------------------------------------
 
 TEST(SemaQueue, SemanticErrorsRejectBeforeAnyEngineRuns) {
   // The acceptance criterion's service half: a submission whose payload
-  // is a cyclic BLIF must come back kRejected with the grading callback
-  // never invoked -- sema gates the queue exactly like the lint pack.
+  // is a cyclic BLIF must come back lint-rejected with the grading
+  // callback never invoked -- sema gates the service exactly like the
+  // lint pack.
   const std::string cyclic = read_file(
       std::string(L2L_TEST_DATA_DIR) + "/hostile/cyclic.blif");
-  mooc::QueueOptions opt;
-  opt.lint = mooc::sema_submission_lint(/*require_header=*/false);
+  mooc::SubmissionTrace trace;
+  trace.bodies = {cyclic, "course hw1\n" + cyclic, clean_text(Format::kBlif)};
+  for (std::uint32_t b = 0; b < 3; ++b)
+    trace.events.push_back({.body = b, .arrival_tick = b,
+                            .deadline_tick = b + 1});
+  trace.ticks = 3;
+  mooc::ServiceOptions opt;
+  opt.queue.lint = mooc::sema_submission_lint(/*require_header=*/false);
   std::atomic<int> graded{0};
-  const auto grade = [&](const std::string&, const util::Budget&) {
-    ++graded;
-    return 100.0;
-  };
-  const auto res = mooc::drain_queue(
-      {cyclic, "course hw1\n" + cyclic, clean_text(Format::kBlif)}, grade,
-      opt);
+  const mooc::GradingService service(
+      opt, [&](const std::string&, const util::Budget&) {
+        ++graded;
+        return 100.0;
+      });
+  const auto res = service.run(trace);
   ASSERT_EQ(res.outcomes.size(), 3u);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kRejected);
+  EXPECT_EQ(res.outcomes[0].disposition, mooc::Disposition::kLintRejected);
   EXPECT_NE(res.outcomes[0].diagnostic.find("L2L-N001"), std::string::npos);
   // The portal header line is skipped, not analyzed as netlist text.
-  EXPECT_EQ(res.outcomes[1].kind, mooc::OutcomeKind::kRejected);
-  EXPECT_EQ(res.outcomes[2].kind, mooc::OutcomeKind::kGraded);
+  EXPECT_EQ(res.outcomes[1].disposition, mooc::Disposition::kLintRejected);
+  EXPECT_EQ(res.outcomes[2].disposition, mooc::Disposition::kGraded);
+  EXPECT_EQ(res.outcomes[0].attempts, 0);
   EXPECT_EQ(graded.load(), 1);
   EXPECT_EQ(res.stats.lint_rejected, 2);
 }

@@ -36,12 +36,15 @@
 // the drain; comparison tests filter them before diffing reports.
 //
 // Exit codes follow the shared convention (util/status.hpp): 0 ok,
-// 2 usage, 3 malformed flag value (including out-of-range TraceOptions
-// and a --recover journal written for a different trace/config),
+// 2 usage, 3 malformed flag value (including a count that does not fit
+// its field, out-of-range TraceOptions, and a --recover journal written
+// for a different trace/config),
 // 5 internal error (a broken accounting invariant or a journal replay
 // divergence -- the service must never drop work silently).
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,6 +78,20 @@ double digest_grade(const std::string& s, const l2l::util::Budget& guard) {
     d = h.finish();
   }
   return static_cast<double>(d.lo % 101);
+}
+
+/// Narrow a parsed (non-negative) int64 flag value into the field it
+/// fills. A value the field cannot hold is a malformed flag value (exit 3,
+/// like --shards), never silently wrapped: --service-rate 4294967297 must
+/// not become 1.
+template <typename T>
+l2l::util::Status narrow_flag(const char* flag, std::int64_t value, T& out) {
+  constexpr auto hi = static_cast<std::int64_t>(std::numeric_limits<T>::max());
+  if (value > hi)
+    return l2l::util::Status::invalid(std::string(flag) + " wants at most " +
+                                      std::to_string(hi));
+  out = static_cast<T>(value);
+  return l2l::util::Status::okay();
 }
 
 }  // namespace
@@ -134,16 +151,18 @@ int main(int argc, char** argv) try {
     return fail(l2l::util::Status::invalid("--shards wants [1, 64]"));
 
   l2l::mooc::TraceOptions topt;
-  topt.num_courses = static_cast<int>(courses);
-  topt.num_students = static_cast<int>(students);
-  topt.ticks = static_cast<std::uint32_t>(ticks);
+  for (const auto& st :
+       {narrow_flag("--courses", courses, topt.num_courses),
+        narrow_flag("--students", students, topt.num_students),
+        narrow_flag("--ticks", ticks, topt.ticks),
+        narrow_flag("--queue-cap", queue_cap, sopt.queue_cap),
+        narrow_flag("--admit-quota", admit_quota, sopt.admit_quota),
+        narrow_flag("--service-rate", service_rate, sopt.service_rate)})
+    if (!st.ok()) return fail(st);
   if (const auto st = l2l::mooc::validate(topt); !st.ok()) return fail(st);
   l2l::util::Rng rng(static_cast<std::uint64_t>(seed));
   const auto trace = l2l::mooc::generate_submission_trace(topt, rng);
 
-  sopt.queue_cap = static_cast<int>(queue_cap);
-  sopt.admit_quota = static_cast<int>(admit_quota);
-  sopt.service_rate = static_cast<int>(service_rate);
   if (fault_storm) {
     // The storm covers the middle third of the semester, hot enough that
     // every retry budget drains and the breakers trip.
