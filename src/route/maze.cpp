@@ -1,7 +1,11 @@
 #include "route/maze.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <queue>
 
 namespace l2l::route {
@@ -27,54 +31,174 @@ constexpr int kDirs = 6;
 constexpr int kDx[4] = {1, -1, 0, 0};
 constexpr int kDy[4] = {0, 0, 1, -1};
 
-struct QEntry {
-  double f;      // g + heuristic
-  double g;
-  int state;     // packed (point, dir)
-  bool operator>(const QEntry& o) const { return f > o.f; }
+/// Radix heap (Ahuja, Mehlhorn, Orlin & Tarjan) over f = g + h.
+/// Non-negative doubles order like their IEEE bit patterns, so the key is
+/// the bit pattern of f. An entry lives in the bucket named by the highest
+/// bit in which its key differs from the last key a bucket pop settled on;
+/// that pop empties the lowest non-empty bucket into strictly lower ones,
+/// so each entry moves at most 64 times and no pop sifts a binary heap.
+/// A radix heap needs keys that never fall below the last pop. A* breaks
+/// that only after a zero-cost step onto the net's own cells, where the
+/// Manhattan bound is inconsistent; those few keys go to a binary side
+/// heap that pops first. The pop order is therefore exactly that of f,
+/// and a path over the net's own metal still wins at its true cost.
+///
+/// Equal keys are common (unit wire and bend costs), and the order they
+/// leave in picks among equal-cost routes, which moves negotiated-routing
+/// completion by a net or two either way. Bucket 0 is a stack and a bucket
+/// pop re-queues its entries back to front; EXPERIMENTS.md ("Maze search
+/// kernel") has the tie orders measured against the routing quality gate.
+class RadixHeap {
+ public:
+  struct Entry {
+    std::uint64_t key;
+    double g;
+    std::uint32_t state;
+    bool operator>(const Entry& o) const { return key > o.key; }
+  };
+
+  void reset() {
+    for (auto& b : buckets_) b.clear();
+    low_ = {};
+    occupied_ = 0;
+    last_ = 0;
+  }
+  bool empty() const {
+    return low_.empty() && occupied_ == 0 && buckets_[0].empty();
+  }
+
+  void push(double f, double g, std::uint32_t state) {
+    const Entry e{std::bit_cast<std::uint64_t>(f), g, state};
+    if (e.key < last_) {
+      low_.push(e);
+    } else {
+      put(e);
+    }
+  }
+
+  Entry pop() {
+    if (!low_.empty()) {
+      const Entry e = low_.top();
+      low_.pop();
+      return e;
+    }
+    if (buckets_[0].empty()) {
+      const int b = std::countr_zero(occupied_) + 1;
+      occupied_ &= occupied_ - 1;
+      auto& from = buckets_[static_cast<std::size_t>(b)];
+      std::uint64_t lo = from.front().key;
+      for (const Entry& e : from) lo = std::min(lo, e.key);
+      last_ = lo;
+      for (auto it = from.rbegin(); it != from.rend(); ++it) put(*it);
+      from.clear();
+    }
+    const Entry e = buckets_[0].back();
+    buckets_[0].pop_back();
+    return e;
+  }
+
+ private:
+  void put(const Entry& e) {
+    const int b = e.key == last_ ? 0 : 64 - std::countl_zero(e.key ^ last_);
+    buckets_[static_cast<std::size_t>(b)].push_back(e);
+    if (b > 0) occupied_ |= std::uint64_t{1} << (b - 1);
+  }
+
+  std::array<std::vector<Entry>, 65> buckets_;
+  std::uint64_t occupied_ = 0;  // bit b-1 set: bucket b (1..64) non-empty
+  std::uint64_t last_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> low_;
 };
 
 }  // namespace
+
+struct SearchArena::Scratch {
+  struct Node {
+    double g;
+    std::int32_t parent;  // packed predecessor state, -1 at a source
+    std::uint32_t stamp;  // == gen: g and parent belong to this search
+  };
+  struct Point {
+    double best;           // least g over the point's direction states
+    std::uint32_t seen;    // == gen: best belongs to this search
+    std::uint32_t target;  // == gen: the point is a target
+  };
+  std::vector<Node> nodes;       // per packed (point, dir) state
+  std::vector<Point> points;     // per grid point
+  std::vector<int> target_dist;  // per (x, y): multi-target bound
+  RadixHeap heap;
+  std::uint32_t gen = 0;
+
+  /// Starts a search over `n_points` grid points: a new generation makes
+  /// every stamp stale at once, and the buffers only ever grow.
+  void begin(std::size_t n_points) {
+    if (++gen == 0) {  // wrapped: clear the stamps a new search could match
+      for (auto& n : nodes) n.stamp = 0;
+      for (auto& p : points) p.seen = p.target = 0;
+      gen = 1;
+    }
+    if (nodes.size() < n_points * kDirs) nodes.resize(n_points * kDirs, Node{0.0, -1, 0});
+    if (points.size() < n_points) points.resize(n_points, Point{0.0, 0, 0});
+    heap.reset();
+  }
+};
+
+SearchArena::SearchArena() : scratch_(std::make_unique<Scratch>()) {}
+SearchArena::~SearchArena() = default;
 
 std::optional<PathResult> find_path(const Occupancy& occ,
                                     const std::vector<GridPoint>& sources,
                                     const std::vector<GridPoint>& targets,
                                     int net_id, const RouteCosts& costs,
                                     const std::vector<double>* extra_cost) {
+  SearchArena arena;
+  return find_path(arena, occ, sources, targets, net_id, costs, extra_cost);
+}
+
+std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
+                                    const std::vector<GridPoint>& sources,
+                                    const std::vector<GridPoint>& targets,
+                                    int net_id, const RouteCosts& costs,
+                                    const std::vector<double>* extra_cost) {
   const int w = occ.width(), h = occ.height(), layers = occ.layers();
-  const std::size_t n_points = static_cast<std::size_t>(w) *
-                               static_cast<std::size_t>(h) *
-                               static_cast<std::size_t>(layers);
+  const std::size_t plane = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+  const std::size_t n_points = plane * static_cast<std::size_t>(layers);
   auto point_index = [&](const GridPoint& g) {
     return (static_cast<std::size_t>(g.layer) * static_cast<std::size_t>(h) +
             static_cast<std::size_t>(g.y)) * static_cast<std::size_t>(w) +
            static_cast<std::size_t>(g.x);
   };
+  // Packed states fit 32 bits (parents are int32), so unpack with 32-bit
+  // division, which is cheaper than 64-bit on the expansion path.
+  const auto w32 = static_cast<std::uint32_t>(w), h32 = static_cast<std::uint32_t>(h);
   auto unpack = [&](std::size_t pi) {
-    GridPoint g;
-    g.x = static_cast<int>(pi % static_cast<std::size_t>(w));
-    g.y = static_cast<int>((pi / static_cast<std::size_t>(w)) % static_cast<std::size_t>(h));
-    g.layer = static_cast<int>(pi / (static_cast<std::size_t>(w) * static_cast<std::size_t>(h)));
-    return g;
+    const auto p = static_cast<std::uint32_t>(pi);
+    const std::uint32_t row = p / w32;
+    return GridPoint{static_cast<int>(p % w32), static_cast<int>(row % h32),
+                     static_cast<int>(row / h32)};
   };
 
   if (targets.empty()) return std::nullopt;
 
-  std::vector<bool> is_target(n_points, false);
-  for (const auto& t : targets) is_target[point_index(t)] = true;
+  auto& sc = arena.scratch();
+  sc.begin(n_points);
+  const std::uint32_t gen = sc.gen;
+  for (const auto& t : targets)
+    if (occ.in_bounds(t)) sc.points[point_index(t)].target = gen;
 
   // A* heuristic: cheapest possible remaining cost = manhattan distance to
-  // the closest target times the unit wire cost (admissible: every step
-  // costs at least `wire`; vias only add). A single target is a closed
-  // form; for multi-target calls the per-(x,y) nearest-target distance is
-  // precomputed once by multi-source BFS on the (unobstructed) plane
-  // instead of scanning every target on every push.
-  const std::size_t plane = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-  std::vector<int> target_dist;
-  if (costs.use_astar && targets.size() > 1) {
+  // the closest target times the unit wire cost (every step onto a cell
+  // the net does not own costs at least `wire`; vias only add). A single
+  // target is a closed form; for multi-target calls the per-(x,y)
+  // nearest-target distance is precomputed once by multi-source BFS on the
+  // (unobstructed) plane instead of scanning every target on every push.
+  const bool multi_target = costs.use_astar && targets.size() > 1;
+  if (multi_target) {
+    auto& target_dist = sc.target_dist;
     target_dist.assign(plane, -1);
     std::vector<std::size_t> frontier;
     for (const auto& t : targets) {
+      if (!occ.in_bounds(t)) continue;
       const std::size_t xy = static_cast<std::size_t>(t.y) * static_cast<std::size_t>(w) +
                              static_cast<std::size_t>(t.x);
       if (target_dist[xy] != 0) {
@@ -101,52 +225,61 @@ std::optional<PathResult> find_path(const Occupancy& occ,
       frontier = std::move(next);
     }
   }
-  auto heuristic = [&](const GridPoint& g) -> double {
+  const GridPoint& t0 = targets.front();
+  auto heuristic = [&](int x, int y) -> double {
     if (!costs.use_astar) return 0.0;
-    if (!target_dist.empty())
-      return target_dist[static_cast<std::size_t>(g.y) * static_cast<std::size_t>(w) +
-                         static_cast<std::size_t>(g.x)] *
+    if (multi_target)
+      return sc.target_dist[static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+                            static_cast<std::size_t>(x)] *
              costs.wire;
-    const auto& t = targets.front();
-    return (std::abs(g.x - t.x) + std::abs(g.y - t.y)) * costs.wire;
+    return (std::abs(x - t0.x) + std::abs(y - t0.y)) * costs.wire;
   };
 
-  auto passable = [&](const GridPoint& g) {
-    const int v = occ.at(g);
-    return v == Occupancy::kFree || v == net_id;
-  };
-  auto own = [&](const GridPoint& g) { return occ.at(g) == net_id; };
-
-  const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(n_points * kDirs, kInf);
-  std::vector<int> parent(n_points * kDirs, -1);  // packed predecessor state
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> pq;
-
-  auto push = [&](std::size_t pi, int dir, double g, int from_state) {
-    const std::size_t s = pi * kDirs + static_cast<std::size_t>(dir);
-    if (g < dist[s]) {
-      dist[s] = g;
-      parent[s] = from_state;
-      pq.push({g + heuristic(unpack(pi)), g, static_cast<int>(s)});
+  auto& nodes = sc.nodes;
+  auto& points = sc.points;
+  auto& heap = sc.heap;
+  // Only the next move's bend penalty depends on a state's direction, so
+  // two states of one point differ in cost-to-go by at most `bend`: a
+  // state at least `bend` dearer than its point's best is never on a
+  // cheaper path. It is not queued, nor expanded if it became so while
+  // queued.
+  auto relax = [&](std::size_t s, double g, std::int32_t from, double h_next) {
+    auto& pt = points[s / kDirs];
+    if (pt.seen == gen) {
+      if (g >= pt.best + costs.bend) return;
+      pt.best = std::min(pt.best, g);
+    } else {
+      pt.best = g;
+      pt.seen = gen;
+    }
+    auto& n = nodes[s];
+    if (n.stamp != gen || g < n.g) {
+      n = {g, from, gen};
+      heap.push(g + h_next, g, static_cast<std::uint32_t>(s));
     }
   };
+  auto passable = [&](int v) { return v == Occupancy::kFree || v == net_id; };
 
   for (const auto& src : sources) {
-    if (!occ.in_bounds(src) || !passable(src)) continue;
-    push(point_index(src), 5, 0.0, -1);
+    if (!occ.in_bounds(src) || !passable(occ.at(src))) continue;
+    relax(point_index(src) * kDirs + 5, 0.0, -1, heuristic(src.x, src.y));
   }
 
+  const std::ptrdiff_t kStep[4] = {1, -1, w, -w};
   int expansions = 0;
-  int goal_state = -1;
-  while (!pq.empty()) {
-    const auto [f, g, state] = pq.top();
-    pq.pop();
+  std::int64_t goal_state = -1;
+  while (!heap.empty()) {
+    const auto top = heap.pop();
+    const double g = top.g;
+    const std::uint32_t state = top.state;
     const auto s = static_cast<std::size_t>(state);
-    if (g > dist[s]) continue;  // stale entry
-    ++expansions;
+    if (g > nodes[s].g) continue;  // stale entry
     const std::size_t pi = s / kDirs;
+    const auto& pt = points[pi];
+    if (g > pt.best && g >= pt.best + costs.bend) continue;  // dominated
+    ++expansions;
     const int dir = static_cast<int>(s % kDirs);
-    if (is_target[pi]) {
+    if (pt.target == gen) {
       goal_state = state;
       break;
     }
@@ -154,33 +287,45 @@ std::optional<PathResult> find_path(const Occupancy& occ,
 
     // Planar moves.
     for (int d = 0; d < 4; ++d) {
-      const GridPoint next{here.x + kDx[d], here.y + kDy[d], here.layer};
-      if (!occ.in_bounds(next) || !passable(next)) continue;
-      double step = own(next) ? 0.0 : costs.wire;
-      if (!own(next) && extra_cost) step += (*extra_cost)[point_index(next)];
-      if (costs.preferred_directions && !own(next)) {
+      const int nx = here.x + kDx[d], ny = here.y + kDy[d];
+      if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+      const std::size_t npi = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(pi) + kStep[d]);
+      const int v = occ.at(npi);
+      if (!passable(v)) continue;
+      double step = 0.0;
+      if (v != net_id) {
+        step = costs.wire;
+        if (extra_cost) step += (*extra_cost)[npi];
         // Layer 0 prefers horizontal (d 0/1); layer 1 vertical (d 2/3).
-        const bool preferred = here.layer == 0 ? d < 2 : d >= 2;
-        if (!preferred) step += costs.wrong_way;
+        if (costs.preferred_directions && (here.layer == 0 ? d >= 2 : d < 2))
+          step += costs.wrong_way;
       }
       if (dir < 4 && dir != d) step += costs.bend;
-      push(point_index(next), d, g + step, state);
+      relax(npi * kDirs + static_cast<std::size_t>(d), g + step,
+            static_cast<std::int32_t>(state), heuristic(nx, ny));
     }
     // Via move.
+    const double h_here = heuristic(here.x, here.y);
     for (int dl = -1; dl <= 1; dl += 2) {
-      const GridPoint next{here.x, here.y, here.layer + dl};
-      if (!occ.in_bounds(next) || !passable(next)) continue;
-      double step = own(next) ? 0.0 : costs.via;
-      if (!own(next) && extra_cost) step += (*extra_cost)[point_index(next)];
-      push(point_index(next), 4, g + step, state);
+      const int nl = here.layer + dl;
+      if (nl < 0 || nl >= layers) continue;
+      const std::size_t npi = dl > 0 ? pi + plane : pi - plane;
+      const int v = occ.at(npi);
+      if (!passable(v)) continue;
+      double step = 0.0;
+      if (v != net_id) {
+        step = costs.via;
+        if (extra_cost) step += (*extra_cost)[npi];
+      }
+      relax(npi * kDirs + 4, g + step, static_cast<std::int32_t>(state), h_here);
     }
   }
   if (goal_state < 0) return std::nullopt;
 
   PathResult res;
-  res.cost = dist[static_cast<std::size_t>(goal_state)];
+  res.cost = nodes[static_cast<std::size_t>(goal_state)].g;
   res.expansions = expansions;
-  for (int s = goal_state; s >= 0; s = parent[static_cast<std::size_t>(s)])
+  for (std::int64_t s = goal_state; s >= 0; s = nodes[static_cast<std::size_t>(s)].parent)
     res.cells.push_back(unpack(static_cast<std::size_t>(s) / kDirs));
   std::reverse(res.cells.begin(), res.cells.end());
   // Source cells reached at zero cost may duplicate when the path touches

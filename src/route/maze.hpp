@@ -4,6 +4,7 @@
 // and preferred-direction ("wrong-way") penalty. Layer 0 prefers
 // horizontal wires, layer 1 vertical, like the project's 2-layer scheme.
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,6 +35,8 @@ class Occupancy {
   int at(const GridPoint& g) const {
     return cells_[index(g)];
   }
+  /// Cell by point index ((layer * height + y) * width + x).
+  int at(std::size_t i) const { return cells_[i]; }
   void set(const GridPoint& g, int v) { cells_[index(g)] = v; }
 
   int width() const { return width_; }
@@ -61,6 +64,24 @@ struct PathResult {
   int expansions = 0;            ///< search effort (wavefront size)
 };
 
+/// Reusable scratch for find_path: the search queue, the per-state cost
+/// and parent records, and the target marks, all generation-stamped so a
+/// search only touches the states it reaches. route_all owns one per
+/// worker chunk and one for its sequential loops, so the grid-sized
+/// buffers are allocated once per call instead of once per search. An
+/// arena carries nothing from one search to the next: results never depend
+/// on what it searched before. Not thread-safe; use one per thread.
+class SearchArena {
+ public:
+  SearchArena();
+  ~SearchArena();
+  struct Scratch;  ///< defined in maze.cpp
+  Scratch& scratch() { return *scratch_; }
+
+ private:
+  std::unique_ptr<Scratch> scratch_;
+};
+
 /// Find a cheapest path from any of `sources` to any of `targets`. Cells
 /// occupied by other nets or obstacles are impassable; cells owned by
 /// `net_id` are passable at zero wire cost (reuse of the net's own tree).
@@ -70,6 +91,14 @@ struct PathResult {
 /// entering any cell the net does not already own -- the hook used by the
 /// negotiated-congestion router (history + present-sharing costs).
 std::optional<PathResult> find_path(const Occupancy& occ,
+                                    const std::vector<GridPoint>& sources,
+                                    const std::vector<GridPoint>& targets,
+                                    int net_id, const RouteCosts& costs,
+                                    const std::vector<double>* extra_cost = nullptr);
+
+/// Same search, reusing `arena`'s buffers (the one-shot form above runs
+/// this on a fresh arena). Returns the same result as the one-shot form.
+std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
                                     const std::vector<GridPoint>& sources,
                                     const std::vector<GridPoint>& targets,
                                     int net_id, const RouteCosts& costs,

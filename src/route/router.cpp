@@ -1,8 +1,8 @@
 #include "route/router.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -51,37 +51,64 @@ int net_span(const gen::RoutingNet& net) {
   return (xmax - xmin) + (ymax - ymin);
 }
 
+/// Connects the net's pins one at a time into a growing tree, in Prim
+/// order: next is the unjoined pin with the least Manhattan gap to the
+/// tree (the lower pin index on ties). Every wire cell the tree claims is
+/// marked as the net's in `occ`, so later pins reuse it at zero cost, and
+/// appended to `claimed`. Returns false when a pin cannot be reached;
+/// `claimed` then holds the wires claimed so far.
+bool grow_tree(SearchArena& arena, const gen::RoutingNet& net, Occupancy& occ,
+               const RouteCosts& costs, const std::vector<double>* extra_cost,
+               std::vector<GridPoint>& claimed, long long& expansions) {
+  const auto& pins = net.pins;
+  std::vector<GridPoint> tree;
+  std::vector<int> gap(pins.size(), std::numeric_limits<int>::max());
+  std::vector<bool> joined(pins.size(), false);
+  auto absorb = [&](const GridPoint& c) {
+    tree.push_back(c);
+    for (std::size_t k = 0; k < pins.size(); ++k)
+      gap[k] = std::min(gap[k], std::abs(pins[k].x - c.x) + std::abs(pins[k].y - c.y));
+  };
+  absorb(pins.front());
+  joined.front() = true;
+  for (std::size_t step = 1; step < pins.size(); ++step) {
+    std::size_t k = 0;
+    while (joined[k]) ++k;
+    for (std::size_t j = k + 1; j < pins.size(); ++j)
+      if (!joined[j] && gap[j] < gap[k]) k = j;
+    joined[k] = true;
+    const auto path =
+        find_path(arena, occ, tree, {pins[k]}, net.id, costs, extra_cost);
+    if (!path) return false;
+    expansions += path->expansions;
+    for (const auto& c : path->cells) {
+      if (occ.at(c) != net.id) {
+        occ.set(c, net.id);
+        claimed.push_back(c);
+      }
+      absorb(c);
+    }
+  }
+  return true;
+}
+
 /// Route one net on the occupancy grid; returns nullopt on failure.
 /// Pins must already be owned by the net in `occ` (route_all reserves all
 /// pins up front so earlier nets cannot route through them). On success
 /// the net's wire cells are additionally marked; on failure only the wire
 /// cells are released -- pins stay reserved.
-std::optional<NetRoute> route_net(const gen::RoutingNet& net, Occupancy& occ,
+std::optional<NetRoute> route_net(SearchArena& arena,
+                                  const gen::RoutingNet& net, Occupancy& occ,
                                   const RouteCosts& costs, RouteStats& stats) {
+  std::vector<GridPoint> claimed;
+  if (!grow_tree(arena, net, occ, costs, nullptr, claimed, stats.expansions)) {
+    for (const auto& c : claimed) occ.set(c, Occupancy::kFree);
+    return std::nullopt;
+  }
   NetRoute r;
   r.net_id = net.id;
   r.cells.assign(net.pins.begin(), net.pins.end());
-  std::vector<GridPoint> claimed_wires;
-
-  // Connect pins one at a time into the growing tree.
-  std::vector<GridPoint> tree{net.pins.front()};
-  for (std::size_t k = 1; k < net.pins.size(); ++k) {
-    const auto path =
-        find_path(occ, tree, {net.pins[k]}, net.id, costs);
-    if (!path) {
-      for (const auto& c : claimed_wires) occ.set(c, Occupancy::kFree);
-      return std::nullopt;
-    }
-    stats.expansions += path->expansions;
-    for (const auto& c : path->cells) {
-      if (occ.at(c) != net.id) {
-        occ.set(c, net.id);
-        claimed_wires.push_back(c);
-        r.cells.push_back(c);
-      }
-      tree.push_back(c);
-    }
-  }
+  r.cells.insert(r.cells.end(), claimed.begin(), claimed.end());
   std::sort(r.cells.begin(), r.cells.end());
   r.cells.erase(std::unique(r.cells.begin(), r.cells.end()), r.cells.end());
   r.routed = true;
@@ -117,12 +144,11 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
     sol.nets[n].net_id = p.nets[n].id;
 
   Occupancy occ(p);  // obstacles only, plus pin reservations below
-  std::set<GridPoint> pin_cells;
   for (const auto& net : p.nets)
-    for (const auto& pin : net.pins) {
-      occ.set(pin, net.id);
-      pin_cells.insert(pin);
-    }
+    for (const auto& pin : net.pins) occ.set(pin, net.id);
+  // Search scratch of the sequential tail, escalation and finalize loops;
+  // each parallel chunk below owns its own.
+  SearchArena arena;
 
   const std::size_t n_points = static_cast<std::size_t>(p.width) *
                                static_cast<std::size_t>(p.height) *
@@ -146,7 +172,6 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
 
   std::vector<double> extra_base(n_points, 0.0);
   std::vector<bool> have_route(p.nets.size(), false);
-  bool converged = false;
   // Stall escape: if the overused-cell count stops shrinking, the frozen
   // clean routes are boxing the contested nets in. One full sequential
   // sweep (every net, live commit -- the classic algorithm) lets the
@@ -205,12 +230,7 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
       if (rip) active.push_back(n);
     }
 
-    if (std::getenv("L2L_ROUTE_DEBUG")) {
-      std::size_t over = 0;
-      for (std::size_t i = 0; i < n_points; ++i) over += usage[i] > 1;
-      std::fprintf(stderr, "iter=%d active=%zu overused=%zu\n", iter,
-                   active.size(), over);
-    }
+    obs::observe("route.ripup_set_size", static_cast<std::int64_t>(active.size()));
 
     // Small rip-up sets (the negotiation tail, where a handful of nets
     // contest a handful of cells) resolve with live Gauss-Seidel commits:
@@ -227,25 +247,10 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
           extra_base[i] = history[i] + present * usage[i];
         }
         wires[n].clear();
-        std::vector<GridPoint> tree{p.nets[n].pins.front()};
+        // The claimed wires own their cells only while the net grows.
         std::vector<GridPoint> claimed;
-        bool ok = true;
-        for (std::size_t k = 1; k < p.nets[n].pins.size(); ++k) {
-          const auto path = find_path(occ, tree, {p.nets[n].pins[k]},
-                                      p.nets[n].id, opt.costs, &extra_base);
-          if (!path) {
-            ok = false;
-            break;
-          }
-          sol.stats.expansions += path->expansions;
-          for (const auto& c : path->cells) {
-            if (occ.at(c) != p.nets[n].id) {
-              occ.set(c, p.nets[n].id);  // temporary: reuse own tree
-              claimed.push_back(c);
-            }
-            tree.push_back(c);
-          }
-        }
+        const bool ok = grow_tree(arena, p.nets[n], occ, opt.costs, &extra_base,
+                                  claimed, sol.stats.expansions);
         for (const auto& c : claimed) occ.set(c, Occupancy::kFree);
         have_route[n] = ok;
         if (!ok) {
@@ -262,10 +267,7 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
       std::size_t over_tail = 0;
       for (std::size_t i = 0; i < n_points; ++i) over_tail += usage[i] > 1;
       obs::count("route.overflow", static_cast<std::int64_t>(over_tail));
-      if (over_tail == 0) {
-        converged = true;
-        break;
-      }
+      if (over_tail == 0) break;
       if (over_tail >= best_over) {
         ++stall;
       } else {
@@ -301,33 +303,17 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
         [&](std::int64_t cb, std::int64_t ce) {
           Occupancy socc = occ;
           std::vector<double> sextra = extra_base;
+          SearchArena chunk_arena;
           for (std::int64_t t = cb; t < ce; ++t) {
             const std::size_t n = active[static_cast<std::size_t>(t)];
             auto& at = attempts[n];
             at.attempted = true;
             for (const auto& c : wires[n]) sextra[idx(c)] -= present;
-            std::vector<GridPoint> tree{p.nets[n].pins.front()};
             std::vector<GridPoint> claimed;
-            bool ok = true;
-            for (std::size_t k = 1; k < p.nets[n].pins.size(); ++k) {
-              const auto path = find_path(socc, tree, {p.nets[n].pins[k]},
-                                          p.nets[n].id, opt.costs, &sextra);
-              if (!path) {
-                ok = false;
-                break;
-              }
-              at.expansions += path->expansions;
-              for (const auto& c : path->cells) {
-                if (socc.at(c) != p.nets[n].id) {
-                  socc.set(c, p.nets[n].id);  // temporary: reuse own tree
-                  claimed.push_back(c);
-                }
-                tree.push_back(c);
-              }
-            }
+            at.ok = grow_tree(chunk_arena, p.nets[n], socc, opt.costs, &sextra,
+                              claimed, at.expansions);
             for (const auto& c : claimed) socc.set(c, Occupancy::kFree);
-            at.ok = ok;
-            if (ok) {
+            if (at.ok) {
               // Chunk-local commit: the next chunk-mate prices these wires.
               for (const auto& c : claimed) sextra[idx(c)] += present;
               at.new_wires = std::move(claimed);
@@ -357,10 +343,7 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
     std::size_t over = 0;
     for (std::size_t i = 0; i < n_points; ++i) over += usage[i] > 1;
     obs::count("route.overflow", static_cast<std::int64_t>(over));
-    if (over == 0) {
-      converged = true;
-      break;
-    }
+    if (over == 0) break;
     if (over >= best_over) {
       ++stall;
     } else {
@@ -404,10 +387,9 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
       out.routed = true;
     }
     for (const std::size_t n : contested) {
-      auto r = route_net(p.nets[n], hard, opt.costs, sol.stats);
+      auto r = route_net(arena, p.nets[n], hard, opt.costs, sol.stats);
       if (r) sol.nets[n] = std::move(*r);
     }
-    (void)converged;
   }
 
   for (const auto& net : sol.nets) {
@@ -458,6 +440,7 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
     return net_span(p.nets[a]) < net_span(p.nets[b]);
   });
 
+  SearchArena arena;
   std::vector<std::size_t> pending = order;
   for (int iter = 0; iter <= opt.max_ripup_iterations && !pending.empty();
        ++iter) {
@@ -471,7 +454,7 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
     }
     std::vector<std::size_t> failed;
     for (const std::size_t n : pending) {
-      auto r = route_net(p.nets[n], occ, opt.costs, sol.stats);
+      auto r = route_net(arena, p.nets[n], occ, opt.costs, sol.stats);
       if (r) {
         sol.nets[n] = std::move(*r);
       } else {

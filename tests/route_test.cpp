@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <set>
 
+#include "grader/route_grader.hpp"
 #include "route/maze.hpp"
 #include "route/router.hpp"
 #include "route/solution.hpp"
@@ -155,6 +158,153 @@ TEST(Maze, OtherNetsBlock) {
   EXPECT_FALSE(find_path(occ, {{0, 0, 0}}, {{9, 0, 0}}, 0, {}).has_value());
 }
 
+// A seeded maze-search instance on a small 2-layer grid: random
+// obstacles and foreign-net cells, a non-negative penalty field, 1-3
+// sources owned by the searching net and 1-3 free targets. Targets are
+// never the net's own cells, so the Manhattan bound stays admissible and
+// A* must match Dijkstra's cost exactly.
+constexpr int kSearchNet = 5;
+
+struct SearchCase {
+  Occupancy occ;
+  std::vector<GridPoint> sources, targets;
+  std::vector<double> extra;
+  RouteCosts costs;
+};
+
+SearchCase random_search_case(util::Rng& rng, int w, int h) {
+  auto p = empty_grid(w, h);
+  for (auto& layer : p.blocked)
+    for (std::size_t i = 0; i < layer.size(); ++i) layer[i] = rng.next_bool(0.2);
+  SearchCase c{Occupancy(p), {}, {}, {}, {}};
+  auto random_point = [&] {
+    return GridPoint{static_cast<int>(rng.next_below(static_cast<std::uint64_t>(w))),
+                     static_cast<int>(rng.next_below(static_cast<std::uint64_t>(h))),
+                     static_cast<int>(rng.next_below(2))};
+  };
+  for (int k = 0; k < w * h / 8; ++k) {
+    const auto g = random_point();
+    if (c.occ.at(g) == Occupancy::kFree) c.occ.set(g, kSearchNet + 2);
+  }
+  const int n_sources = static_cast<int>(rng.next_in(1, 3));
+  for (int k = 0; k < n_sources; ++k) {
+    const auto g = random_point();
+    c.occ.set(g, kSearchNet);
+    c.sources.push_back(g);
+  }
+  const int n_targets = static_cast<int>(rng.next_in(1, 3));
+  while (static_cast<int>(c.targets.size()) < n_targets) {
+    const auto g = random_point();
+    if (c.occ.at(g) == kSearchNet) continue;
+    c.occ.set(g, Occupancy::kFree);
+    c.targets.push_back(g);
+  }
+  c.extra.resize(static_cast<std::size_t>(2 * w * h));
+  for (auto& e : c.extra) e = rng.next_bool(0.3) ? 0.0 : 4.0 * rng.next_double();
+  c.costs.via = static_cast<double>(rng.next_in(1, 12));
+  c.costs.bend = static_cast<double>(rng.next_in(0, 2));
+  c.costs.preferred_directions = rng.next_bool();
+  return c;
+}
+
+std::optional<PathResult> search(const SearchCase& c, bool astar,
+                                 SearchArena* arena = nullptr) {
+  RouteCosts costs = c.costs;
+  costs.use_astar = astar;
+  return arena ? find_path(*arena, c.occ, c.sources, c.targets, kSearchNet, costs, &c.extra)
+               : find_path(c.occ, c.sources, c.targets, kSearchNet, costs, &c.extra);
+}
+
+void expect_same(const std::optional<PathResult>& a,
+                 const std::optional<PathResult>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (!a) return;
+  EXPECT_EQ(a->cells, b->cells);
+  EXPECT_EQ(a->cost, b->cost);
+  EXPECT_EQ(a->expansions, b->expansions);
+}
+
+// Checks the path is a contiguous in-bounds walk over passable cells from a
+// source to a target, and that the costs along it add up to the reported
+// cost.
+void expect_valid_path(const SearchCase& c, const PathResult& r) {
+  ASSERT_FALSE(r.cells.empty());
+  auto contains = [](const std::vector<GridPoint>& v, const GridPoint& g) {
+    return std::find(v.begin(), v.end(), g) != v.end();
+  };
+  EXPECT_TRUE(contains(c.sources, r.cells.front()));
+  EXPECT_TRUE(contains(c.targets, r.cells.back()));
+  const int w = c.occ.width(), h = c.occ.height();
+  double cost = 0.0;
+  int dir = 5;  // start: no bend on the first planar step
+  for (std::size_t i = 0; i < r.cells.size(); ++i) {
+    const GridPoint& b = r.cells[i];
+    ASSERT_TRUE(c.occ.in_bounds(b));
+    const int v = c.occ.at(b);
+    ASSERT_TRUE(v == Occupancy::kFree || v == kSearchNet);
+    if (i == 0) continue;
+    const GridPoint& a = r.cells[i - 1];
+    ASSERT_EQ(std::abs(a.x - b.x) + std::abs(a.y - b.y) + std::abs(a.layer - b.layer), 1);
+    const bool own = v == kSearchNet;
+    const double extra = c.extra[static_cast<std::size_t>((b.layer * h + b.y) * w + b.x)];
+    if (a.layer != b.layer) {
+      if (!own) cost += c.costs.via + extra;
+      dir = 4;
+      continue;
+    }
+    const int d = b.x > a.x ? 0 : b.x < a.x ? 1 : b.y > a.y ? 2 : 3;
+    double step = 0.0;
+    if (!own) {
+      step = c.costs.wire + extra;
+      if (c.costs.preferred_directions && (a.layer == 0 ? d >= 2 : d < 2))
+        step += c.costs.wrong_way;
+    }
+    if (dir < 4 && dir != d) step += c.costs.bend;
+    cost += step;
+    dir = d;
+  }
+  EXPECT_NEAR(cost, r.cost, 1e-9);
+}
+
+TEST(Maze, SeededSearchProperties) {
+  util::Rng rng(2014);
+  SearchArena shared;  // reused across every case and grid size
+  int found = 0;
+  for (int t = 0; t < 200; ++t) {
+    SCOPED_TRACE(testing::Message() << "case " << t);
+    const int w = static_cast<int>(rng.next_in(2, 14));
+    const int h = static_cast<int>(rng.next_in(2, 14));
+    const auto c = random_search_case(rng, w, h);
+    const auto astar = search(c, true);
+    const auto dijkstra = search(c, false);
+    ASSERT_EQ(astar.has_value(), dijkstra.has_value());
+    expect_same(astar, search(c, true, &shared));
+    if (!astar) continue;
+    ++found;
+    EXPECT_NEAR(astar->cost, dijkstra->cost, 1e-9);
+    expect_valid_path(c, *astar);
+    expect_valid_path(c, *dijkstra);
+  }
+  EXPECT_GT(found, 100);  // the property is exercised, not vacuous
+}
+
+TEST(Maze, ArenaReuseAcrossGridSizes) {
+  // A large search, a small one, then the large one again on one arena:
+  // stale records or stamps from an earlier search must not leak into a
+  // later one.
+  util::Rng rng(7);
+  const auto large = random_search_case(rng, 40, 36);
+  const auto small = random_search_case(rng, 5, 4);
+  SearchArena arena;
+  const auto l1 = search(large, true, &arena);
+  const auto s1 = search(small, true, &arena);
+  const auto l2 = search(large, true, &arena);
+  ASSERT_TRUE(l1.has_value());
+  expect_same(l1, search(large, true));
+  expect_same(s1, search(small, true));
+  expect_same(l1, l2);
+}
+
 TEST(Router, RoutesCleanProblemCompletely) {
   util::Rng rng(122);
   gen::RoutingGenOptions gopt;
@@ -238,6 +388,24 @@ TEST(Router, NegotiationBeatsSequentialOnCongestion) {
   }
 }
 
+// Completion floor on the fig07_pnr_scale instances (same generator seeds
+// and 12-iteration negotiation budget as the figure bench), so a change of
+// search order cannot silently lose nets.
+TEST(Router, Fig07CompletionFloor) {
+  for (const auto& [size, floor] : {std::pair{32, 28}, std::pair{64, 54}}) {
+    util::Rng rng(137 + static_cast<std::uint64_t>(size));
+    gen::RoutingGenOptions gopt;
+    gopt.width = gopt.height = size;
+    gopt.num_nets = size;
+    gopt.max_pins_per_net = 3;
+    const auto p = gen::generate_routing(gopt, rng);
+    RouterOptions opt;
+    opt.max_negotiation_iterations = 12;
+    const auto g = grader::grade_routing(p, route_all(p, opt));
+    EXPECT_GE(g.legal_nets, floor) << size << "x" << size;
+  }
+}
+
 TEST(Solution, WriteParseRoundTrip) {
   util::Rng rng(124);
   gen::RoutingGenOptions gopt;
@@ -295,6 +463,15 @@ struct UnitCase {
   GridPoint from, to;
   int wall_x;  // -1 = none; else vertical wall on layer 0 with top gap
 };
+
+// Print the case by its endpoints. gtest's default dumps the struct's raw
+// bytes -- the address of `name` and the padding -- and that text lands in
+// the ctest test name, so it changed with every build.
+void PrintTo(const UnitCase& tc, std::ostream* os) {
+  *os << '(' << tc.from.x << ',' << tc.from.y << ',' << tc.from.layer << ")->("
+      << tc.to.x << ',' << tc.to.y << ',' << tc.to.layer << ')';
+  if (tc.wall_x >= 0) *os << " wall@x=" << tc.wall_x;
+}
 
 class RouterUnitTests : public ::testing::TestWithParam<UnitCase> {};
 
