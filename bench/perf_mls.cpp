@@ -1,6 +1,6 @@
 // Multi-level synthesis benchmarks: the algebraic script on random and
-// structured networks, kernel extraction scaling, and the SDC-simplify
-// ablation.
+// structured networks, kernel extraction scaling, the SDC-simplify
+// ablation, and the flow's synthesis step on its netlist shapes.
 
 #include <benchmark/benchmark.h>
 
@@ -83,5 +83,36 @@ void BM_AdderOptimization(benchmark::State& state) {
   (void)lits;
 }
 BENCHMARK(BM_AdderOptimization)->Arg(4)->Arg(8)->Iterations(1);
+
+// The flow's synthesis step on its netlist shapes: structured circuits
+// with wide supports, and a small random netlist whose every node is an
+// output (nothing is eliminated, so resubstitution sees every node).
+void BM_FlowScript(benchmark::State& state) {
+  network::Network base;
+  switch (state.range(0)) {
+    case 0: base = gen::mux_network(5); state.SetLabel("mux5"); break;
+    case 1: base = gen::parity_network(80); state.SetLabel("parity80"); break;
+    default: {
+      util::Rng rng(1);
+      gen::NetworkGenOptions gopt;
+      gopt.num_inputs = 8;
+      gopt.num_nodes = 14;
+      gopt.num_outputs = 14;
+      base = gen::random_network(gopt, rng);
+      state.SetLabel("random14, all outputs");
+    }
+  }
+  int lits = 0;
+  for (auto _ : state) {
+    auto net = network::parse_blif(network::write_blif(base));
+    mls::ScriptOptions opt;  // the flow's options
+    opt.use_sdc_simplify = static_cast<int>(net.inputs().size()) <= 16;
+    mls::optimize(net, opt);
+    lits = net.num_literals();
+    state.counters["literals"] = lits;
+  }
+  (void)lits;
+}
+BENCHMARK(BM_FlowScript)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include "mls/passes.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cubes/urp.hpp"
 #include "espresso/minimize.hpp"
@@ -92,18 +94,64 @@ Sop substitute_literal(const Sop& f, NodeId signal, GLit target) {
   return normalized(std::move(out));
 }
 
-/// Transitive fanin set of `id` (including id).
-std::set<NodeId> transitive_fanin(const Network& net, NodeId id) {
-  std::set<NodeId> seen;
-  std::vector<NodeId> stack{id};
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (!seen.insert(n).second) continue;
-    for (const NodeId f : net.node(n).fanins) stack.push_back(f);
-  }
-  return seen;
+/// Literals saved by rewriting f as q * x + r for an existing signal x
+/// (every q term gains x's literal); the divisor's own cost is not
+/// charged.
+int rewrite_saving(const Sop& f, const Sop& q, const Sop& r) {
+  return sop_literals(f) -
+         (sop_literals(q) + static_cast<int>(q.size()) + sop_literals(r));
 }
+
+/// f rewritten as q * x + r for signal x.
+Sop rewrite_with(NodeId x, const Sop& q, const Sop& r) {
+  Sop rewritten = r;
+  for (const auto& qt : q)
+    rewritten.push_back(term_product(qt, Term{mk_glit(x, false)}));
+  return normalized(std::move(rewritten));
+}
+
+/// Visit marks for walks over a node's transitive fan-in. A mark is a
+/// generation stamp, so starting a new walk costs O(1), not a clear.
+class ConeMarker {
+ public:
+  /// Mark the transitive fan-in of `root` (root included).
+  void mark(const Network& net, NodeId root) { walk(net, root, network::kNoNode); }
+
+  /// Was `id` marked by the last walk?
+  bool marked(NodeId id) const {
+    return stamp_[static_cast<std::size_t>(id)] == generation_;
+  }
+
+  /// Does the transitive fan-in of `root` (root included) contain
+  /// `target`? The walk stops at the first hit.
+  bool reaches(const Network& net, NodeId root, NodeId target) {
+    return walk(net, root, target);
+  }
+
+ private:
+  bool walk(const Network& net, NodeId root, NodeId stop) {
+    stamp_.resize(static_cast<std::size_t>(net.num_nodes()), 0);
+    if (++generation_ == 0) {  // wrapped: old stamps would alias
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      generation_ = 1;
+    }
+    stack_.assign(1, root);
+    while (!stack_.empty()) {
+      const NodeId n = stack_.back();
+      stack_.pop_back();
+      auto& stamp = stamp_[static_cast<std::size_t>(n)];
+      if (stamp == generation_) continue;
+      stamp = generation_;
+      if (n == stop) return true;
+      for (const NodeId f : net.node(n).fanins) stack_.push_back(f);
+    }
+    return false;
+  }
+
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t generation_ = 0;
+  std::vector<NodeId> stack_;
+};
 
 /// The SOP of a node's complement (via URP on its local cover), expressed
 /// in global literals. nullopt when too wide to complement cheaply.
@@ -273,15 +321,10 @@ std::string fresh_name(const Network& net, const char* prefix) {
 
 int extract_kernels(Network& net, int max_new_nodes) {
   int created = 0;
+  ConeMarker cone;
   while (created < max_new_nodes) {
     // Gather kernels from every logic node. Per-node saving excludes the
     // divisor's own literal cost, which is paid exactly once on extraction.
-    auto node_saving = [](const Sop& f, const Sop& d) {
-      const auto [q, r] = divide(f, d);
-      if (q.empty()) return -1;
-      return sop_literals(f) -
-             (sop_literals(q) + static_cast<int>(q.size()) + sop_literals(r));
-    };
     std::map<Sop, int> saving;  // canonical kernel -> sum of per-node savings
     std::vector<NodeId> logic_nodes;
     for (NodeId id = 0; id < net.num_nodes(); ++id) {
@@ -291,7 +334,9 @@ int extract_kernels(Network& net, int max_new_nodes) {
       if (f.size() < 2) continue;
       for (const auto& k : all_kernels(f)) {
         if (k.kernel.size() < 2) continue;
-        const int s = node_saving(f, k.kernel);
+        const auto [q, r] = divide(f, k.kernel);
+        if (q.empty()) continue;
+        const int s = rewrite_saving(f, q, r);
         if (s > 0) saving[k.kernel] += s;
       }
     }
@@ -315,17 +360,13 @@ int extract_kernels(Network& net, int max_new_nodes) {
 
     // Divide it into every node that benefits (skip its own fanin cone to
     // stay acyclic).
-    const auto cone = transitive_fanin(net, knode);
+    cone.mark(net, knode);
     for (const NodeId id : logic_nodes) {
-      if (cone.count(id)) continue;
+      if (cone.marked(id)) continue;
       const Sop f = sop_of_node(net, id);
-      if (node_saving(f, *best) <= 0) continue;
       const auto [q, r] = divide(f, *best);
-      if (q.empty()) continue;
-      Sop rewritten = r;
-      for (const auto& qt : q)
-        rewritten.push_back(term_product(qt, Term{mk_glit(knode, false)}));
-      set_node_sop(net, id, normalized(std::move(rewritten)));
+      if (q.empty() || rewrite_saving(f, q, r) <= 0) continue;
+      set_node_sop(net, id, rewrite_with(knode, q, r));
     }
   }
   net.sweep_dangling();
@@ -334,6 +375,7 @@ int extract_kernels(Network& net, int max_new_nodes) {
 
 int extract_cubes(Network& net, int max_new_nodes) {
   int created = 0;
+  ConeMarker cone;
   while (created < max_new_nodes) {
     // Candidate cubes: pairwise term intersections of size >= 2.
     std::map<Term, int> occurrences;
@@ -377,9 +419,9 @@ int extract_cubes(Network& net, int max_new_nodes) {
     set_node_sop(net, cnode, Sop{*best});
     ++created;
 
-    const auto cone = transitive_fanin(net, cnode);
+    cone.mark(net, cnode);
     for (const auto& [id, f] : sops) {
-      if (cone.count(id)) continue;
+      if (cone.marked(id)) continue;
       bool touched = false;
       Sop rewritten;
       for (const auto& t : f) {
@@ -401,29 +443,29 @@ int extract_cubes(Network& net, int max_new_nodes) {
 
 int resubstitute(Network& net) {
   int substitutions = 0;
+  // Every node's SOP, read once; only a rewritten target's changes.
   std::vector<NodeId> logic_nodes;
+  std::vector<Sop> sops(static_cast<std::size_t>(net.num_nodes()));
   for (NodeId id = 0; id < net.num_nodes(); ++id)
-    if (!net.is_dead(id) && net.node(id).type == NodeType::kLogic)
+    if (!net.is_dead(id) && net.node(id).type == NodeType::kLogic) {
       logic_nodes.push_back(id);
+      sops[static_cast<std::size_t>(id)] = sop_of_node(net, id);
+    }
 
+  ConeMarker cone;
   for (const NodeId target : logic_nodes) {
     if (net.is_dead(target)) continue;
+    Sop& f = sops[static_cast<std::size_t>(target)];
     for (const NodeId divisor : logic_nodes) {
       if (divisor == target || net.is_dead(divisor)) continue;
-      // Acyclicity: divisor's cone must not contain target.
-      if (transitive_fanin(net, divisor).count(target)) continue;
-      const Sop f = sop_of_node(net, target);
-      const Sop d = sop_of_node(net, divisor);
+      const Sop& d = sops[static_cast<std::size_t>(divisor)];
       if (d.empty() || d.size() >= f.size()) continue;
-      // The divisor node already exists, so its own literal cost (which
-      // division_value charges) is already paid: add it back.
-      if (division_value(f, d) + sop_literals(d) <= 0) continue;
       const auto [q, r] = divide(f, d);
-      if (q.empty()) continue;
-      Sop rewritten = r;
-      for (const auto& qt : q)
-        rewritten.push_back(term_product(qt, Term{mk_glit(divisor, false)}));
-      set_node_sop(net, target, normalized(std::move(rewritten)));
+      if (q.empty() || rewrite_saving(f, q, r) <= 0) continue;
+      // Acyclicity: divisor's cone must not contain target.
+      if (cone.reaches(net, divisor, target)) continue;
+      set_node_sop(net, target, rewrite_with(divisor, q, r));
+      f = sop_of_node(net, target);
       ++substitutions;
     }
   }

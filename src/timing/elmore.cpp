@@ -1,7 +1,6 @@
 #include "timing/elmore.hpp"
 
-#include <map>
-#include <queue>
+#include <algorithm>
 #include <stdexcept>
 
 namespace l2l::timing {
@@ -37,94 +36,111 @@ double total_capacitance(const RcTree& tree) {
   return c;
 }
 
-RcTree rc_tree_from_route(const route::NetRoute& net,
-                          const route::GridPoint& source,
-                          const std::vector<route::GridPoint>& sinks,
-                          const WireParasitics& par) {
-  std::map<route::GridPoint, int> index;  // grid cell -> tree node
+namespace {
+
+/// An RC tree plus the tree node of each sink, in `sinks` order.
+struct RoutedRcTree {
   RcTree tree;
+  std::vector<int> sink_nodes;
+};
 
-  std::map<route::GridPoint, double> extra_cap;
-  for (const auto& s : sinks) extra_cap[s] += par.sink_c;
+/// BFS from the source over the net's cells, in the fixed neighbour order
+/// +x, -x, +y, -y, +layer, -layer. Cells are looked up in one sorted,
+/// deduplicated copy of `net.cells`.
+RoutedRcTree build_rc_tree(const route::NetRoute& net,
+                           const route::GridPoint& source,
+                           const std::vector<route::GridPoint>& sinks,
+                           const WireParasitics& par) {
+  std::vector<route::GridPoint> cells = net.cells;
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  auto cell_index = [&cells](const route::GridPoint& g) {
+    const auto it = std::lower_bound(cells.begin(), cells.end(), g);
+    return it != cells.end() && *it == g ? static_cast<int>(it - cells.begin())
+                                         : -1;
+  };
 
-  // BFS from the source over the net's cells.
-  std::map<route::GridPoint, bool> in_net;
-  for (const auto& c : net.cells) in_net[c] = true;
-  if (!in_net.count(source))
+  const int source_cell = cell_index(source);
+  if (source_cell < 0)
     throw std::invalid_argument("rc_tree_from_route: source not on net");
 
-  auto add_node = [&](const route::GridPoint& g, int parent, bool via) {
+  // Sink load per cell, summed in sink order (a duplicated sink counts
+  // twice); a sink off the net is reported after the connectivity check.
+  std::vector<double> extra_cap(cells.size(), 0.0);
+  std::vector<char> is_sink(cells.size(), 0);
+  std::vector<int> sink_cells;
+  sink_cells.reserve(sinks.size());
+  for (const auto& s : sinks) {
+    const int c = cell_index(s);
+    sink_cells.push_back(c);
+    if (c < 0) continue;
+    extra_cap[static_cast<std::size_t>(c)] += par.sink_c;
+    is_sink[static_cast<std::size_t>(c)] = 1;
+  }
+
+  RoutedRcTree out;
+  auto& nodes = out.tree.nodes;
+  nodes.reserve(cells.size());
+  std::vector<int> node_of(cells.size(), -1);  // cell -> tree node
+  // Tree node i is cell order[i]; the BFS queue is this vector.
+  std::vector<int> order;
+  order.reserve(cells.size());
+  auto add_node = [&](int cell, int parent, bool via) {
     RcTree::RcNode n;
     n.parent = parent;
     n.resistance = parent < 0 ? 0.0 : (via ? par.via_r : par.r_per_unit);
     n.capacitance = parent < 0 ? 0.0 : (via ? par.via_c : par.c_per_unit);
-    if (const auto it = extra_cap.find(g); it != extra_cap.end())
-      n.capacitance += it->second;
-    tree.nodes.push_back(n);
-    index[g] = static_cast<int>(tree.nodes.size()) - 1;
-    return index[g];
+    if (is_sink[static_cast<std::size_t>(cell)])
+      n.capacitance += extra_cap[static_cast<std::size_t>(cell)];
+    node_of[static_cast<std::size_t>(cell)] = static_cast<int>(nodes.size());
+    nodes.push_back(n);
+    order.push_back(cell);
   };
 
-  std::queue<route::GridPoint> frontier;
-  add_node(source, -1, false);
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const auto here = frontier.front();
-    frontier.pop();
-    const int here_idx = index[here];
+  add_node(source_cell, -1, false);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto& here = cells[static_cast<std::size_t>(order[head])];
+    const int here_idx = static_cast<int>(head);
     const route::GridPoint nbrs[6] = {
         {here.x + 1, here.y, here.layer}, {here.x - 1, here.y, here.layer},
         {here.x, here.y + 1, here.layer}, {here.x, here.y - 1, here.layer},
         {here.x, here.y, here.layer + 1}, {here.x, here.y, here.layer - 1}};
     for (int k = 0; k < 6; ++k) {
-      const auto& nb = nbrs[k];
-      if (!in_net.count(nb) || index.count(nb)) continue;
+      const int nb = cell_index(nbrs[k]);
+      if (nb < 0 || node_of[static_cast<std::size_t>(nb)] >= 0) continue;
       add_node(nb, here_idx, /*via=*/k >= 4);
-      frontier.push(nb);
     }
   }
-  if (index.size() != in_net.size())
+  if (nodes.size() != cells.size())
     throw std::invalid_argument("rc_tree_from_route: net is not connected");
-  for (const auto& s : sinks)
-    if (!index.count(s))
+  out.sink_nodes.reserve(sinks.size());
+  for (const int c : sink_cells) {
+    if (c < 0)
       throw std::invalid_argument("rc_tree_from_route: sink not on net");
-  return tree;
+    out.sink_nodes.push_back(node_of[static_cast<std::size_t>(c)]);
+  }
+  return out;
+}
+
+}  // namespace
+
+RcTree rc_tree_from_route(const route::NetRoute& net,
+                          const route::GridPoint& source,
+                          const std::vector<route::GridPoint>& sinks,
+                          const WireParasitics& par) {
+  return build_rc_tree(net, source, sinks, par).tree;
 }
 
 std::vector<double> net_sink_delays(const route::NetRoute& net,
                                     const route::GridPoint& source,
                                     const std::vector<route::GridPoint>& sinks,
                                     const WireParasitics& par) {
-  const auto tree = rc_tree_from_route(net, source, sinks, par);
-  const auto delays = elmore_delays(tree);
-  // Recover sink indices by rebuilding the BFS order mapping: rerun the
-  // same deterministic construction.
-  std::map<route::GridPoint, int> index;
-  {
-    std::map<route::GridPoint, bool> in_net;
-    for (const auto& c : net.cells) in_net[c] = true;
-    std::queue<route::GridPoint> frontier;
-    int counter = 0;
-    index[source] = counter++;
-    frontier.push(source);
-    while (!frontier.empty()) {
-      const auto here = frontier.front();
-      frontier.pop();
-      const route::GridPoint nbrs[6] = {
-          {here.x + 1, here.y, here.layer}, {here.x - 1, here.y, here.layer},
-          {here.x, here.y + 1, here.layer}, {here.x, here.y - 1, here.layer},
-          {here.x, here.y, here.layer + 1}, {here.x, here.y, here.layer - 1}};
-      for (const auto& nb : nbrs) {
-        if (!in_net.count(nb) || index.count(nb)) continue;
-        index[nb] = counter++;
-        frontier.push(nb);
-      }
-    }
-  }
+  const auto built = build_rc_tree(net, source, sinks, par);
+  const auto delays = elmore_delays(built.tree);
   std::vector<double> out;
   out.reserve(sinks.size());
-  for (const auto& s : sinks)
-    out.push_back(delays[static_cast<std::size_t>(index.at(s))]);
+  for (const int node : built.sink_nodes)
+    out.push_back(delays[static_cast<std::size_t>(node)]);
   return out;
 }
 

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <sstream>
+
+#include "cache/digest.hpp"
+#include "gen/function_gen.hpp"
 #include "mls/factor.hpp"
 #include "mls/kernels.hpp"
 #include "mls/passes.hpp"
@@ -282,6 +290,50 @@ TEST(Passes, ExtractCubesSharesProducts) {
           .equivalent);
 }
 
+TEST(Passes, ResubstituteDividesByExistingNode) {
+  // x = (a + b)(c + d) + e(f + g) with t = a + b and u = f + g already in
+  // the network: x is divided by t, then its rewritten form by u.
+  auto net = network::parse_blif(
+      ".model r\n.inputs a b c d e f g\n.outputs x t u\n"
+      ".names a b t\n1- 1\n-1 1\n"
+      ".names f g u\n1- 1\n-1 1\n"
+      ".names a b c d e f g x\n"
+      "1-1---- 1\n1--1--- 1\n-11---- 1\n-1-1--- 1\n----11- 1\n----1-1 1\n"
+      ".end\n");
+  const auto before = network::parse_blif(network::write_blif(net));
+  const NodeId x = *net.find("x");
+  EXPECT_EQ(resubstitute(net), 2);
+  net.validate();
+  const Sop sx = sop_of_node(net, x);
+  EXPECT_EQ(sop_to_string(net, sx), "c t + d t + e u");
+  EXPECT_EQ(sop_literals(sx), 6);
+  EXPECT_EQ(sop_to_string(net, sop_of_node(net, *net.find("t"))), "a + b");
+  EXPECT_EQ(sop_to_string(net, sop_of_node(net, *net.find("u"))), "f + g");
+  EXPECT_TRUE(
+      network::check_equivalence(before, net, network::EquivalenceMethod::kBdd)
+          .equivalent);
+}
+
+TEST(Passes, ResubstituteSkipsDivisorWhoseConeHoldsTarget) {
+  // y = a + b divides x = (a + b)(c + d) + e, but y also lists x as a
+  // (vacuous) fanin: rewriting x in terms of y would close a cycle.
+  auto net = network::parse_blif(
+      ".model r\n.inputs a b c d e\n.outputs x y\n"
+      ".names a b c d e x\n1-1-- 1\n1--1- 1\n-11-- 1\n-1-1- 1\n----1 1\n"
+      ".names a b x y\n1-- 1\n-1- 1\n"
+      ".end\n");
+  const NodeId x = *net.find("x");
+  const NodeId y = *net.find("y");
+  ASSERT_EQ(net.node(y).fanins.size(), 3u);
+  const Sop sx = sop_of_node(net, x);
+  const Sop sy = sop_of_node(net, y);
+  ASSERT_EQ(sop_to_string(net, sy), "a + b");
+  EXPECT_EQ(resubstitute(net), 0);
+  net.validate();
+  EXPECT_EQ(sop_of_node(net, x), sx);
+  EXPECT_EQ(sop_of_node(net, y), sy);
+}
+
 TEST(Passes, SimplifyWithSdcUsesUnreachablePatterns) {
   // t = ab, u = a'b; node y sees (t,u) and pattern t=u=1 is impossible.
   auto net = network::parse_blif(
@@ -316,6 +368,98 @@ TEST(Script, OptimizePreservesFunctionAndReducesLiterals) {
           .equivalent);
   EXPECT_LE(stats.literals_after, stats.literals_before);
   EXPECT_FALSE(stats.to_string().empty());
+}
+
+// The flow's netlist families, seeded: structured mux/parity/adder
+// circuits and 8-14-node random networks (every node an output, as in the
+// flow benchmark, plus a few with three outputs so eliminate and the
+// extractors have internal nodes to work on). Resubstitution rarely fires
+// on those, so 20-30-node networks over 4 inputs, where it does, are
+// pinned too.
+std::vector<std::pair<std::string, Network>> golden_networks() {
+  std::vector<std::pair<std::string, Network>> out;
+  for (int sel = 2; sel <= 5; ++sel)
+    out.emplace_back(util::format("mux%d", sel), gen::mux_network(sel));
+  for (const int bits : {8, 12, 16, 20, 24, 28, 32, 36, 80})
+    out.emplace_back(util::format("parity%d", bits), gen::parity_network(bits));
+  for (int bits = 1; bits <= 4; ++bits)
+    out.emplace_back(util::format("adder%d", bits), gen::adder_network(bits));
+  auto add_random = [&out](std::uint64_t seed, int inputs, int nodes,
+                           int outputs) {
+    util::Rng rng(seed);
+    gen::NetworkGenOptions opt;
+    opt.num_inputs = inputs;
+    opt.num_nodes = nodes;
+    opt.num_outputs = outputs;
+    out.emplace_back(util::format("random_s%d_i%d_n%d_o%d",
+                                  static_cast<int>(seed), inputs, nodes,
+                                  outputs),
+                     gen::random_network(opt, rng));
+  };
+  for (int k = 0; k < 14; ++k) {
+    const int nodes = 8 + k % 7;
+    add_random(7000 + static_cast<std::uint64_t>(k), 8, nodes,
+               k < 10 ? nodes : 3);
+  }
+  for (int k = 0; k < 9; ++k)
+    add_random(static_cast<std::uint64_t>(k), 4, k < 5 ? 20 : 30,
+               k < 5 ? 20 : 30);
+  return out;
+}
+
+// Extracted nodes take their names from a process-wide counter (ker_N,
+// cub_N), so a digest must not depend on how many extractions ran before:
+// renumber each prefix's names by first appearance.
+std::string canonical_extract_names(const std::string& blif) {
+  static const std::regex name_re("(ker_|cub_)([0-9]+)");
+  std::map<std::string, std::string> renamed;
+  std::map<std::string, int> next;
+  std::string out;
+  auto last = blif.cbegin();
+  for (std::sregex_iterator it(blif.begin(), blif.end(), name_re), end;
+       it != end; ++it) {
+    const auto& m = *it;
+    out.append(last, m[0].first);
+    auto [pos, fresh] = renamed.try_emplace(m.str(0));
+    if (fresh) pos->second = m.str(1) + std::to_string(next[m.str(1)]++);
+    out += pos->second;
+    last = m[0].second;
+  }
+  out.append(last, blif.cend());
+  return out;
+}
+
+// Byte-identity pin of the whole script: the digest of write_blif after
+// optimize, with the flow's options, for every golden network. To
+// regenerate after an intentional change, run this test with
+// L2L_UPDATE_GOLDEN=1 and commit tests/data/golden/mls_script_digests.txt.
+TEST(Script, OptimizeOutputMatchesGolden) {
+  std::string got;
+  for (const auto& [name, gen_net] : golden_networks()) {
+    // run_flow optimizes a BLIF round trip of its input.
+    auto net = network::parse_blif(network::write_blif(gen_net));
+    ScriptOptions sopt;
+    sopt.use_sdc_simplify = static_cast<int>(net.inputs().size()) <= 16;
+    optimize(net, sopt);
+    got += name + " " +
+           cache::digest_bytes(canonical_extract_names(network::write_blif(net)))
+               .hex() +
+           "\n";
+  }
+  const std::string golden_path =
+      L2L_TEST_DATA_DIR "/golden/mls_script_digests.txt";
+  if (std::getenv("L2L_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated";
+  }
+  std::ifstream in(golden_path);
+  std::ostringstream want;
+  want << in.rdbuf();
+  ASSERT_FALSE(want.str().empty())
+      << "missing golden file tests/data/golden/mls_script_digests.txt";
+  EXPECT_EQ(got, want.str()) << "actual:\n" << got;
 }
 
 // Property: the full script preserves functionality on random networks.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <queue>
+#include <string>
+
 #include "gen/function_gen.hpp"
 #include "route/router.hpp"
 #include "techmap/mapper.hpp"
@@ -175,6 +179,151 @@ TEST(Elmore, SourceMustBeOnNet) {
   route::NetRoute net;
   net.cells = {{0, 0, 0}};
   EXPECT_THROW(net_sink_delays(net, {5, 5, 0}, {}), std::invalid_argument);
+}
+
+TEST(Elmore, SinkMustBeOnNet) {
+  route::NetRoute net;
+  net.cells = {{0, 0, 0}, {1, 0, 0}};
+  EXPECT_THROW(net_sink_delays(net, {0, 0, 0}, {{1, 0, 0}, {2, 0, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW(rc_tree_from_route(net, {0, 0, 0}, {{1, 0, 1}}),
+               std::invalid_argument);
+}
+
+std::string thrown_message(const route::NetRoute& net,
+                           const route::GridPoint& source,
+                           const std::vector<route::GridPoint>& sinks) {
+  try {
+    (void)net_sink_delays(net, source, sinks);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Elmore, DisconnectedNetThrows) {
+  route::NetRoute net;
+  net.cells = {{0, 0, 0}, {1, 0, 0}, {3, 0, 0}};  // (3,0) is an island
+  EXPECT_THROW(net_sink_delays(net, {0, 0, 0}, {{1, 0, 0}}),
+               std::invalid_argument);
+  // Checks run source, then connectivity, then sinks.
+  EXPECT_EQ(thrown_message(net, {0, 0, 0}, {{9, 9, 0}}),
+            "rc_tree_from_route: net is not connected");
+  EXPECT_EQ(thrown_message(net, {9, 9, 0}, {{9, 9, 0}}),
+            "rc_tree_from_route: source not on net");
+  net.cells.pop_back();
+  EXPECT_EQ(thrown_message(net, {0, 0, 0}, {{9, 9, 0}}),
+            "rc_tree_from_route: sink not on net");
+}
+
+// Reference RC-tree builder: grid cells indexed through std::map, BFS from
+// the source in the neighbour order +x, -x, +y, -y, +layer, -layer. Returns
+// the tree and each sink's node (the nets here are valid: no throws).
+std::pair<RcTree, std::vector<int>> reference_tree(
+    const route::NetRoute& net, const route::GridPoint& source,
+    const std::vector<route::GridPoint>& sinks, const WireParasitics& par) {
+  std::map<route::GridPoint, int> index;
+  RcTree tree;
+  std::map<route::GridPoint, double> extra_cap;
+  for (const auto& s : sinks) extra_cap[s] += par.sink_c;
+  std::map<route::GridPoint, bool> in_net;
+  for (const auto& c : net.cells) in_net[c] = true;
+  auto add_node = [&](const route::GridPoint& g, int parent, bool via) {
+    RcTree::RcNode n;
+    n.parent = parent;
+    n.resistance = parent < 0 ? 0.0 : (via ? par.via_r : par.r_per_unit);
+    n.capacitance = parent < 0 ? 0.0 : (via ? par.via_c : par.c_per_unit);
+    if (const auto it = extra_cap.find(g); it != extra_cap.end())
+      n.capacitance += it->second;
+    tree.nodes.push_back(n);
+    index[g] = static_cast<int>(tree.nodes.size()) - 1;
+  };
+  std::queue<route::GridPoint> frontier;
+  add_node(source, -1, false);
+  frontier.push(source);
+  while (!frontier.empty()) {
+    const auto here = frontier.front();
+    frontier.pop();
+    const int here_idx = index[here];
+    const route::GridPoint nbrs[6] = {
+        {here.x + 1, here.y, here.layer}, {here.x - 1, here.y, here.layer},
+        {here.x, here.y + 1, here.layer}, {here.x, here.y - 1, here.layer},
+        {here.x, here.y, here.layer + 1}, {here.x, here.y, here.layer - 1}};
+    for (int k = 0; k < 6; ++k) {
+      const auto& nb = nbrs[k];
+      if (!in_net.count(nb) || index.count(nb)) continue;
+      add_node(nb, here_idx, /*via=*/k >= 4);
+      frontier.push(nb);
+    }
+  }
+  std::vector<int> sink_nodes;
+  for (const auto& s : sinks) sink_nodes.push_back(index.at(s));
+  return {tree, sink_nodes};
+}
+
+void expect_matches_reference(const route::NetRoute& net,
+                              const route::GridPoint& source,
+                              const std::vector<route::GridPoint>& sinks,
+                              const WireParasitics& par) {
+  const auto [ref, ref_sinks] = reference_tree(net, source, sinks, par);
+  const auto tree = rc_tree_from_route(net, source, sinks, par);
+  ASSERT_EQ(tree.nodes.size(), ref.nodes.size());
+  for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
+    EXPECT_EQ(tree.nodes[i].parent, ref.nodes[i].parent) << "node " << i;
+    EXPECT_EQ(tree.nodes[i].resistance, ref.nodes[i].resistance) << "node " << i;
+    EXPECT_EQ(tree.nodes[i].capacitance, ref.nodes[i].capacitance)
+        << "node " << i;
+  }
+  const auto ref_delays = elmore_delays(ref);
+  const auto got = net_sink_delays(net, source, sinks, par);
+  ASSERT_EQ(got.size(), sinks.size());
+  for (std::size_t k = 0; k < sinks.size(); ++k)
+    EXPECT_EQ(got[k], ref_delays[static_cast<std::size_t>(ref_sinks[k])])
+        << "sink " << k;
+}
+
+// The flow's delays are bit-exact against the reference on real routed
+// nets, also when the net's cells come unsorted and duplicated, a sink is
+// listed twice (its load counts twice) or a sink is the source itself.
+TEST(Elmore, SinkDelaysMatchMapReferenceOnRoutedNets) {
+  WireParasitics flow_par;  // the flow's parasitics
+  flow_par.r_per_unit = 0.05;
+  flow_par.c_per_unit = 0.1;
+  flow_par.via_r = 0.2;
+  flow_par.via_c = 0.05;
+  flow_par.sink_c = 0.2;
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(500 + seed);
+    gen::RoutingGenOptions gopt;
+    gopt.width = 20 + 4 * static_cast<int>(seed);
+    gopt.height = gopt.width;
+    gopt.num_nets = 8;
+    gopt.max_pins_per_net = 2 + static_cast<int>(seed % 4);
+    const auto p = gen::generate_routing(gopt, rng);
+    const auto sol = route::route_all(p);
+    for (std::size_t n = 0; n < p.nets.size(); ++n) {
+      if (!sol.nets[n].routed) continue;
+      const auto& pins = p.nets[n].pins;
+      const std::vector<route::GridPoint> sinks(pins.begin() + 1, pins.end());
+      for (const auto& par : {WireParasitics{}, flow_par}) {
+        expect_matches_reference(sol.nets[n], pins[0], sinks, par);
+
+        route::NetRoute shuffled = sol.nets[n];
+        for (std::size_t i = 0; i < shuffled.cells.size(); i += 3)
+          shuffled.cells.push_back(shuffled.cells[i]);
+        rng.shuffle(shuffled.cells);
+        expect_matches_reference(shuffled, pins[0], sinks, par);
+
+        std::vector<route::GridPoint> doubled = sinks;
+        doubled.push_back(sinks.front());
+        doubled.push_back(pins[0]);
+        expect_matches_reference(shuffled, pins[0], doubled, par);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 60);
 }
 
 }  // namespace
