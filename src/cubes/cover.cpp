@@ -23,7 +23,7 @@ Cover Cover::parse(int num_vars, const std::string& text) {
   while (std::getline(in, line)) {
     const auto t = util::trim(line);
     if (t.empty()) continue;
-    Cube c = Cube::parse(std::string(t));
+    Cube c = Cube::parse(t);
     if (c.num_vars() != num_vars)
       throw std::invalid_argument("Cover::parse: cube arity mismatch");
     out.add(std::move(c));

@@ -21,7 +21,7 @@ Cube::Cube(int num_vars) {
     big_.assign(static_cast<std::size_t>(w), kAllDontCare);
 }
 
-Cube Cube::parse(const std::string& s) {
+Cube Cube::parse(std::string_view s) {
   Cube c(static_cast<int>(s.size()));
   std::uint64_t* w = c.words();
   std::uint64_t acc = 0;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace l2l::cubes {
@@ -60,7 +61,7 @@ class Cube {
 
   /// Parse the classic "input plane" string: one char per variable,
   /// '0' = complemented, '1' = true, '-' or '2' = absent. E.g. "1-0" = a c'.
-  static Cube parse(const std::string& s);
+  static Cube parse(std::string_view s);
 
   int num_vars() const { return num_vars_; }
 

@@ -1,8 +1,7 @@
 #include "grader/place_grader.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <string_view>
+#include <stdexcept>
 
 #include "lint/lint.hpp"
 #include "obs/trace.hpp"
@@ -20,70 +19,47 @@ std::string write_placement_text(const place::GridPlacement& gp) {
   return out;
 }
 
-ParsedPlacement parse_placement_diagnostics(const std::string& text,
-                                            int num_cells) {
-  ParsedPlacement out;
-  auto& gp = out.placement;
-  gp.col.assign(static_cast<std::size_t>(num_cells), -1);
-  gp.row.assign(static_cast<std::size_t>(num_cells), -1);
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  auto diag = [&](std::string msg) {
-    const auto pos = line.find_first_not_of(" \t\r\n");
-    const int col = pos == std::string::npos ? 1 : static_cast<int>(pos) + 1;
-    out.diagnostics.push_back(util::make_error(lineno, col, std::move(msg)));
-  };
-  auto excerpt = [](std::string_view t) {
-    constexpr std::size_t kMax = 60;
-    return std::string(t.size() <= kMax ? t : t.substr(0, kMax));
-  };
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto t = util::trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    const auto tok = util::split(t);
-    if (tok.size() != 4 || tok[0] != "cell") {
-      diag("placement: bad line '" + excerpt(t) + "'");
-      continue;
+std::vector<util::Diagnostic> placement_diagnostics(
+    const place::ParsedPlacement& parsed) {
+  using Kind = place::PlacementDefect::Kind;
+  constexpr std::size_t kExcerpt = 60;
+  std::vector<util::Diagnostic> out;
+  out.reserve(parsed.defects.size());
+  for (const auto& d : parsed.defects) {
+    std::string msg;
+    switch (d.kind) {
+      case Kind::kBadLine:
+        msg = "placement: bad line '" +
+              std::string(d.text.substr(0, kExcerpt)) + "'";
+        break;
+      case Kind::kBadNumber:
+        msg = "placement: bad number in '" +
+              std::string(d.text.substr(0, kExcerpt)) + "'";
+        break;
+      case Kind::kCellOutOfRange:
+        msg = util::format("placement: cell index %d out of range [0, %d)",
+                           d.cell,
+                           static_cast<int>(parsed.placement.col.size()));
+        break;
+      case Kind::kDuplicateCell:
+        msg = util::format("placement: cell %d assigned twice", d.cell);
+        break;
+      case Kind::kMissingCells:
+        msg = util::format("placement: cell %d missing (%d cells unassigned)",
+                           d.cell, d.count);
+        break;
     }
-    const auto c = util::parse_int(tok[1]);
-    const auto col = util::parse_int(tok[2]);
-    const auto row = util::parse_int(tok[3]);
-    if (!c || !col || !row) {
-      diag("placement: bad number in '" + excerpt(t) + "'");
-      continue;
-    }
-    if (*c < 0 || *c >= num_cells) {
-      diag(util::format("placement: cell index %d out of range [0, %d)", *c,
-                        num_cells));
-      continue;
-    }
-    if (gp.col[static_cast<std::size_t>(*c)] >= 0)
-      diag(util::format("placement: cell %d assigned twice", *c));
-    gp.col[static_cast<std::size_t>(*c)] = *col;
-    gp.row[static_cast<std::size_t>(*c)] = *row;
+    out.push_back(util::make_error(d.line, d.column, std::move(msg)));
   }
-  int missing = 0;
-  int first_missing = -1;
-  for (int c = 0; c < num_cells; ++c)
-    if (gp.col[static_cast<std::size_t>(c)] < 0) {
-      ++missing;
-      if (first_missing < 0) first_missing = c;
-    }
-  if (missing > 0)
-    out.diagnostics.push_back(util::make_error(
-        0, 0,
-        util::format("placement: cell %d missing (%d cells unassigned)",
-                     first_missing, missing)));
   return out;
 }
 
 place::GridPlacement parse_placement_text(const std::string& text,
                                           int num_cells) {
-  auto parsed = parse_placement_diagnostics(text, num_cells);
+  auto parsed = place::parse_placement_lenient(text, num_cells);
   if (!parsed.clean())
-    throw std::invalid_argument(parsed.diagnostics.front().to_string());
+    throw std::invalid_argument(
+        placement_diagnostics(parsed).front().to_string());
   return std::move(parsed.placement);
 }
 
@@ -124,16 +100,16 @@ PlaceGrade grade_placement_text(const gen::PlacementProblem& problem,
   // Findings ride along in the report (rule IDs included) but never touch
   // the score -- grading below stays byte-for-byte what it always was for
   // clean submissions, which have zero findings.
+  const auto parsed = place::parse_placement_lenient(text, problem.num_cells);
   const auto lint_findings = lint::lint_placement(
-      text, {problem.num_cells, grid.sites_per_row, grid.rows});
+      parsed, {problem.num_cells, grid.sites_per_row, grid.rows});
 
   PlaceGrade g;
-  auto parsed = parse_placement_diagnostics(text, problem.num_cells);
   if (!parsed.clean()) {
     // Placement has no per-net partial credit (a single missing cell makes
     // the whole assignment illegal), so parse problems gate the score --
     // but the student still gets every malformed line in one report.
-    g.diagnostics = std::move(parsed.diagnostics);
+    g.diagnostics = placement_diagnostics(parsed);
     g.reason = g.diagnostics.front().to_string();
     g.report = util::format("PLACEMENT GRADE: parse error (%d problem(s)), "
                             "score 0\n",

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "place/legalize.hpp"
+#include "place/placement_text.hpp"
 #include "util/status.hpp"
 
 namespace l2l::grader {
@@ -42,20 +43,11 @@ struct PlaceGrade {
 /// Placement solution text: one "cell <index> <col> <row>" line per cell.
 std::string write_placement_text(const place::GridPlacement& gp);
 
-/// Result of the collecting parse below. The placement holds every cell
-/// that parsed cleanly; cells on malformed or out-of-range lines stay at
-/// the -1 sentinel.
-struct ParsedPlacement {
-  place::GridPlacement placement;
-  std::vector<util::Diagnostic> diagnostics;  ///< empty = clean parse
-
-  bool clean() const { return diagnostics.empty(); }
-};
-
-/// Tolerant parse reporting ALL malformed lines in one pass (line- and
-/// column-anchored). Never throws.
-ParsedPlacement parse_placement_diagnostics(const std::string& text,
-                                            int num_cells);
+/// The grader's rendering of the shared parse's defects: every malformed
+/// line as a line- and column-anchored "placement: ..." diagnostic, in
+/// file order, then the unassigned cells.
+std::vector<util::Diagnostic> placement_diagnostics(
+    const place::ParsedPlacement& parsed);
 
 /// Strict parse: throws std::invalid_argument carrying the first
 /// diagnostic when anything is malformed or missing.
@@ -69,7 +61,8 @@ PlaceGrade grade_placement(const gen::PlacementProblem& problem,
                            double reference_hpwl);
 
 /// Text-in/text-out variant; never throws. Parse errors score 0 with
-/// every malformed line reported (see ParsedPlacement).
+/// every malformed line reported (see placement_diagnostics). The text
+/// is parsed once; lint reads the same parse.
 PlaceGrade grade_placement_text(const gen::PlacementProblem& problem,
                                 const place::Grid& grid,
                                 const std::string& text,

@@ -148,8 +148,7 @@ RouteGrade grade_routing_text(const gen::RoutingProblem& problem,
   // Pre-grade lint: the L2L-Sxxx pack with the problem so the geometric
   // rules fire too. Stable rule IDs ride along in the report; the score
   // above is untouched, and a clean submission has zero findings.
-  const auto lint_findings =
-      lint::lint_route_solution(solution_text, &problem);
+  const auto lint_findings = lint::lint_route_solution(parsed, &problem);
   if (!lint_findings.empty()) {
     g.lint = lint::to_diagnostics(lint_findings);
     std::string head =

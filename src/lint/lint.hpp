@@ -32,6 +32,9 @@
 #include "gen/routing_gen.hpp"
 #include "util/status.hpp"
 
+namespace l2l::place { struct ParsedPlacement; }
+namespace l2l::route { struct ParsedSolution; }
+
 namespace l2l::lint {
 
 // ---- findings -----------------------------------------------------------
@@ -129,12 +132,23 @@ struct PlacementSpec {
 std::vector<Finding> lint_placement(const std::string& text,
                                     const PlacementSpec& spec = {});
 
+/// The same pack over a parse the caller already holds (a grader's);
+/// it must come from place::parse_placement_lenient(text, spec.num_cells).
+std::vector<Finding> lint_placement(const place::ParsedPlacement& parsed,
+                                    const PlacementSpec& spec = {});
+
 std::vector<Finding> lint_route_problem(const std::string& text);
 
 /// Solution lint; with a problem the geometric rules (bounds, obstacles,
 /// net-ID membership) run too.
 std::vector<Finding> lint_route_solution(
     const std::string& text, const gen::RoutingProblem* problem = nullptr);
+
+/// The same pack over route::parse_solution_lenient's result, for callers
+/// (the route grader) that already parsed the text.
+std::vector<Finding> lint_route_solution(
+    const route::ParsedSolution& parsed,
+    const gen::RoutingProblem* problem = nullptr);
 
 std::vector<Finding> lint_kbdd_script(const std::string& text);
 std::vector<Finding> lint_axb(const std::string& text);

@@ -1,38 +1,19 @@
 // BLIF rule pack (L2L-Bxxx): structural analysis of a combinational BLIF
-// netlist without building covers or running any engine. The pack scans
-// the text once into directive records (tracking the source line of every
-// signal mention), then runs graph rules over the name-level netlist:
-// driver multiplicity, undriven uses, cycles (iterative DFS -- hostile
-// inputs may nest thousands deep), dangling nodes, and per-row truth
-// table shape checks.
+// netlist without building covers or running any engine. The pack reads
+// network::parse_blif_structure, the tokenizer the BLIF parser and sema
+// share (directive records with the source line of every signal
+// mention), then runs graph rules over the name-level netlist: driver
+// multiplicity, undriven uses, cycles (iterative DFS -- hostile inputs
+// may nest thousands deep), dangling nodes, and per-row truth table
+// shape checks.
 
 #include <map>
-#include <sstream>
 
 #include "lint/lint.hpp"
+#include "network/blif.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::lint {
-namespace {
-
-struct Line {
-  int number = 0;  ///< 1-based line of the first physical line
-  std::string text;
-};
-
-struct Block {
-  int line = 0;                      ///< line of the .names directive
-  std::vector<std::string> signals;  ///< fanins + output (last)
-  std::vector<Line> cubes;
-};
-
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
-
-}  // namespace
 
 std::vector<Finding> lint_blif(const std::string& text) {
   std::vector<Finding> out;
@@ -42,104 +23,42 @@ std::vector<Finding> lint_blif(const std::string& text) {
                    std::move(hint)});
   };
 
-  // Pass 1: physical lines -> logical lines (continuation-aware), with
-  // the line number of the first physical piece preserved.
-  std::vector<Line> lines;
-  {
-    std::istringstream in(text);
-    std::string raw, pending;
-    int lineno = 0, pending_line = 0;
-    while (std::getline(in, raw)) {
-      ++lineno;
-      auto t = std::string(util::trim(raw));
-      const auto hash = t.find('#');
-      if (hash != std::string::npos)
-        t = std::string(util::trim(t.substr(0, hash)));
-      if (t.empty()) continue;
-      if (t.back() == '\\') {
-        if (pending.empty()) pending_line = lineno;
-        pending += t.substr(0, t.size() - 1) + " ";
-        continue;
-      }
-      lines.push_back({pending.empty() ? lineno : pending_line, pending + t});
-      pending.clear();
-    }
-    if (!pending.empty())
-      emit("L2L-B001", util::Severity::kError, pending_line,
-           "dangling '\\' line continuation at end of file",
-           "complete the continued line or drop the trailing backslash");
-  }
+  const network::BlifStructure st = network::parse_blif_structure(text);
+  for (const auto& d : st.defects)
+    emit(d.kind == network::BlifDefect::Kind::kUnsupported ? "L2L-B002"
+                                                           : "L2L-B001",
+         util::Severity::kError, d.line, d.message, d.hint);
 
-  // Pass 2: directives -> blocks + declarations.
+  // Declarations: a repeated input is B004, a repeated output B007.
   std::vector<std::string> inputs, outputs;
   std::map<std::string, int> input_line, output_line;
-  std::vector<Block> blocks;
-  Block* current = nullptr;
-  bool ended = false;
-  for (const auto& l : lines) {
-    if (ended) break;
-    if (l.text[0] == '.') {
-      const auto tok = util::split(l.text);
-      current = nullptr;
-      if (tok[0] == ".model") {
-        // name optional; nothing to check statically
-      } else if (tok[0] == ".inputs") {
-        for (std::size_t k = 1; k < tok.size(); ++k) {
-          const auto [it, fresh] = input_line.try_emplace(tok[k], l.number);
-          if (!fresh)
-            emit("L2L-B004", util::Severity::kError, l.number,
-                 "input '" + tok[k] + "' declared twice (first on line " +
-                     std::to_string(it->second) + ")",
-                 "remove the duplicate declaration");
-          else
-            inputs.push_back(tok[k]);
-        }
-      } else if (tok[0] == ".outputs") {
-        for (std::size_t k = 1; k < tok.size(); ++k) {
-          const auto [it, fresh] = output_line.try_emplace(tok[k], l.number);
-          if (!fresh)
-            emit("L2L-B007", util::Severity::kError, l.number,
-                 "output '" + tok[k] + "' listed twice (first on line " +
-                     std::to_string(it->second) + ")",
-                 "each output name may appear once in .outputs");
-          else
-            outputs.push_back(tok[k]);
-        }
-      } else if (tok[0] == ".names") {
-        if (tok.size() < 2) {
-          emit("L2L-B001", util::Severity::kError, l.number,
-               ".names needs at least an output signal",
-               "write '.names <fanins...> <output>'");
-          continue;
-        }
-        blocks.push_back(Block{l.number, {tok.begin() + 1, tok.end()}, {}});
-        current = &blocks.back();
-      } else if (tok[0] == ".end") {
-        ended = true;
-      } else if (tok[0] == ".latch") {
-        emit("L2L-B002", util::Severity::kError, l.number,
-             "sequential elements (.latch) are not supported",
-             "this flow handles the combinational BLIF subset only");
-      } else {
-        emit("L2L-B002", util::Severity::kError, l.number,
-             "unsupported directive '" + excerpt(tok[0]) + "'");
-      }
-      continue;
-    }
-    if (!current) {
-      emit("L2L-B001", util::Severity::kError, l.number,
-           "cube line '" + excerpt(l.text) + "' outside a .names block",
-           "cube rows must follow a .names directive");
-      continue;
-    }
-    current->cubes.push_back(l);
+  for (const auto& [name, line] : st.inputs) {
+    const auto [it, fresh] = input_line.try_emplace(name, line);
+    if (!fresh)
+      emit("L2L-B004", util::Severity::kError, line,
+           "input '" + name + "' declared twice (first on line " +
+               std::to_string(it->second) + ")",
+           "remove the duplicate declaration");
+    else
+      inputs.push_back(name);
   }
+  for (const auto& [name, line] : st.outputs) {
+    const auto [it, fresh] = output_line.try_emplace(name, line);
+    if (!fresh)
+      emit("L2L-B007", util::Severity::kError, line,
+           "output '" + name + "' listed twice (first on line " +
+               std::to_string(it->second) + ")",
+           "each output name may appear once in .outputs");
+    else
+      outputs.push_back(name);
+  }
+  const auto& blocks = st.gates;
 
   // Drivers: .inputs and every .names output. Multiplicity > 1 = B004.
   std::map<std::string, int> driver_line;  // name -> first driving line
   for (const auto& name : inputs) driver_line.emplace(name, input_line[name]);
   for (const auto& b : blocks) {
-    const auto& name = b.signals.back();
+    const auto& name = b.output;
     const auto [it, fresh] = driver_line.try_emplace(name, b.line);
     if (!fresh)
       emit("L2L-B004", util::Severity::kError, b.line,
@@ -152,9 +71,8 @@ std::vector<Finding> lint_blif(const std::string& text) {
   // One finding per name, anchored at the first offending mention.
   std::map<std::string, int> undriven;  // name -> first use line
   for (const auto& b : blocks)
-    for (std::size_t k = 0; k + 1 < b.signals.size(); ++k)
-      if (!driver_line.count(b.signals[k]))
-        undriven.try_emplace(b.signals[k], b.line);
+    for (const auto& fanin : b.fanins)
+      if (!driver_line.count(fanin)) undriven.try_emplace(fanin, b.line);
   for (const auto& name : outputs)
     if (!driver_line.count(name)) {
       const auto it = undriven.find(name);
@@ -173,7 +91,7 @@ std::vector<Finding> lint_blif(const std::string& text) {
   {
     std::map<std::string, std::size_t> producer;  // output name -> block
     for (std::size_t b = 0; b < blocks.size(); ++b)
-      producer.try_emplace(blocks[b].signals.back(), b);
+      producer.try_emplace(blocks[b].output, b);
     // 0 = white, 1 = on stack, 2 = done.
     std::vector<int> color(blocks.size(), 0);
     for (std::size_t root = 0; root < blocks.size(); ++root) {
@@ -183,18 +101,18 @@ std::vector<Finding> lint_blif(const std::string& text) {
       color[root] = 1;
       while (!stack.empty()) {
         auto& [b, next] = stack.back();
-        const auto& sig = blocks[b].signals;
-        if (next + 1 >= sig.size()) {
+        const auto& fanins = blocks[b].fanins;
+        if (next >= fanins.size()) {
           color[b] = 2;
           stack.pop_back();
           continue;
         }
-        const auto it = producer.find(sig[next++]);
+        const auto it = producer.find(fanins[next++]);
         if (it == producer.end()) continue;  // input or undriven
         if (color[it->second] == 1) {
           emit("L2L-B005", util::Severity::kError, blocks[b].line,
                "combinational cycle through net '" +
-                   blocks[it->second].signals.back() + "'",
+                   blocks[it->second].output + "'",
                "break the feedback loop; this flow is acyclic");
         } else if (color[it->second] == 0) {
           color[it->second] = 1;
@@ -209,11 +127,10 @@ std::vector<Finding> lint_blif(const std::string& text) {
   {
     std::map<std::string, bool> used;
     for (const auto& b : blocks)
-      for (std::size_t k = 0; k + 1 < b.signals.size(); ++k)
-        used[b.signals[k]] = true;
+      for (const auto& fanin : b.fanins) used[fanin] = true;
     for (const auto& name : outputs) used[name] = true;
     for (const auto& b : blocks) {
-      const auto& name = b.signals.back();
+      const auto& name = b.output;
       if (!used.count(name))
         emit("L2L-B006", util::Severity::kWarning, b.line,
              "dangling node '" + name + "' drives nothing",
@@ -227,29 +144,29 @@ std::vector<Finding> lint_blif(const std::string& text) {
 
   // Per-row truth-table shape (B008).
   for (const auto& b : blocks) {
-    const auto arity = b.signals.size() - 1;
+    const auto arity = b.fanins.size();
     bool saw_on = false, saw_off = false;
     int mixed_line = 0;
-    for (const auto& row : b.cubes) {
-      const auto tok = util::split(row.text);
-      const std::string* out_col = nullptr;
+    for (const auto& [text, line] : b.rows) {
+      const auto tok = util::split_views(text);
+      std::string_view out_col;
       if (arity == 0) {
         if (tok.size() != 1) {
-          emit("L2L-B008", util::Severity::kError, row.number,
-               "constant block row '" + excerpt(row.text) +
+          emit("L2L-B008", util::Severity::kError, line,
+               "constant block row '" + util::excerpt(text) +
                    "' must be a single 0 or 1");
           continue;
         }
-        out_col = &tok[0];
+        out_col = tok[0];
       } else {
         if (tok.size() != 2) {
-          emit("L2L-B008", util::Severity::kError, row.number,
-               "cube row '" + excerpt(row.text) +
+          emit("L2L-B008", util::Severity::kError, line,
+               "cube row '" + util::excerpt(text) +
                    "' must be '<plane> <0|1>'");
           continue;
         }
         if (tok[0].size() != arity) {
-          emit("L2L-B008", util::Severity::kError, row.number,
+          emit("L2L-B008", util::Severity::kError, line,
                util::format("cube width %d does not match %d fanin(s)",
                             static_cast<int>(tok[0].size()),
                             static_cast<int>(arity)),
@@ -258,25 +175,26 @@ std::vector<Finding> lint_blif(const std::string& text) {
         }
         for (const char c : tok[0])
           if (c != '0' && c != '1' && c != '-') {
-            emit("L2L-B008", util::Severity::kError, row.number,
+            emit("L2L-B008", util::Severity::kError, line,
                  std::string("bad input-plane character '") + c + "'",
                  "use 0, 1, or -");
             break;
           }
-        out_col = &tok[1];
+        out_col = tok[1];
       }
-      if (*out_col == "1")
+      if (out_col == "1")
         saw_on = true;
-      else if (*out_col == "0")
+      else if (out_col == "0")
         saw_off = true;
       else
-        emit("L2L-B008", util::Severity::kError, row.number,
-             "output column must be 0 or 1, got '" + excerpt(*out_col) + "'");
-      if (saw_on && saw_off && mixed_line == 0) mixed_line = row.number;
+        emit("L2L-B008", util::Severity::kError, line,
+             "output column must be 0 or 1, got '" + util::excerpt(out_col) +
+                 "'");
+      if (saw_on && saw_off && mixed_line == 0) mixed_line = line;
     }
     if (mixed_line > 0)
       emit("L2L-B008", util::Severity::kError, mixed_line,
-           "block '" + b.signals.back() + "' mixes 0 and 1 output rows",
+           "block '" + b.output + "' mixes 0 and 1 output rows",
            "a block lists either its ON-set or its OFF-set, not both");
   }
 

@@ -1,27 +1,20 @@
-// DIMACS CNF rule pack (L2L-Cxxx): header shape, literal range, count
-// drift, and the clause-hygiene warnings SAT graders care about
-// (duplicates, tautologies, empty clauses, unused variables). Clause
-// comparison uses sorted literal keys in a std::map -- deterministic, no
-// hashing, no allocation proportional to a hostile header.
+// DIMACS CNF rule pack (L2L-Cxxx) over sat::parse_dimacs_lenient, the
+// parse the solver reads: its defects (header shape, literal range,
+// count drift) become the error rules, and the clause-hygiene warnings
+// SAT graders care about (duplicates, tautologies, empty clauses, unused
+// variables) run over its clauses. Clause comparison uses sorted literal
+// keys in a std::map -- deterministic, no hashing, no allocation
+// proportional to a hostile header.
 
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "lint/lint.hpp"
+#include "sat/dimacs.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::lint {
-namespace {
-
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
-
-}  // namespace
 
 std::vector<Finding> lint_cnf(const std::string& text) {
   std::vector<Finding> out;
@@ -31,33 +24,39 @@ std::vector<Finding> lint_cnf(const std::string& text) {
                    std::move(hint)});
   };
 
-  // Same cap as the parser: the header sizes solver allocations.
-  constexpr int kMaxVars = 1 << 24;
-  int num_vars = -1;
-  int declared_clauses = -1;
-  int num_clauses = 0;
-  bool have_header = false;
-  int clause_start_line = 0;
-  std::vector<int> current;            // literals of the open clause
+  sat::ParsedDimacs parsed = sat::parse_dimacs_lenient(text);
+  for (const auto& d : parsed.defects) {
+    using Kind = sat::DimacsDefect::Kind;
+    emit(d.kind == Kind::kHeader    ? "L2L-C001"
+         : d.kind == Kind::kLiteral ? "L2L-C002"
+                                    : "L2L-C003",
+         util::Severity::kError, d.line, d.message, d.hint);
+  }
+
+  // Clause hygiene over every clause, the unterminated tail included.
+  // Cap the per-variable bookkeeping against hostile headers: the
+  // unused-variable rule is skipped beyond the cap.
+  constexpr int kMaxTrackedVars = 1 << 20;
   std::map<std::vector<int>, int> seen;  // sorted clause -> first line
   std::set<int> used_vars;
-  // Cap the per-variable bookkeeping against hostile headers: the
-  // unused-variable rule degrades to a note beyond the cap.
-  constexpr int kMaxTrackedVars = 1 << 20;
-
-  auto close_clause = [&](int line) {
-    ++num_clauses;
-    if (current.empty()) {
+  for (auto& clause : parsed.clauses) {
+    const int line = clause.line;
+    if (clause.lits.empty()) {
       emit("L2L-C004", util::Severity::kWarning, line,
            "empty clause: the formula is trivially unsatisfiable");
-      return;
+      continue;
     }
-    std::vector<int> key = current;
+    std::vector<int>& key = clause.lits;  // sorted in place, then kept
     std::sort(key.begin(), key.end());
     bool dup_lit = false, tautology = false;
     for (std::size_t k = 0; k + 1 < key.size(); ++k) {
       if (key[k] == key[k + 1]) dup_lit = true;
-      if (key[k] == -key[k + 1]) tautology = true;
+      if (static_cast<long long>(key[k]) == -static_cast<long long>(key[k + 1]))
+        tautology = true;
+    }
+    for (const int lit : key) {
+      const long long var = lit > 0 ? lit : -static_cast<long long>(lit);
+      if (var <= kMaxTrackedVars) used_vars.insert(static_cast<int>(var));
     }
     if (dup_lit)
       emit("L2L-C007", util::Severity::kWarning, line,
@@ -71,92 +70,8 @@ std::vector<Finding> lint_cnf(const std::string& text) {
       emit("L2L-C005", util::Severity::kWarning, line,
            "duplicate clause (first on line " + std::to_string(it->second) +
                ")");
-    current.clear();
-  };
-
-  std::istringstream in(text);
-  std::string raw;
-  int lineno = 0, last_content_line = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto t = util::trim(raw);
-    if (t.empty() || t[0] == 'c') continue;
-    last_content_line = lineno;
-    if (t[0] == 'p') {
-      const auto tok = util::split(t);
-      if (have_header) {
-        emit("L2L-C001", util::Severity::kError, lineno,
-             "second problem line");
-        continue;
-      }
-      if (tok.size() != 4 || tok[1] != "cnf") {
-        emit("L2L-C001", util::Severity::kError, lineno,
-             "malformed problem line '" + excerpt(t) + "'",
-             "write 'p cnf <vars> <clauses>'");
-        have_header = true;  // keep linting the body
-        continue;
-      }
-      const auto nv = util::parse_int(tok[2]);
-      const auto nc = util::parse_int(tok[3]);
-      if (!nv || !nc || *nv < 0 || *nc < 0) {
-        emit("L2L-C001", util::Severity::kError, lineno,
-             "bad counts in problem line '" + excerpt(t) + "'");
-      } else if (*nv > kMaxVars) {
-        emit("L2L-C001", util::Severity::kError, lineno,
-             util::format("variable count %d above the %d cap", *nv,
-                          kMaxVars),
-             "the grading service rejects formulas this large");
-      } else {
-        num_vars = *nv;
-        declared_clauses = *nc;
-      }
-      have_header = true;
-      continue;
-    }
-    if (!have_header) {
-      emit("L2L-C001", util::Severity::kError, lineno,
-           "clause before the problem line",
-           "the 'p cnf ...' header must come first");
-      have_header = true;  // report once, keep scanning
-    }
-    if (current.empty()) clause_start_line = lineno;
-    for (const auto& tok : util::split(t)) {
-      const auto lit = util::parse_int(tok);
-      if (!lit) {
-        emit("L2L-C002", util::Severity::kError, lineno,
-             "bad literal '" + excerpt(tok) + "'");
-        continue;
-      }
-      if (*lit == 0) {
-        close_clause(clause_start_line);
-        clause_start_line = lineno;
-        continue;
-      }
-      const long long var = *lit > 0 ? *lit : -static_cast<long long>(*lit);
-      if (num_vars >= 0 && var > num_vars) {
-        emit("L2L-C002", util::Severity::kError, lineno,
-             util::format("literal %d outside the declared %d variable(s)",
-                          *lit, num_vars));
-        continue;
-      }
-      if (var <= kMaxTrackedVars) used_vars.insert(static_cast<int>(var));
-      current.push_back(*lit);
-    }
   }
-  if (!current.empty()) {
-    emit("L2L-C003", util::Severity::kError, clause_start_line,
-         "last clause is missing its terminating 0");
-    close_clause(clause_start_line);
-    --num_clauses;  // the unterminated tail is not a counted clause
-  }
-  if (!have_header)
-    emit("L2L-C001", util::Severity::kError, 0, "missing problem line",
-         "start the file with 'p cnf <vars> <clauses>'");
-  if (declared_clauses >= 0 && declared_clauses != num_clauses)
-    emit("L2L-C003", util::Severity::kError, last_content_line,
-         util::format("header declares %d clause(s) but the body has %d",
-                      declared_clauses, num_clauses),
-         "fix the 'p cnf' clause count");
+  const int num_vars = parsed.num_vars;
   if (num_vars >= 0 && num_vars <= kMaxTrackedVars) {
     int unused = 0, first_unused = 0;
     for (int v = 1; v <= num_vars; ++v)

@@ -1,23 +1,18 @@
-// PLA rule pack (L2L-Pxxx): header/plane shape checks plus the two-level
-// consistency rules (duplicate and contradictory cubes, dead rows, .p
-// drift). Cube comparison is textual on the normalized plane ('2' ==
-// '-'), so no cover machinery is pulled in and hostile dimensions cost
-// nothing.
+// PLA rule pack (L2L-Pxxx) over espresso::parse_pla_lenient, the parse
+// the minimizer reads: its defects (header/plane shape) become the error
+// rules, and the two-level consistency rules (duplicate and
+// contradictory cubes, dead rows, .p drift) run over its rows. Cube
+// comparison is textual on the normalized plane ('2' == '-'), so no
+// cover machinery is pulled in and hostile dimensions cost nothing.
 
 #include <map>
-#include <sstream>
 
+#include "espresso/pla.hpp"
 #include "lint/lint.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::lint {
 namespace {
-
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
 
 /// '-' and '2' both mean don't-care; normalize for row comparison.
 std::string normalize_plane(std::string_view plane) {
@@ -37,120 +32,37 @@ std::vector<Finding> lint_pla(const std::string& text) {
                    std::move(hint)});
   };
 
-  // Same sanity cap as the parser: headers size allocations.
-  constexpr int kMaxPlanes = 4096;
-  int num_inputs = -1, num_outputs = -1;
-  int declared_rows = -1, declared_rows_line = 0;
-  int actual_rows = 0;
-  // Normalized input plane -> (first line, per-output phase seen).
+  const espresso::ParsedPla parsed = espresso::parse_pla_lenient(text);
+  for (const auto& d : parsed.defects) {
+    using Kind = espresso::PlaDefect::Kind;
+    emit(d.kind == Kind::kStructure    ? "L2L-P001"
+         : d.kind == Kind::kInputWidth ? "L2L-P002"
+         : d.kind == Kind::kOutputWidth ? "L2L-P003"
+                                        : "L2L-P004",
+         util::Severity::kError, d.line, d.message, d.hint);
+  }
+
+  // Normalized input plane -> (first line, normalized output plane).
   struct RowInfo {
     int line = 0;
     std::string out_plane;
   };
   std::map<std::string, RowInfo> rows;
-
-  std::istringstream in(text);
-  std::string raw;
-  int lineno = 0;
-  bool ended = false;
-  while (std::getline(in, raw) && !ended) {
-    ++lineno;
-    const auto t = std::string(util::trim(raw));
-    if (t.empty() || t[0] == '#') continue;
-    if (t[0] == '.') {
-      const auto tok = util::split(t);
-      auto header_count = [&](const char* what) {
-        if (tok.size() < 2) {
-          emit("L2L-P001", util::Severity::kError, lineno,
-               std::string(what) + " needs a count");
-          return -1;
-        }
-        const auto v = util::parse_int(tok[1]);
-        if (!v || *v < 0 || *v > kMaxPlanes) {
-          emit("L2L-P001", util::Severity::kError, lineno,
-               std::string("bad ") + what + " count '" + excerpt(tok[1]) + "'",
-               util::format("use an integer in [0, %d]", kMaxPlanes));
-          return -1;
-        }
-        return *v;
-      };
-      if (tok[0] == ".i") {
-        num_inputs = header_count(".i");
-      } else if (tok[0] == ".o") {
-        num_outputs = header_count(".o");
-      } else if (tok[0] == ".p") {
-        if (tok.size() > 1)
-          if (const auto v = util::parse_int(tok[1]); v && *v >= 0) {
-            declared_rows = *v;
-            declared_rows_line = lineno;
-          }
-      } else if (tok[0] == ".ilb" || tok[0] == ".ob" || tok[0] == ".type") {
-        // label/type hints: nothing to check statically
-      } else if (tok[0] == ".e" || tok[0] == ".end") {
-        ended = true;
-      } else {
-        emit("L2L-P001", util::Severity::kError, lineno,
-             "unknown directive '" + excerpt(tok[0]) + "'");
-      }
-      continue;
-    }
-    // Cube row.
-    if (num_inputs < 0 || num_outputs < 0) {
-      emit("L2L-P001", util::Severity::kError, lineno,
-           "cube row before the .i/.o header",
-           "declare .i and .o before any cube");
-      continue;
-    }
-    const auto tok = util::split(t);
-    if (tok.size() != 2) {
-      emit("L2L-P001", util::Severity::kError, lineno,
-           "cube row '" + excerpt(t) + "' must be '<inputs> <outputs>'");
-      continue;
-    }
-    ++actual_rows;
-    bool shape_ok = true;
-    if (static_cast<int>(tok[0].size()) != num_inputs) {
-      emit("L2L-P002", util::Severity::kError, lineno,
-           util::format("input plane has %d column(s), .i declares %d",
-                        static_cast<int>(tok[0].size()), num_inputs));
-      shape_ok = false;
-    }
-    if (static_cast<int>(tok[1].size()) != num_outputs) {
-      emit("L2L-P003", util::Severity::kError, lineno,
-           util::format("output plane has %d column(s), .o declares %d",
-                        static_cast<int>(tok[1].size()), num_outputs));
-      shape_ok = false;
-    }
-    for (const char c : tok[0])
-      if (c != '0' && c != '1' && c != '-' && c != '2') {
-        emit("L2L-P004", util::Severity::kError, lineno,
-             std::string("bad input-plane character '") + c + "'",
-             "use 0, 1, or -");
-        shape_ok = false;
-        break;
-      }
+  for (const auto& row : parsed.rows) {
+    if (!row.ok) continue;
     bool any_effect = false;
-    for (const char c : tok[1]) {
-      if (c != '0' && c != '1' && c != '-' && c != '2' && c != '~') {
-        emit("L2L-P004", util::Severity::kError, lineno,
-             std::string("bad output-plane character '") + c + "'",
-             "use 0, 1, -, or ~");
-        shape_ok = false;
-        break;
-      }
+    for (const char c : row.out)
       if (c != '0' && c != '~') any_effect = true;
-    }
-    if (!shape_ok) continue;
-    if (!any_effect && num_outputs > 0)
-      emit("L2L-P008", util::Severity::kWarning, lineno,
+    if (!any_effect && parsed.num_outputs > 0)
+      emit("L2L-P008", util::Severity::kWarning, row.line,
            "row contributes to no output (all-0/~ output plane)",
            "delete the row or mark the intended outputs");
-    const auto key = normalize_plane(tok[0]);
-    const auto norm_out = normalize_plane(tok[1]);
-    const auto [it, fresh] = rows.try_emplace(key, RowInfo{lineno, norm_out});
+    const auto key = normalize_plane(row.in);
+    const auto norm_out = normalize_plane(row.out);
+    const auto [it, fresh] = rows.try_emplace(key, RowInfo{row.line, norm_out});
     if (fresh) continue;
     if (it->second.out_plane == norm_out) {
-      emit("L2L-P005", util::Severity::kWarning, lineno,
+      emit("L2L-P005", util::Severity::kWarning, row.line,
            "duplicate cube row (first on line " +
                std::to_string(it->second.line) + ")");
       continue;
@@ -164,21 +76,18 @@ std::vector<Finding> lint_pla(const std::string& text) {
       if ((a == '1' && b == '0') || (a == '0' && b == '1')) contradiction = true;
     }
     if (contradiction)
-      emit("L2L-P006", util::Severity::kWarning, lineno,
+      emit("L2L-P006", util::Severity::kWarning, row.line,
            "contradictory cube: same inputs as line " +
                std::to_string(it->second.line) +
                " with an inconsistent output phase",
            "pick one phase per (cube, output) pair");
   }
 
-  if (num_inputs < 0)
-    emit("L2L-P001", util::Severity::kError, 0, "missing .i header");
-  if (num_outputs < 0)
-    emit("L2L-P001", util::Severity::kError, 0, "missing .o header");
-  if (declared_rows >= 0 && declared_rows != actual_rows)
-    emit("L2L-P007", util::Severity::kWarning, declared_rows_line,
+  const int actual_rows = static_cast<int>(parsed.rows.size());
+  if (parsed.declared_rows >= 0 && parsed.declared_rows != actual_rows)
+    emit("L2L-P007", util::Severity::kWarning, parsed.declared_rows_line,
          util::format(".p declares %d row(s) but the file has %d",
-                      declared_rows, actual_rows),
+                      parsed.declared_rows, actual_rows),
          "update .p (it is advisory but tools cross-check it)");
 
   sort_findings(out);

@@ -1,26 +1,24 @@
-// Placement rule pack (L2L-Lxxx): "cell <id> <col> <row>" text. With a
-// PlacementSpec the range/overlap/completeness rules run against the
-// assignment's grid; without one only the shape rules apply, so a
+// Placement rule pack (L2L-Lxxx) over place::parse_placement_lenient,
+// the parse the placement grader reads: "cell <id> <col> <row>" text.
+// With a PlacementSpec the range/overlap/completeness rules run against
+// the assignment's grid; without one only the shape rules apply, so a
 // standalone file still lints.
 
 #include <map>
-#include <sstream>
 
 #include "lint/lint.hpp"
+#include "place/placement_text.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::lint {
-namespace {
-
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
-
-}  // namespace
 
 std::vector<Finding> lint_placement(const std::string& text,
+                                    const PlacementSpec& spec) {
+  return lint_placement(place::parse_placement_lenient(text, spec.num_cells),
+                        spec);
+}
+
+std::vector<Finding> lint_placement(const place::ParsedPlacement& parsed,
                                     const PlacementSpec& spec) {
   std::vector<Finding> out;
   auto emit = [&](const char* rule, util::Severity sev, int line,
@@ -29,64 +27,55 @@ std::vector<Finding> lint_placement(const std::string& text,
                    std::move(hint)});
   };
 
+  // Line defects. Repeats and completeness are judged on the records
+  // below instead: lint anchors a repeat to the cell's first line and
+  // counts any line as presence, whatever its coordinates.
+  using Kind = place::PlacementDefect::Kind;
+  for (const auto& d : parsed.defects) {
+    if (d.kind == Kind::kBadLine)
+      emit("L2L-L001", util::Severity::kError, d.line,
+           "bad line '" + util::excerpt(d.text) + "'",
+           "write 'cell <id> <col> <row>'");
+    else if (d.kind == Kind::kBadNumber)
+      emit("L2L-L001", util::Severity::kError, d.line,
+           "bad number in '" + util::excerpt(d.text) + "'");
+    else if (d.kind == Kind::kCellOutOfRange)
+      emit("L2L-L003", util::Severity::kError, d.line,
+           spec.num_cells >= 0
+               ? util::format("cell index %d out of range [0, %d)", d.cell,
+                              spec.num_cells)
+               : util::format("cell index %d is negative", d.cell));
+  }
+
   std::map<int, int> cell_line;                   // cell id -> first line
   std::map<std::pair<int, int>, int> site_owner;  // (col,row) -> cell id
-  std::istringstream in(text);
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto t = util::trim(raw);
-    if (t.empty() || t[0] == '#') continue;
-    const auto tok = util::split(t);
-    if (tok.size() != 4 || tok[0] != "cell") {
-      emit("L2L-L001", util::Severity::kError, lineno,
-           "bad line '" + excerpt(t) + "'",
-           "write 'cell <id> <col> <row>'");
-      continue;
-    }
-    const auto c = util::parse_int(tok[1]);
-    const auto col = util::parse_int(tok[2]);
-    const auto row = util::parse_int(tok[3]);
-    if (!c || !col || !row) {
-      emit("L2L-L001", util::Severity::kError, lineno,
-           "bad number in '" + excerpt(t) + "'");
-      continue;
-    }
-    if (*c < 0 || (spec.num_cells >= 0 && *c >= spec.num_cells)) {
-      emit("L2L-L003", util::Severity::kError, lineno,
-           spec.num_cells >= 0
-               ? util::format("cell index %d out of range [0, %d)", *c,
-                              spec.num_cells)
-               : util::format("cell index %d is negative", *c));
-      continue;
-    }
-    const auto [it, fresh] = cell_line.try_emplace(*c, lineno);
+  for (const auto& l : parsed.lines) {
+    const auto [it, fresh] = cell_line.try_emplace(l.cell, l.line);
     if (!fresh) {
-      emit("L2L-L002", util::Severity::kError, lineno,
-           util::format("cell %d assigned twice (first on line %d)", *c,
+      emit("L2L-L002", util::Severity::kError, l.line,
+           util::format("cell %d assigned twice (first on line %d)", l.cell,
                         it->second),
            "keep one line per cell");
       continue;
     }
-    const bool col_bad = *col < 0 || (spec.cols >= 0 && *col >= spec.cols);
-    const bool row_bad = *row < 0 || (spec.rows >= 0 && *row >= spec.rows);
+    const bool col_bad = l.col < 0 || (spec.cols >= 0 && l.col >= spec.cols);
+    const bool row_bad = l.row < 0 || (spec.rows >= 0 && l.row >= spec.rows);
     if (col_bad || row_bad) {
-      emit("L2L-L004", util::Severity::kError, lineno,
+      emit("L2L-L004", util::Severity::kError, l.line,
            spec.cols >= 0 && spec.rows >= 0
                ? util::format(
-                     "site (%d, %d) outside the %d x %d region", *col, *row,
+                     "site (%d, %d) outside the %d x %d region", l.col, l.row,
                      spec.cols, spec.rows)
-               : util::format("negative site coordinate (%d, %d)", *col,
-                              *row));
+               : util::format("negative site coordinate (%d, %d)", l.col,
+                              l.row));
       continue;
     }
     const auto [owner, site_fresh] =
-        site_owner.try_emplace({*col, *row}, *c);
+        site_owner.try_emplace({l.col, l.row}, l.cell);
     if (!site_fresh)
-      emit("L2L-L005", util::Severity::kError, lineno,
-           util::format("cell %d overlaps cell %d at site (%d, %d)", *c,
-                        owner->second, *col, *row),
+      emit("L2L-L005", util::Severity::kError, l.line,
+           util::format("cell %d overlaps cell %d at site (%d, %d)", l.cell,
+                        owner->second, l.col, l.row),
            "every cell needs its own site");
   }
   if (spec.num_cells >= 0) {

@@ -16,12 +16,6 @@
 namespace l2l::lint {
 namespace {
 
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
-
 /// "(x y l)" -> point; nullopt on any defect.
 std::optional<gen::GridPoint> parse_point(const std::string& t) {
   const auto tok = util::split(t, "() \t");
@@ -76,7 +70,7 @@ std::vector<Finding> lint_route_problem(const std::string& text) {
     }
     if (!w || !h || !nl) {
       emit("L2L-R001", util::Severity::kError, lineno,
-           "missing or malformed grid header '" + excerpt(*l) + "'",
+           "missing or malformed grid header '" + util::excerpt(*l) + "'",
            "write 'grid <width> <height> <layers>'");
       sort_findings(out);
       return out;  // everything below needs the grid
@@ -130,7 +124,7 @@ std::vector<Finding> lint_route_problem(const std::string& text) {
       const auto g = parse_point(*pl);
       if (!g) {
         emit("L2L-R001", util::Severity::kError, lineno,
-             "bad obstacle point '" + excerpt(*pl) + "'",
+             "bad obstacle point '" + util::excerpt(*pl) + "'",
              "write '(x y layer)'");
         continue;
       }
@@ -177,7 +171,7 @@ std::vector<Finding> lint_route_problem(const std::string& text) {
       }
       if (!id || !pins || *pins < 0) {
         emit("L2L-R001", util::Severity::kError, lineno,
-             "bad net header '" + excerpt(*hl) + "'",
+             "bad net header '" + util::excerpt(*hl) + "'",
              "write 'net <id> <pin-count>'");
         break;  // pin lines are now unanchored; stop instead of cascading
       }
@@ -200,7 +194,7 @@ std::vector<Finding> lint_route_problem(const std::string& text) {
         const auto g = parse_point(*pl);
         if (!g) {
           emit("L2L-R001", util::Severity::kError, lineno,
-               "bad pin point '" + excerpt(*pl) + "'");
+               "bad pin point '" + util::excerpt(*pl) + "'");
           continue;
         }
         ++parsed_pins;
@@ -233,6 +227,11 @@ std::vector<Finding> lint_route_problem(const std::string& text) {
 
 std::vector<Finding> lint_route_solution(const std::string& text,
                                          const gen::RoutingProblem* problem) {
+  return lint_route_solution(route::parse_solution_lenient(text), problem);
+}
+
+std::vector<Finding> lint_route_solution(const route::ParsedSolution& parsed,
+                                         const gen::RoutingProblem* problem) {
   std::vector<Finding> out;
   auto emit = [&](const char* rule, util::Severity sev, int line,
                   std::string msg, std::string hint = {}) {
@@ -242,7 +241,6 @@ std::vector<Finding> lint_route_solution(const std::string& text,
 
   // Structure: the lenient grader parse already anchors every malformed
   // region; reclassify its findings under stable rule IDs.
-  const auto parsed = route::parse_solution_lenient(text);
   for (const auto& d : parsed.diagnostics) {
     const bool count_drift =
         d.message.find("net count mismatch") != std::string::npos;

@@ -13,12 +13,6 @@
 namespace l2l::lint {
 namespace {
 
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
-
 bool is_ident_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '_';
@@ -141,7 +135,7 @@ std::vector<Finding> lint_kbdd_script(const std::string& text) {
       break;
     } else {
       emit("L2L-K001", util::Severity::kError, lineno,
-           "unknown command '" + excerpt(tok[0]) + "'",
+           "unknown command '" + util::excerpt(tok[0]) + "'",
            "see kbdd_lite's header for the command list");
     }
   }
@@ -188,7 +182,7 @@ std::vector<Finding> lint_axb(const std::string& text) {
   const auto n = util::parse_int(toks[0].text);
   if (!n || *n < 1 || *n > kMaxDim) {
     emit("L2L-A001", util::Severity::kError, toks[0].line,
-         "bad dimension '" + excerpt(toks[0].text) + "'",
+         "bad dimension '" + util::excerpt(toks[0].text) + "'",
          util::format("use an integer in [1, %d]", kMaxDim));
     return out;
   }
@@ -201,7 +195,7 @@ std::vector<Finding> lint_axb(const std::string& text) {
     const auto v = util::parse_double(toks[k].text);
     if (!v) {
       emit("L2L-A002", util::Severity::kError, toks[k].line,
-           "entry '" + excerpt(toks[k].text) + "' is not a number");
+           "entry '" + util::excerpt(toks[k].text) + "' is not a number");
       numbers_ok = false;
       continue;
     }

@@ -1,54 +1,43 @@
 #include "network/blif.hpp"
 
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "cubes/urp.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::network {
-namespace {
 
-std::string excerpt(std::string_view t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return std::string(t);
-  return std::string(t.substr(0, kMax)) + "...";
-}
-
-}  // namespace
-
-BlifStructure parse_blif_structure(const std::string& text) {
+BlifStructure parse_blif_structure(std::string_view text) {
   BlifStructure out;
-  auto diag = [&](int line, std::string msg) {
-    out.diagnostics.push_back(util::make_error(line, line > 0 ? 1 : 0,
-                                               std::move(msg)));
-  };
+  using Kind = BlifDefect::Kind;
 
-  // Pass 1: tokenize into directives with continuation (\) support. Each
-  // logical line keeps the physical line number it started on, so every
-  // diagnostic below lands where the student's editor can jump to.
-  std::istringstream in(text);
-  std::string line, pending;
-  int lineno = 0, pending_line = 0;
+  // Pass 1: physical lines -> logical lines with continuation (\)
+  // support. Each logical line keeps the physical line number it started
+  // on, so every defect lands where the student's editor can jump to.
+  std::string pending;
+  int pending_line = 0;
   std::vector<std::pair<std::string, int>> lines;
-  while (std::getline(in, line)) {
-    ++lineno;
-    auto t = std::string(util::trim(line));
-    const auto hash = t.find('#');
-    if (hash != std::string::npos) t = std::string(util::trim(t.substr(0, hash)));
-    if (t.empty()) continue;
+  util::for_each_line(text, [&](int lineno, std::string_view raw) {
+    auto t = util::trim(raw);
+    t = util::trim(t.substr(0, t.find('#')));
+    if (t.empty()) return true;
     if (pending.empty()) pending_line = lineno;
     if (t.back() == '\\') {
-      pending += t.substr(0, t.size() - 1) + " ";
-      continue;
+      pending.append(t.substr(0, t.size() - 1)).push_back(' ');
+      return true;
     }
-    lines.emplace_back(pending + t, pending_line);
+    lines.emplace_back(pending.append(t), pending_line);
     pending.clear();
-  }
+    return true;
+  });
   if (!pending.empty())
-    diag(pending_line, "BLIF: dangling line continuation");
+    out.defects.push_back(
+        {Kind::kStructure, pending_line,
+         "dangling '\\' line continuation at end of file",
+         "complete the continued line or drop the trailing backslash"});
 
+  // Pass 2: directives -> declarations and .names blocks.
   BlifGate* current = nullptr;
   for (const auto& [l, ln] : lines) {
     if (l[0] == '.') {
@@ -64,7 +53,9 @@ BlifStructure parse_blif_structure(const std::string& text) {
           out.outputs.emplace_back(tok[k], ln);
       } else if (tok[0] == ".names") {
         if (tok.size() < 2) {
-          diag(ln, "BLIF: .names needs an output signal");
+          out.defects.push_back({Kind::kStructure, ln,
+                                 ".names needs at least an output signal",
+                                 "write '.names <fanins...> <output>'"});
           continue;
         }
         BlifGate gate;
@@ -76,14 +67,22 @@ BlifStructure parse_blif_structure(const std::string& text) {
       } else if (tok[0] == ".end") {
         break;
       } else if (tok[0] == ".latch") {
-        diag(ln, "BLIF: sequential elements (.latch) are not supported");
+        out.defects.push_back(
+            {Kind::kUnsupported, ln,
+             "sequential elements (.latch) are not supported",
+             "this flow handles the combinational BLIF subset only"});
       } else {
-        diag(ln, "BLIF: unsupported directive " + tok[0]);
+        out.defects.push_back(
+            {Kind::kUnsupported, ln,
+             "unsupported directive '" + util::excerpt(tok[0]) + "'", {}});
       }
       continue;
     }
     if (!current) {
-      diag(ln, "BLIF: cube line outside a .names block");
+      out.defects.push_back(
+          {Kind::kStructure, ln,
+           "cube line '" + util::excerpt(l) + "' outside a .names block",
+           "cube rows must follow a .names directive"});
       continue;
     }
     current->rows.emplace_back(l, ln);
@@ -98,9 +97,9 @@ ParsedBlif parse_blif_lenient(const std::string& text) {
                                                std::move(msg)));
   };
 
-  // Pass 1 is shared with the semantic analyzer (see BlifStructure).
+  // The tokenizer is shared with lint and sema (see BlifStructure).
   BlifStructure structure = parse_blif_structure(text);
-  out.diagnostics = structure.diagnostics;
+  for (const auto& d : structure.defects) diag(d.line, "BLIF: " + d.message);
   const std::vector<BlifGate>& blocks = structure.gates;
 
   Network& net = out.network;
@@ -169,7 +168,7 @@ ParsedBlif parse_blif_lenient(const std::string& text) {
           out_char = tok[0];
         } else {
           if (tok.size() != 2) {
-            diag(cl_line, "BLIF: bad cube line '" + excerpt(cl) + "'");
+            diag(cl_line, "BLIF: bad cube line '" + util::excerpt(cl) + "'");
             rows_ok = false;
             continue;
           }
@@ -177,7 +176,14 @@ ParsedBlif parse_blif_lenient(const std::string& text) {
           out_char = tok[1];
           if (static_cast<int>(in_plane.size()) != arity) {
             diag(cl_line,
-                 "BLIF: cube width mismatch in '" + excerpt(cl) + "'");
+                 "BLIF: cube width mismatch in '" + util::excerpt(cl) + "'");
+            rows_ok = false;
+            continue;
+          }
+          // BLIF planes are 0/1/- only ('2' is a PLA spelling).
+          if (in_plane.find_first_not_of("01-") != std::string::npos) {
+            diag(cl_line,
+                 "BLIF: bad character in cube '" + util::excerpt(cl) + "'");
             rows_ok = false;
             continue;
           }
@@ -187,14 +193,8 @@ ParsedBlif parse_blif_lenient(const std::string& text) {
           rows_ok = false;
           continue;
         }
-        try {
-          auto& target = out_char == "1" ? on : off;
-          target.add(arity == 0 ? cubes::Cube(0)
-                                : cubes::Cube::parse(in_plane));
-        } catch (const std::exception& e) {
-          diag(cl_line, std::string("BLIF: ") + e.what());
-          rows_ok = false;
-        }
+        (out_char == "1" ? on : off)
+            .add(arity == 0 ? cubes::Cube(0) : cubes::Cube::parse(in_plane));
       }
       if (!on.empty() && !off.empty()) {
         diag(blk.line, "BLIF: mixed 0/1 output columns in one .names block");
@@ -223,7 +223,12 @@ ParsedBlif parse_blif_lenient(const std::string& text) {
     }
   }
 
+  std::set<std::string> declared_outputs;
   for (const auto& [n, ln] : structure.outputs) {
+    if (!declared_outputs.insert(n).second) {
+      diag(ln, "BLIF: output " + n + " listed twice");
+      continue;
+    }
     const auto id = net.find(n);
     if (!id) {
       diag(ln, "BLIF: undriven output " + n);

@@ -5,6 +5,7 @@
 // (latches are rejected; the course scoped sequential logic out, see §2.1).
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "network/network.hpp"
@@ -30,6 +31,16 @@ struct BlifGate {
   std::vector<std::pair<std::string, int>> rows;  ///< raw cube rows + lines
 };
 
+/// A structural defect of a BLIF file, worded for the learner and
+/// anchored at the physical line its logical line started on.
+struct BlifDefect {
+  enum class Kind { kStructure, kUnsupported };  ///< misplaced / out of scope
+  Kind kind;
+  int line = 0;
+  std::string message;
+  std::string hint;  ///< a fix-it suggestion, or empty
+};
+
 /// The name-level structure of a BLIF file: the directive skeleton before
 /// any Network is built. Unlike network::Network -- which is acyclic by
 /// construction (add_logic requires fanins to already exist) -- this view
@@ -41,17 +52,17 @@ struct BlifStructure {
   std::vector<std::pair<std::string, int>> inputs;   ///< name, decl line
   std::vector<std::pair<std::string, int>> outputs;  ///< name, decl line
   std::vector<BlifGate> gates;                       ///< in file order
-  /// Pass-1 defects only (dangling continuation, unsupported directives,
-  /// cube rows outside any block). Name-level problems -- cycles, missing
-  /// or duplicate drivers -- are NOT diagnosed here; they are the
-  /// analyzer's and the lenient parser's job.
-  std::vector<util::Diagnostic> diagnostics;
+  /// Structural defects only, in file order. Name-level problems --
+  /// cycles, missing or duplicate drivers -- are NOT found here; they are
+  /// the readers' job (lint's graph rules, sema, the lenient parser).
+  std::vector<BlifDefect> defects;
 };
 
-/// Tokenize-and-collect pass shared by parse_blif_lenient and l2l::sema:
-/// continuation-aware logical lines, '#' comments stripped, directives
-/// sorted into the structure above. Never throws.
-BlifStructure parse_blif_structure(const std::string& text);
+/// The one BLIF tokenizer, shared by parse_blif_lenient, the L2L-Bxxx
+/// lint pack and l2l::sema: continuation-aware logical lines, '#'
+/// comments stripped, directives sorted into the structure above,
+/// reading stopped at .end. Never throws.
+BlifStructure parse_blif_structure(std::string_view text);
 
 /// Tolerant parse reporting ALL defects in one pass (a student fixing a
 /// hand-written netlist learns every mistake from a single upload).

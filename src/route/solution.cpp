@@ -19,24 +19,6 @@ std::string write_solution(const RouteSolution& sol) {
   return out;
 }
 
-namespace {
-
-/// 1-based column of the first non-blank character of `raw`.
-int content_column(const std::string& raw) {
-  const auto pos = raw.find_first_not_of(" \t\r\n");
-  return pos == std::string::npos ? 1 : static_cast<int>(pos) + 1;
-}
-
-/// Truncate a hostile line for embedding in a message (submissions may
-/// contain megabyte-long lines; diagnostics must stay readable).
-std::string excerpt(const std::string& t) {
-  constexpr std::size_t kMax = 60;
-  if (t.size() <= kMax) return t;
-  return t.substr(0, kMax) + "...";
-}
-
-}  // namespace
-
 ParsedSolution parse_solution_lenient(const std::string& text) {
   ParsedSolution out;
   std::istringstream in(text);
@@ -49,7 +31,7 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
 
   auto diag = [&](const std::string& raw, std::string msg) {
     out.diagnostics.push_back(
-        util::make_error(lineno, content_column(raw), std::move(msg)));
+        util::make_error(lineno, util::content_column(raw), std::move(msg)));
   };
 
   while (std::getline(in, line)) {
@@ -62,7 +44,7 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
       if (const auto n = util::parse_int(t)) {
         out.declared_nets = *n;
       } else {
-        diag(line, "expected net count, got '" + excerpt(t) + "'");
+        diag(line, "expected net count, got '" + util::excerpt(t) + "'");
       }
       continue;
     }
@@ -77,7 +59,7 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
       if (const auto id = util::parse_int(util::trim(t.substr(4)))) {
         current.net_id = *id;
       } else {
-        diag(line, "bad net id in '" + excerpt(t) + "'");
+        diag(line, "bad net id in '" + util::excerpt(t) + "'");
         poisoned = true;
       }
       continue;
@@ -101,7 +83,7 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
         diag(line, "cell outside a net block");
         continue;
       }
-      const auto tok = util::split(t, "() \t");
+      const auto tok = util::split_views(t, "() \t");
       std::optional<int> x, y, l;
       if (tok.size() == 3) {
         x = util::parse_int(tok[0]);
@@ -109,14 +91,14 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
         l = util::parse_int(tok[2]);
       }
       if (!x || !y || !l) {
-        diag(line, "bad cell line '" + excerpt(t) + "'");
+        diag(line, "bad cell line '" + util::excerpt(t) + "'");
         poisoned = true;
         continue;
       }
       if (!poisoned) current.cells.push_back({*x, *y, *l});
       continue;
     }
-    diag(line, "unrecognized line '" + excerpt(t) + "'");
+    diag(line, "unrecognized line '" + util::excerpt(t) + "'");
     if (in_block) poisoned = true;
   }
   if (in_block)
@@ -194,7 +176,7 @@ gen::RoutingProblem parse_problem(const std::string& text) {
       l = util::parse_int(tok[2]);
     }
     if (!x || !y || !l)
-      throw std::invalid_argument("problem: bad point '" + excerpt(t) + "'");
+      throw std::invalid_argument("problem: bad point '" + util::excerpt(t) + "'");
     return gen::GridPoint{*x, *y, *l};
   };
 

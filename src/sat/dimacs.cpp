@@ -1,8 +1,7 @@
 #include "sat/dimacs.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <sstream>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "sat/solver.hpp"
@@ -10,65 +9,112 @@
 
 namespace l2l::sat {
 
-CnfFormula parse_dimacs(const std::string& text) {
-  CnfFormula f;
-  int declared_clauses = -1;
+ParsedDimacs parse_dimacs_lenient(std::string_view text) {
+  ParsedDimacs out;
+  using Kind = DimacsDefect::Kind;
+  auto defect = [&](Kind kind, int line, std::string msg,
+                    std::string hint = {}) {
+    if (out.defects.size() < util::kMaxDefects)
+      out.defects.push_back({kind, line, std::move(msg), std::move(hint)});
+  };
   bool have_header = false;
-  std::vector<Lit> current;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto t = util::trim(line);
-    if (t.empty() || t[0] == 'c') continue;
+  bool open = false;  // the last clause still waits for its 0
+  int declared_clauses = -1, terminated = 0, last_content_line = 0;
+  util::for_each_line(text, [&](int lineno, std::string_view raw) {
+    const auto t = util::trim(raw);
+    if (t.empty() || t[0] == 'c') return true;
+    last_content_line = lineno;
     if (t[0] == 'p') {
-      const auto tok = util::split(t);
-      if (tok.size() != 4 || tok[1] != "cnf")
-        throw std::invalid_argument("DIMACS: malformed problem line");
+      if (have_header) {
+        defect(Kind::kHeader, lineno, "second problem line");
+        return true;
+      }
+      have_header = true;  // a broken header still ends the preamble
+      const auto tok = util::split_views(t);
+      if (tok.size() != 4 || tok[1] != "cnf") {
+        defect(Kind::kHeader, lineno,
+               "malformed problem line '" + util::excerpt(t) + "'",
+               "write 'p cnf <vars> <clauses>'");
+        return true;
+      }
       const auto nv = util::parse_int(tok[2]);
       const auto nc = util::parse_int(tok[3]);
-      if (!nv || !nc || *nv < 0 || *nc < 0)
-        throw std::invalid_argument("DIMACS: bad counts in problem line");
-      // Sanity cap: the header sizes solver allocations up front, so a
-      // hostile "p cnf 2000000000 1" must be rejected here, not OOM later.
-      constexpr int kMaxVars = 1 << 24;
-      if (*nv > kMaxVars)
-        throw std::invalid_argument("DIMACS: variable count out of range");
-      f.num_vars = *nv;
-      declared_clauses = *nc;
-      // Clause count is capped implicitly by the input size (every clause
-      // costs at least its terminating "0" token), so reserving up to a
-      // modest bound keeps hostile headers from over-allocating.
-      f.clauses.reserve(static_cast<std::size_t>(
-          std::min(*nc, 1 << 20)));
-      have_header = true;
-      continue;
-    }
-    if (!have_header)
-      throw std::invalid_argument("DIMACS: clause before problem line");
-    for (const auto& tok : util::split(t)) {
-      const auto lit = util::parse_int(tok);
-      if (!lit)
-        throw std::invalid_argument("DIMACS: bad literal '" + tok + "'");
-      const int v = *lit;
-      if (v == 0) {
-        f.clauses.push_back(current);
-        current.clear();
+      if (!nv || !nc || *nv < 0 || *nc < 0) {
+        defect(Kind::kHeader, lineno,
+               "bad counts in problem line '" + util::excerpt(t) + "'");
+      } else if (*nv > kMaxDimacsVars) {
+        defect(Kind::kHeader, lineno,
+               util::format("variable count %d above the %d cap", *nv,
+                            kMaxDimacsVars),
+               "the grading service rejects formulas this large");
       } else {
-        // Guard abs() against INT_MIN before computing the variable.
-        if (v == std::numeric_limits<int>::min())
-          throw std::invalid_argument("DIMACS: literal out of declared range");
-        const int var = std::abs(v) - 1;
-        if (var >= f.num_vars)
-          throw std::invalid_argument("DIMACS: literal out of declared range");
-        current.push_back(Lit(var, v < 0));
+        out.num_vars = *nv;
+        declared_clauses = *nc;
+        // Every clause costs at least its "0" token, so the input size
+        // bounds the real count; the reserve cap keeps a hostile header
+        // from over-allocating.
+        out.clauses.reserve(static_cast<std::size_t>(std::min(*nc, 1 << 20)));
       }
+      return true;
     }
+    if (!have_header) {
+      defect(Kind::kHeader, lineno, "clause before the problem line",
+             "the 'p cnf ...' header must come first");
+      have_header = true;  // report once, keep scanning
+    }
+    for (const auto tok : util::split_views(t)) {
+      const auto lit = util::parse_int(tok);
+      if (!lit) {
+        defect(Kind::kLiteral, lineno,
+               "bad literal '" + util::excerpt(tok) + "'");
+        continue;
+      }
+      const long long var = *lit > 0 ? *lit : -static_cast<long long>(*lit);
+      if (*lit != 0 && out.num_vars >= 0 && var > out.num_vars) {
+        defect(Kind::kLiteral, lineno,
+               util::format("literal %d outside the declared %d variable(s)",
+                            *lit, out.num_vars));
+        continue;
+      }
+      if (!open) out.clauses.push_back({{}, lineno});
+      open = *lit != 0;
+      if (open)
+        out.clauses.back().lits.push_back(*lit);
+      else
+        ++terminated;
+    }
+    return true;
+  });
+  if (open)
+    defect(Kind::kClauseCount, out.clauses.back().line,
+           "last clause is missing its terminating 0");
+  if (!have_header)
+    defect(Kind::kHeader, 0, "missing problem line",
+           "start the file with 'p cnf <vars> <clauses>'");
+  if (declared_clauses >= 0 && declared_clauses != terminated)
+    defect(Kind::kClauseCount, last_content_line,
+           util::format("header declares %d clause(s) but the body has %d",
+                        declared_clauses, terminated),
+           "fix the 'p cnf' clause count");
+  return out;
+}
+
+CnfFormula parse_dimacs(const std::string& text) {
+  const ParsedDimacs parsed = parse_dimacs_lenient(text);
+  if (!parsed.clean()) {
+    const auto& d = parsed.defects.front();
+    throw std::invalid_argument(
+        (d.line > 0 ? util::format("DIMACS line %d: ", d.line) : "DIMACS: ") +
+        d.message);
   }
-  if (!current.empty())
-    throw std::invalid_argument("DIMACS: last clause missing terminating 0");
-  if (declared_clauses >= 0 &&
-      static_cast<int>(f.clauses.size()) != declared_clauses)
-    throw std::invalid_argument("DIMACS: clause count mismatch");
+  CnfFormula f;
+  f.num_vars = parsed.num_vars;
+  f.clauses.reserve(parsed.clauses.size());
+  for (const auto& clause : parsed.clauses) {
+    auto& lits = f.clauses.emplace_back();
+    lits.reserve(clause.lits.size());
+    for (const int v : clause.lits) lits.push_back(Lit(std::abs(v) - 1, v < 0));
+  }
   return f;
 }
 

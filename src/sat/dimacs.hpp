@@ -4,9 +4,11 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sat/types.hpp"
+#include "util/strings.hpp"
 
 namespace l2l::sat {
 
@@ -15,8 +17,46 @@ struct CnfFormula {
   std::vector<std::vector<Lit>> clauses;
 };
 
+/// Header cap: the header sizes solver allocations up front, so a hostile
+/// "p cnf 2000000000 1" is a defect, not an OOM later.
+inline constexpr int kMaxDimacsVars = 1 << 24;
+
+/// One clause as written: its DIMACS literals in file order and the line
+/// of its first accepted token (a literal, or the 0 of an empty clause).
+struct DimacsClause {
+  std::vector<int> lits;
+  int line = 0;
+};
+
+/// Why a text is not a DIMACS formula, worded for the learner. `line` is
+/// 1-based; 0 means the file as a whole.
+struct DimacsDefect {
+  enum class Kind { kHeader, kLiteral, kClauseCount };
+  Kind kind;
+  int line = 0;
+  std::string message;
+  std::string hint;  ///< a fix-it suggestion, or empty
+};
+
+/// The one located DIMACS parse, shared by the solver front end, the
+/// L2L-Cxxx lint pack and the C1xx sema pack. Lenient: it never throws,
+/// records defects in file order and keeps going. Clauses hold every
+/// accepted literal; an unterminated tail is kept as the last clause.
+/// Only the first util::kMaxDefects defects are kept, so pasted junk
+/// costs no more than its bytes.
+struct ParsedDimacs {
+  int num_vars = -1;  ///< -1 = no usable problem line
+  std::vector<DimacsClause> clauses;
+  std::vector<DimacsDefect> defects;
+
+  bool clean() const { return defects.empty(); }
+};
+
+ParsedDimacs parse_dimacs_lenient(std::string_view text);
+
 /// Parse DIMACS text ("p cnf V C" header, clauses of nonzero ints ending in
-/// 0, 'c' comment lines). Throws std::invalid_argument on malformed input.
+/// 0, 'c' comment lines): the lenient parse when it found no defect.
+/// Throws std::invalid_argument naming the first defect otherwise.
 CnfFormula parse_dimacs(const std::string& text);
 
 /// Serialize to DIMACS text.

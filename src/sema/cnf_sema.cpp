@@ -6,10 +6,12 @@
 //
 // Hostile-input hygiene: nothing here allocates proportionally to the
 // header's claimed variable count; occurrence lists and assignments are
-// std::map keyed by the literals actually present in the bytes. A file
-// that is not well-formed DIMACS yields NO findings -- well-formedness
-// is lint's job (L2L-C0xx), and stacking semantic guesses on top of a
-// broken parse would make findings depend on recovery heuristics.
+// std::map keyed by the literals actually present in the bytes. The
+// clauses come from sat::parse_dimacs_lenient, the parse the solver and
+// lint read; a file with any parse defect yields NO findings --
+// well-formedness is lint's job (L2L-C0xx), and stacking semantic
+// guesses on top of a broken parse would make findings depend on
+// recovery heuristics.
 
 #include <algorithm>
 #include <cstdlib>
@@ -18,8 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "sat/dimacs.hpp"
 #include "sema/sema.hpp"
-#include "util/strings.hpp"
 
 namespace l2l::sema {
 namespace {
@@ -32,65 +34,25 @@ struct Clause {
   bool tautology = false;  ///< contains v and -v
 };
 
-/// Tolerant DIMACS read: comments skipped, clauses may span lines, the
-/// terminating 0 closes a clause. Returns false (no findings) when the
-/// header is missing or any token fails to parse as an integer.
-bool parse_dimacs(const std::string& text, std::vector<Clause>& clauses) {
-  bool saw_header = false;
-  std::vector<int> lits;
-  int clause_line = 0;
-  int lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line(
-        text.data() + pos,
-        (eol == std::string::npos ? text.size() : eol) - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
-    ++lineno;
-    const auto t = util::trim(line);
-    if (t.empty() || t[0] == 'c' || t[0] == '%') continue;
-    if (t[0] == 'p') {
-      const auto tok = util::split(t);
-      if (tok.size() != 4 || tok[1] != "cnf" ||
-          !util::parse_int(tok[2]).has_value() ||
-          !util::parse_int(tok[3]).has_value())
-        return false;
-      saw_header = true;
-      continue;
-    }
-    for (const auto& w : util::split(t)) {
-      const auto v = util::parse_int(w);
-      if (!v.has_value()) return false;
-      if (*v == 0) {
-        Clause c;
-        c.line = clause_line;
-        c.canon = lits;
-        std::sort(c.canon.begin(), c.canon.end());
-        c.canon.erase(std::unique(c.canon.begin(), c.canon.end()),
-                      c.canon.end());
-        for (std::size_t k = 0; k + 1 < c.canon.size(); ++k)
-          if (c.canon[k] == -c.canon[k + 1]) c.tautology = true;
-        clauses.push_back(std::move(c));
-        lits.clear();
-        clause_line = 0;
-        continue;
-      }
-      if (lits.empty() && clause_line == 0) clause_line = lineno;
-      lits.push_back(*v);
-    }
-    if (clause_line == 0 && !lits.empty()) clause_line = lineno;
-  }
-  // An unterminated trailing clause is a lint matter; ignore it here.
-  return saw_header;
-}
-
 }  // namespace
 
 std::vector<Finding> analyze_cnf(const std::string& text) {
   std::vector<Finding> out;
+  sat::ParsedDimacs parsed = sat::parse_dimacs_lenient(text);
+  if (!parsed.clean()) return out;
   std::vector<Clause> clauses;
-  if (!parse_dimacs(text, clauses)) return out;
+  clauses.reserve(parsed.clauses.size());
+  for (auto& pc : parsed.clauses) {
+    Clause c;
+    // An empty clause carries no literal line (it anchors nowhere).
+    c.line = pc.lits.empty() ? 0 : pc.line;
+    c.canon = std::move(pc.lits);
+    std::sort(c.canon.begin(), c.canon.end());
+    c.canon.erase(std::unique(c.canon.begin(), c.canon.end()), c.canon.end());
+    for (std::size_t k = 0; k + 1 < c.canon.size(); ++k)
+      if (c.canon[k] == -c.canon[k + 1]) c.tautology = true;
+    clauses.push_back(std::move(c));
+  }
   auto add = [&](const char* rule, Severity sev, int line, std::string msg,
                  std::string hint) {
     out.push_back(

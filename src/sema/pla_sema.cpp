@@ -8,17 +8,21 @@
 // Hostile-input hygiene: the containment/intersection rules are O(rows²)
 // cube-kernel sweeps, so files beyond kRowCap skip them silently (an
 // obs counter records the skip) -- a grader must never let a hostile
-// row count buy quadratic work. Malformed headers or rows yield no
-// findings; well-formedness is lint's job (L2L-P0xx).
+// row count buy quadratic work. Rows come from espresso::parse_pla_lenient,
+// the parse the minimizer and lint read, so sema accepts exactly what the
+// engine accepts (its caps and '2' as don't-care included); a file with
+// any parse defect yields no findings -- well-formedness is lint's job
+// (L2L-P0xx).
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cubes/cube.hpp"
+#include "espresso/pla.hpp"
 #include "obs/metrics.hpp"
 #include "sema/sema.hpp"
-#include "util/strings.hpp"
 
 namespace l2l::sema {
 namespace {
@@ -28,84 +32,35 @@ using util::Severity;
 /// Beyond this many rows the quadratic passes are skipped (silently;
 /// "sema.pla.row_cap" counts the skips).
 constexpr int kRowCap = 2048;
-constexpr int kMaxInputs = 4096;
-constexpr int kMaxOutputs = 1024;
 
 struct Row {
   cubes::Cube in;    ///< packed input plane
-  std::string out;   ///< raw output plane ('0','1','-','~')
+  std::string out;   ///< output plane, '2' read as '-' ('0','1','-','~')
   int line = 0;
 };
-
-bool parse_rows(const std::string& text, int& ni, int& no,
-                std::vector<std::string>& onames, std::vector<Row>& rows) {
-  ni = no = -1;
-  int lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view raw(
-        text.data() + pos,
-        (eol == std::string::npos ? text.size() : eol) - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
-    ++lineno;
-    const auto t = util::trim(raw);
-    if (t.empty() || t[0] == '#') continue;
-    if (t[0] == '.') {
-      const auto tok = util::split(t);
-      if (tok[0] == ".i" && tok.size() == 2) {
-        const auto v = util::parse_int(tok[1]);
-        if (!v.has_value() || *v < 1 || *v > kMaxInputs) return false;
-        ni = *v;
-      } else if (tok[0] == ".o" && tok.size() == 2) {
-        const auto v = util::parse_int(tok[1]);
-        if (!v.has_value() || *v < 1 || *v > kMaxOutputs) return false;
-        no = *v;
-      } else if (tok[0] == ".ob") {
-        onames.assign(tok.begin() + 1, tok.end());
-      } else if (tok[0] == ".e") {
-        break;
-      }
-      // .p/.ilb/.type and unknown dots: accepted and ignored, like the
-      // espresso front-end.
-      continue;
-    }
-    if (ni < 1 || no < 1) return false;  // rows before the header
-    const auto tok = util::split(t);
-    if (tok.size() != 2) continue;  // malformed row: lint's finding, not ours
-    if (static_cast<int>(tok[0].size()) != ni ||
-        static_cast<int>(tok[1].size()) != no)
-      continue;
-    bool ok = true;
-    for (const char c : tok[0])
-      if (c != '0' && c != '1' && c != '-') ok = false;
-    for (const char c : tok[1])
-      if (c != '0' && c != '1' && c != '-' && c != '~') ok = false;
-    if (!ok) continue;
-    Row r;
-    r.in = cubes::Cube::parse(tok[0]);
-    r.out = tok[1];
-    r.line = lineno;
-    rows.push_back(std::move(r));
-  }
-  return ni >= 1 && no >= 1;
-}
 
 }  // namespace
 
 std::vector<Finding> analyze_pla(const std::string& text) {
   std::vector<Finding> out;
-  int ni = 0, no = 0;
-  std::vector<std::string> onames;
-  std::vector<Row> rows;
-  if (!parse_rows(text, ni, no, onames, rows)) return out;
-  if (static_cast<int>(rows.size()) > kRowCap) {
+  const espresso::ParsedPla parsed = espresso::parse_pla_lenient(text);
+  if (!parsed.clean()) return out;
+  if (static_cast<int>(parsed.rows.size()) > kRowCap) {
     obs::count("sema.pla.row_cap");
     return out;
   }
+  const int no = parsed.num_outputs;
+  std::vector<Row> rows;
+  rows.reserve(parsed.rows.size());
+  for (const auto& pr : parsed.rows) {
+    Row r{cubes::Cube::parse(pr.in), std::string(pr.out), pr.line};
+    std::replace(r.out.begin(), r.out.end(), '2', '-');
+    rows.push_back(std::move(r));
+  }
+  const auto& onames = parsed.output_names;
   auto output_label = [&](int j) {
     if (j < static_cast<int>(onames.size()))
-      return "'" + onames[static_cast<std::size_t>(j)] + "'";
+      return "'" + std::string(onames[static_cast<std::size_t>(j)]) + "'";
     return std::string("#") + std::to_string(j);
   };
   auto add = [&](const char* rule, Severity sev, int line, std::string msg,

@@ -10,16 +10,33 @@
 namespace l2l::util {
 
 std::vector<std::string> split(std::string_view s, std::string_view delims) {
-  std::vector<std::string> out;
+  const auto views = split_views(s, delims);
+  return {views.begin(), views.end()};
+}
+
+std::vector<std::string_view> split_views(std::string_view s,
+                                          std::string_view delims) {
+  std::vector<std::string_view> out;
   std::size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && delims.find(s[i]) != std::string_view::npos) ++i;
     std::size_t j = i;
     while (j < s.size() && delims.find(s[j]) == std::string_view::npos) ++j;
-    if (j > i) out.emplace_back(s.substr(i, j - i));
+    if (j > i) out.push_back(s.substr(i, j - i));
     i = j;
   }
   return out;
+}
+
+std::string excerpt(std::string_view s) {
+  constexpr std::size_t kMax = 60;
+  if (s.size() <= kMax) return std::string(s);
+  return std::string(s.substr(0, kMax)) + "...";
+}
+
+int content_column(std::string_view line) {
+  const auto pos = line.find_first_not_of(" \t\r\n");
+  return pos == std::string_view::npos ? 1 : static_cast<int>(pos) + 1;
 }
 
 std::string_view trim(std::string_view s) {

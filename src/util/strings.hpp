@@ -2,6 +2,7 @@
 // Small string utilities shared by the text-based tool front-ends
 // (BLIF/PLA/DIMACS parsers, the kbdd/sis script interpreters, graders).
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,6 +14,37 @@ namespace l2l::util {
 /// dropped (the behaviour every whitespace-separated EDA text format wants).
 std::vector<std::string> split(std::string_view s,
                                std::string_view delims = " \t\r\n");
+
+/// split() without the copies: the tokens are views into `s`.
+std::vector<std::string_view> split_views(std::string_view s,
+                                          std::string_view delims = " \t\r\n");
+
+/// Calls f(line_number, line) for every '\n'-terminated line of `text`
+/// (1-based numbers, terminator excluded), exactly the lines std::getline
+/// would produce: a trailing newline does not open an empty last line.
+/// `f` returns false to stop early.
+template <typename F>
+void for_each_line(std::string_view text, F&& f) {
+  int lineno = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    auto eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    if (!f(++lineno, text.substr(pos, eol - pos))) return;
+    pos = eol + 1;
+  }
+}
+
+/// At most 60 bytes of `s`, with "..." marking a cut: hostile lines may be
+/// megabytes long, and messages quoting them must stay readable.
+std::string excerpt(std::string_view s);
+
+/// How many defects a lenient parse keeps: enough for any honest upload,
+/// and a bound on what a pasted megabyte of junk can make it allocate.
+inline constexpr std::size_t kMaxDefects = 1000;
+
+/// 1-based column of the first non-blank character of `line` (1 if none):
+/// the column a line-anchored diagnostic points at.
+int content_column(std::string_view line);
 
 /// Strip leading and trailing whitespace.
 std::string_view trim(std::string_view s);

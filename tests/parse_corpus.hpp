@@ -1,0 +1,205 @@
+#pragma once
+// The input corpus shared by the parse-agreement golden and the mutation
+// fuzzer: every file in data/ and tests/data/hostile/, plus seeded
+// placement and routing uploads carrying the defects the end-to-end
+// semester benchmark seeds (swapped cells, overlaps, malformed lines,
+// dropped and cut nets). Everything is deterministic: the same build
+// always yields the same inputs in the same order.
+
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "gen/placement_gen.hpp"
+#include "gen/routing_gen.hpp"
+#include "place/legalize.hpp"
+#include "place/wirelength.hpp"
+#include "route/router.hpp"
+#include "route/solution.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
+
+namespace l2l::parse_corpus {
+
+inline std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+struct NamedText {
+  std::string name;  ///< "data/<file>" or "hostile/<file>"
+  std::string text;
+};
+
+/// Every regular file of data/ and tests/data/hostile/ (README excluded),
+/// sorted by name within each directory.
+inline std::vector<NamedText> file_corpus() {
+  namespace fs = std::filesystem;
+  std::vector<NamedText> out;
+  for (const auto& [prefix, dir] :
+       {std::pair<std::string, fs::path>{"data", L2L_REPO_DATA_DIR},
+        {"hostile", fs::path(L2L_TEST_DATA_DIR) / "hostile"}}) {
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(dir))
+      if (entry.is_regular_file() && entry.path().filename() != "README.md")
+        files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    for (const auto& f : files)
+      out.push_back({prefix + "/" + f.filename().string(), read_file(f)});
+  }
+  return out;
+}
+
+/// A CNF pasted into a layout portal: exercises the graders' sema block.
+inline constexpr const char* kMisdirectedCnf = "p cnf 1 2\n1 0\n-1 0\n";
+
+// ---- routing uploads ----------------------------------------------------
+
+struct RouteFixture {
+  gen::RoutingProblem problem;
+  route::RouteSolution reference;
+};
+
+inline RouteFixture route_fixture(std::uint64_t seed) {
+  util::Rng rng(seed);
+  gen::RoutingGenOptions opt;
+  opt.width = opt.height = 12;
+  opt.num_nets = 5;
+  opt.max_pins_per_net = 3;
+  opt.obstacle_fraction = 0.05;
+  RouteFixture fx;
+  fx.problem = gen::generate_routing(opt, rng);
+  fx.reference = route::route_all(fx.problem);
+  return fx;
+}
+
+/// (variant name, upload text) pairs for one fixture.
+inline std::vector<NamedText> route_uploads(const RouteFixture& fx) {
+  std::vector<NamedText> out;
+  const auto& ref = fx.reference;
+  out.push_back({"clean", route::write_solution(ref)});
+  // The longest routed net is the one every defect below edits.
+  std::size_t victim = 0;
+  for (std::size_t i = 1; i < ref.nets.size(); ++i)
+    if (ref.nets[i].cells.size() > ref.nets[victim].cells.size()) victim = i;
+  {
+    auto sol = ref;
+    auto& cells = sol.nets[victim].cells;
+    if (cells.size() > 2)
+      cells.erase(cells.begin() + static_cast<long>(cells.size() / 2));
+    out.push_back({"cut", route::write_solution(sol)});
+  }
+  {
+    auto sol = ref;
+    sol.nets[victim].cells.clear();
+    sol.nets[victim].routed = false;
+    out.push_back({"dropped", route::write_solution(sol)});
+  }
+  {
+    auto sol = ref;
+    const std::size_t other = victim == 0 ? 1 : 0;
+    if (other < sol.nets.size() && !sol.nets[other].cells.empty())
+      sol.nets[victim].cells.push_back(sol.nets[other].cells.front());
+    out.push_back({"overlap", route::write_solution(sol)});
+  }
+  {
+    std::string text = route::write_solution(ref);
+    const auto at = text.find("\n(");
+    if (at != std::string::npos) text.insert(at + 2, "x");
+    out.push_back({"malformed", std::move(text)});
+  }
+  {
+    std::string text = route::write_solution(ref);
+    text.resize(text.size() - std::min<std::size_t>(text.size(), 7));
+    out.push_back({"truncated", std::move(text)});
+  }
+  out.push_back({"misdirected", kMisdirectedCnf});
+  return out;
+}
+
+// ---- placement uploads --------------------------------------------------
+
+struct PlaceFixture {
+  gen::PlacementProblem problem;
+  place::Grid grid;
+  place::GridPlacement reference;  ///< row-major, legal by construction
+  double reference_hpwl = 0.0;
+};
+
+inline PlaceFixture place_fixture(std::uint64_t seed) {
+  util::Rng rng(seed);
+  gen::PlacementGenOptions opt;
+  opt.num_cells = 30;
+  opt.num_pads = 6;
+  PlaceFixture fx;
+  fx.problem = gen::generate_placement(opt, rng);
+  const int side = static_cast<int>(std::ceil(std::sqrt(opt.num_cells * 1.5)));
+  fx.grid = place::Grid{side, side, fx.problem.width, fx.problem.height};
+  for (int c = 0; c < opt.num_cells; ++c) {
+    fx.reference.col.push_back(c % side);
+    fx.reference.row.push_back(c / side);
+  }
+  fx.reference_hpwl =
+      place::hpwl(fx.problem, fx.reference.to_continuous(fx.grid)) * 0.9;
+  return fx;
+}
+
+inline std::string placement_text(const place::GridPlacement& gp) {
+  std::string out;
+  for (std::size_t c = 0; c < gp.col.size(); ++c)
+    out += util::format("cell %d %d %d\n", static_cast<int>(c), gp.col[c],
+                        gp.row[c]);
+  return out;
+}
+
+inline std::vector<NamedText> place_uploads(const PlaceFixture& fx,
+                                            std::uint64_t seed) {
+  std::vector<NamedText> out;
+  util::Rng rng(seed);
+  const auto cells = static_cast<std::uint64_t>(fx.reference.col.size());
+  const auto a = static_cast<std::size_t>(rng.next_below(cells));
+  const auto b =
+      static_cast<std::size_t>((a + 1 + rng.next_below(cells - 1)) % cells);
+  out.push_back({"clean", placement_text(fx.reference)});
+  {
+    auto gp = fx.reference;
+    std::swap(gp.col[a], gp.col[b]);
+    std::swap(gp.row[a], gp.row[b]);
+    out.push_back({"swapped", placement_text(gp)});
+  }
+  {
+    auto gp = fx.reference;
+    gp.col[a] = gp.col[b];
+    gp.row[a] = gp.row[b];
+    out.push_back({"overlap", placement_text(gp)});
+  }
+  auto edit_line = [&](const char* name, const std::string& replacement) {
+    std::string text = placement_text(fx.reference);
+    const std::string head = util::format("cell %d ", static_cast<int>(a));
+    const auto at = text.find(head);
+    const auto eol = text.find('\n', at);
+    text.replace(at, eol - at, replacement);
+    out.push_back({name, std::move(text)});
+  };
+  const int col = fx.reference.col[a], row = fx.reference.row[a];
+  const int ia = static_cast<int>(a);
+  edit_line("short_line", util::format("cell %d %d", ia, col));
+  edit_line("bad_number", util::format("cell %d %dx %d", ia, col, row));
+  edit_line("out_of_range", util::format("cell %d %d %d", ia + 1000, col, row));
+  edit_line("negative_site", util::format("cell %d -1 %d", ia, row));
+  edit_line("duplicate",
+            util::format("cell %d %d %d\n  cell %d %d %d", ia, col, row,
+                         static_cast<int>(b), col, row));
+  edit_line("comment", util::format("# cell %d moved\n\tcell %d %d %d", ia,
+                                    ia, col, row));
+  out.push_back({"misdirected", kMisdirectedCnf});
+  return out;
+}
+
+}  // namespace l2l::parse_corpus

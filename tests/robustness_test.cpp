@@ -205,7 +205,9 @@ TEST(HostileParsers, LenientParsersNeverThrow) {
       const auto parsed = route::parse_solution_lenient(text);
       for (const auto& d : parsed.diagnostics) EXPECT_GE(d.line, 0);
     }) << name;
-    EXPECT_NO_THROW(grader::parse_placement_diagnostics(text, 16)) << name;
+    EXPECT_NO_THROW(grader::placement_diagnostics(
+        place::parse_placement_lenient(text, 16)))
+        << name;
   }
 }
 
@@ -237,14 +239,15 @@ TEST(HostileParsers, DiagnosticsAreAnchoredAndTruncated) {
 }
 
 TEST(HostileParsers, PlacementParserCollectsAllProblemsInOnePass) {
-  const auto parsed =
-      grader::parse_placement_diagnostics(load("bad_placement.txt"), 8);
+  const auto text = load("bad_placement.txt");
+  const auto parsed = place::parse_placement_lenient(text, 8);
   ASSERT_FALSE(parsed.clean());
   // One pass reports the bad number, the out-of-range index, the junk
   // line, the duplicate, and the missing cells -- at least 4 findings.
-  EXPECT_GE(parsed.diagnostics.size(), 4u);
+  const auto diagnostics = grader::placement_diagnostics(parsed);
+  EXPECT_GE(diagnostics.size(), 4u);
   bool out_of_range = false, duplicate = false, missing = false;
-  for (const auto& d : parsed.diagnostics) {
+  for (const auto& d : diagnostics) {
     if (d.message.find("out of range") != std::string::npos) out_of_range = true;
     if (d.message.find("twice") != std::string::npos) duplicate = true;
     if (d.message.find("missing") != std::string::npos) missing = true;

@@ -90,6 +90,12 @@ scan_in sema-no-wall-clock 'system_clock|gettimeofday|[^_[:alnum:]]time[[:space:
 scan_in journal-no-clock 'system_clock|steady_clock|gettimeofday|[^_[:alnum:]]time[[:space:]]*\(' '^src/mooc/(journal|shard_map)'
 scan_in journal-no-unordered 'std::unordered_' '^src/mooc/(journal|shard_map)'
 scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/mooc/(journal|shard_map)'
+# One located parse per input format: PLA, DIMACS, placement and BLIF are
+# tokenized once (espresso::parse_pla_lenient, sat::parse_dimacs_lenient,
+# place::parse_placement_lenient, network::parse_blif_structure), and the
+# lint packs and sema passes read those records. A line reader here would
+# be a second tokenizer that can drift from the engine's.
+scan_in no-own-tokenizer 'std::getline|std::istringstream' '^src/(lint/rules_(pla|cnf|place|blif)|sema/(pla|cnf)_sema)[.]cpp$'
 
 # Apply the allowlist (literal substrings, comments stripped).
 if [ -f "$allow" ]; then
