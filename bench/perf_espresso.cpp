@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cubes/cube.hpp"
+#include "cubes/urp.hpp"
 #include "espresso/minimize.hpp"
 #include "espresso/qm.hpp"
 #include "gen/function_gen.hpp"
@@ -160,5 +161,56 @@ void BM_PrimeGeneration(benchmark::State& state) {
   (void)primes;
 }
 BENCHMARK(BM_PrimeGeneration)->Arg(5)->Arg(7)->Arg(9);
+
+/// k cubes of two literals over disjoint variables (2k + 2 inputs) plus a
+/// few rows contained in them: the graded-homework PLA shape. Its OFF-set
+/// holds 2^k cubes, so the complement and REDUCE carry the cost.
+cubes::Cover disjoint_support_cover(int k, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const int vars = 2 * k + 2;
+  std::vector<int> order(static_cast<std::size_t>(vars));
+  for (int v = 0; v < vars; ++v) order[static_cast<std::size_t>(v)] = v;
+  rng.shuffle(order);
+  cubes::Cover f(vars);
+  std::vector<cubes::Cube> ref;
+  for (int g = 0; g < k; ++g) {
+    cubes::Cube c(vars);
+    for (int t = 0; t < 2; ++t)
+      c.set_code(order[static_cast<std::size_t>(2 * g + t)],
+                 rng.next_bool() ? cubes::Pcn::kPos : cubes::Pcn::kNeg);
+    ref.push_back(c);
+    f.add(std::move(c));
+  }
+  for (int extra = 0; extra < 3; ++extra) {
+    cubes::Cube c = ref[rng.next_below(ref.size())];
+    const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(vars)));
+    if (c.code(v) == cubes::Pcn::kDontCare)
+      c.set_code(v, rng.next_bool() ? cubes::Pcn::kPos : cubes::Pcn::kNeg);
+    f.add(std::move(c));
+  }
+  return f;
+}
+
+void BM_EspressoDisjointSupport(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const auto f = disjoint_support_cover(k, 17);
+  for (auto _ : state) {
+    const auto m = espresso::minimize(f);
+    benchmark::DoNotOptimize(m);
+    state.counters["cubes_out"] = m.size();
+  }
+}
+BENCHMARK(BM_EspressoDisjointSupport)->Arg(5)->Arg(8);
+
+void BM_ComplementDisjointSupport(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const auto f = disjoint_support_cover(k, 17);
+  for (auto _ : state) {
+    const auto r = cubes::complement(f);
+    benchmark::DoNotOptimize(r);
+    state.counters["cubes_out"] = r.size();
+  }
+}
+BENCHMARK(BM_ComplementDisjointSupport)->Arg(5)->Arg(8);
 
 }  // namespace

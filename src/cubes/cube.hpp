@@ -154,6 +154,37 @@ class Cube {
   /// otherwise the cube with that position raised to don't-care.
   std::optional<Cube> cofactor(int var, bool phase) const;
 
+  /// The cofactor of this cube with respect to cube c: nullopt if the two
+  /// are disjoint, otherwise this cube with every position where c has a
+  /// literal raised to don't-care. Word-parallel: this | ~c per field.
+  std::optional<Cube> cofactor(const Cube& c) const {
+    if (distance(c) != 0) return std::nullopt;
+    Cube out = *this;
+    const int nw = num_words();
+    const std::uint64_t* b = c.words();
+    std::uint64_t* r = out.words();
+    for (int i = 0; i < nw; ++i) r[i] |= ~b[i];
+    return out;
+  }
+
+  /// Calls f(var, code) for every position that is not don't-care, in
+  /// unspecified order: a ctz walk over each word's literal fields, so
+  /// the cost follows the literal count, not the arity.
+  template <typename F>
+  void for_each_literal(F&& f) const {
+    const int nw = num_words();
+    const std::uint64_t* w = words();
+    for (int i = 0; i < nw; ++i) {
+      // Low bit of every field whose code is not 11.
+      for (std::uint64_t lits = ~(w[i] & (w[i] >> 1)) & kLoMask; lits != 0;
+           lits &= lits - 1) {
+        const int shift = std::countr_zero(lits);
+        f(i * kVarsPerWord + (62 - shift) / 2,
+          static_cast<Pcn>((w[i] >> shift) & 3u));
+      }
+    }
+  }
+
   /// Positionwise OR with o ("raising"): this becomes the supercube of
   /// {this, o}. Word-parallel; used by espresso's REDUCE supercube step.
   Cube& or_with(const Cube& o) {

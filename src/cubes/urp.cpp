@@ -1,6 +1,7 @@
 #include "cubes/urp.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <tuple>
 
@@ -30,12 +31,11 @@ int select_split_var(const Cover& f) {
   const int n = f.num_vars();
   std::vector<int> pos(static_cast<std::size_t>(n), 0);
   std::vector<int> neg(static_cast<std::size_t>(n), 0);
-  for (const auto& c : f.cubes()) {
-    for (int v = 0; v < n; ++v) {
-      if (c.code(v) == Pcn::kPos) ++pos[static_cast<std::size_t>(v)];
-      if (c.code(v) == Pcn::kNeg) ++neg[static_cast<std::size_t>(v)];
-    }
-  }
+  for (const auto& c : f.cubes())
+    c.for_each_literal([&](int v, Pcn code) {
+      if (code == Pcn::kPos) ++pos[static_cast<std::size_t>(v)];
+      if (code == Pcn::kNeg) ++neg[static_cast<std::size_t>(v)];
+    });
   int best = -1;
   bool best_binate = false;
   int best_count = 0;
@@ -61,13 +61,17 @@ int select_split_var(const Cover& f) {
 }
 
 bool is_unate(const Cover& f) {
-  for (int v = 0; v < f.num_vars(); ++v) {
-    bool p = false, q = false;
-    for (const auto& c : f.cubes()) {
-      if (c.code(v) == Pcn::kPos) p = true;
-      if (c.code(v) == Pcn::kNeg) q = true;
-    }
-    if (p && q) return false;
+  // Bit 0: some cube has x'; bit 1: some cube has x.
+  std::vector<std::uint8_t> phases(static_cast<std::size_t>(f.num_vars()), 0);
+  bool binate = false;
+  for (const auto& c : f.cubes()) {
+    c.for_each_literal([&](int v, Pcn code) {
+      auto& p = phases[static_cast<std::size_t>(v)];
+      if (code == Pcn::kNeg) p |= 1;
+      if (code == Pcn::kPos) p |= 2;
+      binate = binate || p == 3;
+    });
+    if (binate) return false;
   }
   return true;
 }
@@ -121,11 +125,44 @@ Cover complement(const Cover& f) {
     }
     return out;
   }
+  // The merge needs no containment pass: the two halves differ in the
+  // split variable, and each is containment-free by induction.
   const int v = select_split_var(f);
-  Cover r = merge_shannon(v, complement(f.cofactor(v, false)),
-                          complement(f.cofactor(v, true)));
-  r.remove_contained_cubes();
-  return r;
+  return merge_shannon(v, complement(f.cofactor(v, false)),
+                       complement(f.cofactor(v, true)));
+}
+
+std::optional<Cube> sccc(const Cover& f) {
+  const int n = f.num_vars();
+  if (f.empty()) return Cube(n);
+  for (const auto& c : f.cubes())
+    if (c.is_universal()) return std::nullopt;
+  if (f.size() == 1) {
+    // The complement is the OR of the opposite single literals: their
+    // supercube is that literal when the cube has one, else universal.
+    Cube out(n);
+    const Cube& c = f.cube(0);
+    if (c.num_literals() == 1)
+      c.for_each_literal([&](int v, Pcn code) {
+        out.set_code(v, code == Pcn::kPos ? Pcn::kNeg : Pcn::kPos);
+      });
+    return out;
+  }
+  // The same Shannon split as complement(): x'·C0 + x·C1, with each half
+  // kept as its supercube.
+  const int v = select_split_var(f);
+  auto s0 = sccc(f.cofactor(v, false));
+  auto s1 = sccc(f.cofactor(v, true));
+  if (!s1) {
+    if (s0) s0->set_code(v, Pcn::kNeg);
+    return s0;
+  }
+  if (!s0) {
+    s1->set_code(v, Pcn::kPos);
+    return s1;
+  }
+  s0->or_with(*s1);  // v stays don't-care in both
+  return s0;
 }
 
 Cover sharp(const Cover& f, const Cover& g) { return f & complement(g); }

@@ -5,6 +5,8 @@
 // variable, with unate covers as the easy terminal cases. These routines
 // are the computational heart of MOOC software Project 1.
 
+#include <optional>
+
 #include "cubes/cover.hpp"
 
 namespace l2l::cubes {
@@ -30,6 +32,11 @@ bool covers_equal(const Cover& f, const Cover& g);
 
 /// URP complement. The result is a (generally non-minimal) SOP for f'.
 Cover complement(const Cover& f);
+
+/// SCCC: the smallest cube containing the complement of f, by the same
+/// unate-recursive split as complement() but keeping one cube per node
+/// instead of a cover. nullopt when f is a tautology (empty complement).
+std::optional<Cube> sccc(const Cover& f);
 
 /// Sharp: the cover of f AND NOT g.
 Cover sharp(const Cover& f, const Cover& g);

@@ -21,15 +21,6 @@ bool intersects(const Cube& c, const Cover& r) {
   return false;
 }
 
-/// Smallest cube containing every cube of g (the "supercube"):
-/// positionwise OR, one word-parallel or_with per cube.
-Cube supercube(const Cover& g) {
-  if (g.empty()) return Cube(g.num_vars());  // callers guard; universal
-  Cube s = g.cube(0);
-  for (int i = 1; i < g.size(); ++i) s.or_with(g.cube(i));
-  return s;
-}
-
 }  // namespace
 
 Cover expand(const Cover& f, const Cover& offset) {
@@ -104,13 +95,18 @@ Cover reduce(const Cover& f, const Cover& dc) {
   });
   for (const int i : order) {
     const Cube& c = current[static_cast<std::size_t>(i)];
-    Cover rest = dc;
+    // The exclusive part of c is c AND NOT rest; its supercube is
+    // c ∩ sccc(rest|c), with rest cofactored by c's literals.
+    Cover rest_c(f.num_vars());
+    auto add_cofactor = [&](const Cube& d) {
+      if (auto cf = d.cofactor(c)) rest_c.add(std::move(*cf));
+    };
+    for (const auto& d : dc.cubes()) add_cofactor(d);
     for (std::size_t j = 0; j < current.size(); ++j)
-      if (static_cast<int>(j) != i) rest.add(current[j]);
-    // Exclusive part of c: c AND NOT rest; replace c by its supercube.
-    const Cover exclusive = cubes::sharp(Cover(f.num_vars(), {c}), rest);
-    if (exclusive.empty()) continue;  // fully covered; irredundant removes it
-    current[static_cast<std::size_t>(i)] = supercube(exclusive);
+      if (static_cast<int>(j) != i) add_cofactor(current[j]);
+    const auto s = cubes::sccc(rest_c);
+    if (!s) continue;  // fully covered; irredundant removes it
+    current[static_cast<std::size_t>(i)] = c.intersect(*s);
   }
   Cover out(f.num_vars());
   for (auto& c : current) out.add(std::move(c));

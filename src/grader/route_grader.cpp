@@ -1,7 +1,9 @@
 #include "grader/route_grader.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
-#include <set>
+#include <vector>
 
 #include "lint/lint.hpp"
 #include "obs/trace.hpp"
@@ -23,10 +25,31 @@ RouteGrade grade_routing(const gen::RoutingProblem& problem,
   std::map<int, const route::NetRoute*> by_id;
   for (const auto& net : solution.nets) by_id[net.net_id] = &net;
 
-  // Global overlap map: first net to claim a cell owns it.
-  std::map<GridPoint, int> owner;
+  // One mark per grid cell, indexed (layer * height + y) * width + x like
+  // the router's search arena. `owner` is the first net to claim the cell
+  // (an index into problem.nets, -1 while free). `member` and `seen` hold
+  // the stamp (net index + 1) of the last net that listed the cell and of
+  // the last flood fill that reached it, so no mark is cleared between
+  // nets.
+  struct CellMark {
+    int owner = -1;
+    std::uint32_t member = 0;
+    std::uint32_t seen = 0;
+  };
+  const auto width = static_cast<std::size_t>(std::max(problem.width, 0));
+  const auto plane =
+      width * static_cast<std::size_t>(std::max(problem.height, 0));
+  std::vector<CellMark> marks(plane * static_cast<std::size_t>(
+                                          std::max(problem.num_layers, 0)));
+  const auto index = [&](const GridPoint& c) {
+    return static_cast<std::size_t>(c.layer) * plane +
+           static_cast<std::size_t>(c.y) * width +
+           static_cast<std::size_t>(c.x);
+  };
+  std::vector<GridPoint> stack;
 
-  for (const auto& pnet : problem.nets) {
+  for (std::size_t k = 0; k < problem.nets.size(); ++k) {
+    const auto& pnet = problem.nets[k];
     // Resource guard: one step per net graded. Exhaustion keeps the
     // grades computed so far; ungraded nets earn nothing.
     if (budget && (!budget->consume(1) || budget->exhausted())) {
@@ -44,8 +67,10 @@ RouteGrade grade_routing(const gen::RoutingProblem& problem,
       continue;
     }
     const auto& cells = it->second->cells;
+    const auto stamp = static_cast<std::uint32_t>(k + 1);
 
-    std::set<GridPoint> cell_set;
+    // Checks in order: bounds, obstacle, duplicate, overlap. A net that
+    // fails keeps ownership of the cells it claimed before the failure.
     std::string reason;
     for (const auto& c : cells) {
       if (!problem.in_bounds(c)) {
@@ -56,47 +81,66 @@ RouteGrade grade_routing(const gen::RoutingProblem& problem,
         reason = util::format("cell (%d %d %d) on an obstacle", c.x, c.y, c.layer);
         break;
       }
-      if (!cell_set.insert(c).second) {
+      CellMark& m = marks[index(c)];
+      if (m.member == stamp) {
         reason = util::format("duplicate cell (%d %d %d)", c.x, c.y, c.layer);
         break;
       }
-      const auto [o, fresh] = owner.try_emplace(c, pnet.id);
-      if (!fresh && o->second != pnet.id) {
-        reason = util::format("cell (%d %d %d) overlaps net %d", c.x, c.y,
-                              c.layer, o->second);
+      m.member = stamp;
+      if (m.owner < 0) {
+        m.owner = static_cast<int>(k);
+      } else if (problem.nets[static_cast<std::size_t>(m.owner)].id != pnet.id) {
+        reason = util::format(
+            "cell (%d %d %d) overlaps net %d", c.x, c.y, c.layer,
+            problem.nets[static_cast<std::size_t>(m.owner)].id);
         break;
       }
     }
     if (reason.empty()) {
       for (const auto& pin : pnet.pins)
-        if (!cell_set.count(pin)) {
+        if (!problem.in_bounds(pin) || marks[index(pin)].member != stamp) {
           reason = util::format("pin (%d %d %d) not covered", pin.x, pin.y,
                                 pin.layer);
           break;
         }
     }
     if (reason.empty()) {
-      // Connectivity: flood fill over the net's cells.
-      std::set<GridPoint> seen;
-      std::vector<GridPoint> stack{cells.front()};
+      // Connectivity: flood fill over the net's cells from the first one.
+      std::size_t reached = 1;
+      marks[index(cells.front())].seen = stamp;
+      stack.assign(1, cells.front());
       while (!stack.empty()) {
         const auto c = stack.back();
         stack.pop_back();
-        if (!seen.insert(c).second) continue;
         const GridPoint nbrs[6] = {
             {c.x + 1, c.y, c.layer}, {c.x - 1, c.y, c.layer},
             {c.x, c.y + 1, c.layer}, {c.x, c.y - 1, c.layer},
             {c.x, c.y, c.layer + 1}, {c.x, c.y, c.layer - 1}};
-        for (const auto& n : nbrs)
-          if (cell_set.count(n)) stack.push_back(n);
+        for (const auto& n : nbrs) {
+          if (!problem.in_bounds(n)) continue;
+          CellMark& m = marks[index(n)];
+          if (m.member != stamp || m.seen == stamp) continue;
+          m.seen = stamp;
+          ++reached;
+          stack.push_back(n);
+        }
       }
-      if (seen.size() != cell_set.size()) reason = "net is disconnected";
+      if (reached != cells.size()) reason = "net is disconnected";
     }
 
     if (reason.empty()) {
       ng.legal = true;
       ng.wirelength = static_cast<int>(cells.size());
-      ng.vias = route::count_vias(*it->second);
+      // A via is a layer-0 cell whose (x, y) the net also takes on any
+      // upper layer (route::count_vias).
+      for (const auto& c : cells) {
+        if (c.layer != 0) continue;
+        for (int layer = 1; layer < problem.num_layers; ++layer)
+          if (marks[index({c.x, c.y, layer})].member == stamp) {
+            ++ng.vias;
+            break;
+          }
+      }
       g.total_wirelength += ng.wirelength;
       g.total_vias += ng.vias;
       ++g.legal_nets;

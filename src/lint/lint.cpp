@@ -214,12 +214,13 @@ Format sniff_format(const std::string& text) {
     const auto t = util::trim(std::string_view(text).substr(pos, eol - pos));
     pos = eol + 1;
     if (t.empty() || t[0] == '#') continue;
+    // "cell " before the DIMACS 'c' test: a placement's lines start with c.
+    if (util::starts_with(t, "cell ")) return Format::kPlacement;
     if (util::starts_with(t, "p cnf") || t[0] == 'c') return Format::kCnf;
     if (util::starts_with(t, ".model") || util::starts_with(t, ".inputs"))
       return Format::kBlif;
     if (util::starts_with(t, ".i ") || util::starts_with(t, ".o "))
       return Format::kPla;
-    if (util::starts_with(t, "cell ")) return Format::kPlacement;
     if (util::starts_with(t, "grid ")) return Format::kRouteProblem;
     if (util::starts_with(t, "var ")) return Format::kKbddScript;
     // A routing solution opens with a bare net count, then "net <id>".

@@ -19,34 +19,63 @@ std::string write_solution(const RouteSolution& sol) {
   return out;
 }
 
+namespace {
+
+/// The three integers of a "(x y l)" cell line, read in place: tokens are
+/// the maximal runs of characters other than '(', ')', ' ' and '\t', and
+/// the line is well formed iff there are exactly three and each parses.
+std::optional<GridPoint> scan_cell(std::string_view t) {
+  const auto is_delim = [](char ch) {
+    return ch == '(' || ch == ')' || ch == ' ' || ch == '\t';
+  };
+  std::string_view tok[3];
+  int n = 0;
+  for (std::size_t i = 0; i < t.size();) {
+    if (is_delim(t[i])) {
+      ++i;
+      continue;
+    }
+    if (n == 3) return std::nullopt;
+    const std::size_t start = i;
+    while (i < t.size() && !is_delim(t[i])) ++i;
+    tok[n++] = t.substr(start, i - start);
+  }
+  if (n != 3) return std::nullopt;
+  const auto x = util::parse_int(tok[0]);
+  const auto y = util::parse_int(tok[1]);
+  const auto l = util::parse_int(tok[2]);
+  if (!x || !y || !l) return std::nullopt;
+  return GridPoint{*x, *y, *l};
+}
+
+}  // namespace
+
 ParsedSolution parse_solution_lenient(const std::string& text) {
   ParsedSolution out;
-  std::istringstream in(text);
-  std::string line;
   int lineno = 0;
   bool have_header = false;
   NetRoute current;
   bool in_block = false;
   bool poisoned = false;  // current block had a malformed line: drop it
 
-  auto diag = [&](const std::string& raw, std::string msg) {
+  auto diag = [&](std::string_view raw, std::string msg) {
     out.diagnostics.push_back(
         util::make_error(lineno, util::content_column(raw), std::move(msg)));
   };
 
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto t = std::string(util::trim(line));
-    if (t.empty()) continue;
+  util::for_each_line(text, [&](int n, std::string_view line) {
+    lineno = n;
+    const auto t = util::trim(line);
+    if (t.empty()) return true;
     const bool is_net_header = util::starts_with(t, "net ");
     if (!have_header && !is_net_header) {
       have_header = true;
-      if (const auto n = util::parse_int(t)) {
-        out.declared_nets = *n;
+      if (const auto count = util::parse_int(t)) {
+        out.declared_nets = *count;
       } else {
         diag(line, "expected net count, got '" + util::excerpt(t) + "'");
       }
-      continue;
+      return true;
     }
     have_header = true;
     if (is_net_header) {
@@ -62,12 +91,12 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
         diag(line, "bad net id in '" + util::excerpt(t) + "'");
         poisoned = true;
       }
-      continue;
+      return true;
     }
     if (t == "!") {
       if (!in_block) {
         diag(line, "'!' before any net");
-        continue;
+        return true;
       }
       if (!poisoned) {
         current.routed = !current.cells.empty();
@@ -76,33 +105,34 @@ ParsedSolution parse_solution_lenient(const std::string& text) {
       current = NetRoute{};
       in_block = false;
       poisoned = false;
-      continue;
+      return true;
     }
     if (t.front() == '(') {
       if (!in_block) {
         diag(line, "cell outside a net block");
-        continue;
+        return true;
       }
-      const auto tok = util::split_views(t, "() \t");
-      std::optional<int> x, y, l;
-      if (tok.size() == 3) {
-        x = util::parse_int(tok[0]);
-        y = util::parse_int(tok[1]);
-        l = util::parse_int(tok[2]);
-      }
-      if (!x || !y || !l) {
+      const auto cell = scan_cell(t);
+      if (!cell) {
         diag(line, "bad cell line '" + util::excerpt(t) + "'");
         poisoned = true;
-        continue;
+        return true;
       }
-      if (!poisoned) current.cells.push_back({*x, *y, *l});
-      continue;
+      if (!poisoned) current.cells.push_back(*cell);
+      return true;
     }
     diag(line, "unrecognized line '" + util::excerpt(t) + "'");
     if (in_block) poisoned = true;
+    return true;
+  });
+  if (in_block) {
+    // On the last line; the column is that line's first non-blank when
+    // the text does not end in '\n', else 1.
+    const auto eol = text.rfind('\n');
+    diag(eol == std::string::npos ? std::string_view(text)
+                                  : std::string_view(text).substr(eol + 1),
+         "missing final '!'; last net dropped");
   }
-  if (in_block)
-    diag(line, "missing final '!'; last net dropped");
   if (!have_header)
     out.diagnostics.push_back(util::make_error(0, 0, "empty file"));
   else if (out.declared_nets >= 0 &&

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "cubes/urp.hpp"
 #include "espresso/minimize.hpp"
 #include "espresso/pla.hpp"
@@ -89,6 +93,100 @@ TEST(Reduce, PreservesFunction) {
     const auto f = random_cover(4, 4, rng);
     const auto r = reduce(f, Cover(4));
     EXPECT_TRUE(cubes::covers_equal(r, f)) << f.to_string();
+  }
+}
+
+// Random cover whose positions carry a literal with probability lit_pct%
+// (either phase), so sparse and dense covers both get drawn.
+Cover random_cover_density(int n, int k, int lit_pct, util::Rng& rng) {
+  Cover f(n);
+  for (int i = 0; i < k; ++i) {
+    Cube c(n);
+    for (int v = 0; v < n; ++v)
+      if (static_cast<int>(rng.next_below(100)) < lit_pct)
+        c.set_code(v, rng.next_bool() ? cubes::Pcn::kPos : cubes::Pcn::kNeg);
+    f.add(std::move(c));
+  }
+  return f;
+}
+
+Cube supercube(const Cover& g) {
+  Cube s = g.cube(0);
+  for (int i = 1; i < g.size(); ++i) s.or_with(g.cube(i));
+  return s;
+}
+
+// REDUCE as it was written before SCCC: each cube, largest first, becomes
+// the supercube of its sharp against the rest of the current cover. Kept
+// only as the oracle reduce() must match byte for byte.
+Cover sharp_reduce(const Cover& f, const Cover& dc) {
+  std::vector<Cube> current(f.cubes());
+  std::vector<int> order(current.size());
+  for (std::size_t i = 0; i < current.size(); ++i) order[i] = static_cast<int>(i);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return current[static_cast<std::size_t>(a)].num_literals() <
+           current[static_cast<std::size_t>(b)].num_literals();
+  });
+  for (const int i : order) {
+    const Cube& c = current[static_cast<std::size_t>(i)];
+    Cover rest = dc;
+    for (std::size_t j = 0; j < current.size(); ++j)
+      if (static_cast<int>(j) != i) rest.add(current[j]);
+    const Cover exclusive = cubes::sharp(Cover(f.num_vars(), {c}), rest);
+    if (exclusive.empty()) continue;
+    current[static_cast<std::size_t>(i)] = supercube(exclusive);
+  }
+  Cover out(f.num_vars());
+  for (auto& c : current) out.add(std::move(c));
+  return out;
+}
+
+TEST(Reduce, MatchesSharpOracleByteForByte) {
+  util::Rng rng(54);
+  for (int trial = 0; trial < 12000; ++trial) {
+    const int n = 2 + trial % 9;  // 2..10 variables
+    const int lit_pct = 20 + static_cast<int>(rng.next_below(60));
+    const auto on = random_cover_density(
+        n, 1 + static_cast<int>(rng.next_below(8)), lit_pct, rng);
+    const auto dc = random_cover_density(
+        n, static_cast<int>(rng.next_below(3)), lit_pct, rng);
+    // Half the trials reduce raw covers, half the expanded primes
+    // REDUCE sees inside minimize().
+    const auto f = trial % 2 == 0
+                       ? on
+                       : irredundant(expand(on, cubes::complement(on | dc)), dc);
+    const auto got = reduce(f, dc);
+    const auto want = sharp_reduce(f, dc);
+    ASSERT_EQ(got.cubes(), want.cubes())
+        << "trial " << trial << "\nf:\n" << f.to_string() << "dc:\n"
+        << dc.to_string() << "got:\n" << got.to_string() << "want:\n"
+        << want.to_string();
+  }
+}
+
+// complement() skips the containment pass at each merge: the two Shannon
+// halves differ in the split variable and each is containment-free by
+// induction. This property is what justifies that.
+TEST(Complement, OutputIsContainmentFreeAndExact) {
+  util::Rng rng(55);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int n = 2 + trial % 9;
+    const auto f = random_cover_density(
+        n, static_cast<int>(rng.next_below(9)),
+        20 + static_cast<int>(rng.next_below(60)), rng);
+    const auto r = cubes::complement(f);
+    for (int i = 0; i < r.size(); ++i)
+      for (int j = 0; j < r.size(); ++j)
+        ASSERT_TRUE(i == j || !r.cube(i).contains(r.cube(j)))
+            << "trial " << trial << ": cube " << r.cube(i).to_string()
+            << " contains " << r.cube(j).to_string() << "\nf:\n"
+            << f.to_string();
+    for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m)
+      ASSERT_NE(r.eval(m), f.eval(m)) << "trial " << trial;
+    // SCCC is the supercube of that complement (nullopt when it is empty).
+    const auto s = cubes::sccc(f);
+    ASSERT_EQ(s.has_value(), !r.empty()) << "trial " << trial;
+    if (s) ASSERT_EQ(*s, supercube(r)) << "trial " << trial;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "place/wirelength.hpp"
 #include "route/router.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace l2l::grader {
 namespace {
@@ -95,6 +96,82 @@ TEST(RouteGrader, DetectsOverlap) {
   const auto g = grade_routing(p, sol);
   EXPECT_EQ(g.legal_nets, 1);
   EXPECT_NE(g.report.find("overlaps"), std::string::npos);
+}
+
+// An empty 4x4 grid with `layers` layers and the given nets.
+gen::RoutingProblem open_grid(int layers, std::vector<gen::RoutingNet> nets) {
+  gen::RoutingProblem p;
+  p.width = p.height = 4;
+  p.num_layers = layers;
+  p.blocked.assign(static_cast<std::size_t>(layers), std::vector<bool>(16, false));
+  p.nets = std::move(nets);
+  return p;
+}
+
+route::RouteSolution one_net(int id, std::vector<gen::GridPoint> cells) {
+  route::RouteSolution sol;
+  route::NetRoute net;
+  net.net_id = id;
+  net.cells = std::move(cells);
+  sol.nets.push_back(std::move(net));
+  return sol;
+}
+
+TEST(RouteGrader, DetectsDuplicateCell) {
+  const auto p = open_grid(2, {{0, {{0, 0, 0}, {2, 0, 0}}}});
+  const auto g = grade_routing(
+      p, one_net(0, {{0, 0, 0}, {1, 0, 0}, {1, 0, 0}, {2, 0, 0}}));
+  ASSERT_EQ(g.nets.size(), 1u);
+  EXPECT_FALSE(g.nets[0].legal);
+  EXPECT_EQ(g.nets[0].reason, "duplicate cell (1 0 0)");
+}
+
+TEST(RouteGrader, DetectsUncoveredPin) {
+  const auto p = open_grid(2, {{0, {{0, 0, 0}, {2, 0, 0}}}});
+  const auto g = grade_routing(p, one_net(0, {{0, 0, 0}, {1, 0, 0}}));
+  EXPECT_EQ(g.legal_nets, 0);
+  EXPECT_EQ(g.nets[0].reason, "pin (2 0 0) not covered");
+}
+
+TEST(RouteGrader, DetectsOutOfBoundsCell) {
+  const auto p = open_grid(2, {{0, {{0, 0, 0}, {3, 0, 0}}}});
+  for (const gen::GridPoint bad : {gen::GridPoint{4, 0, 0}, {0, -1, 0},
+                                   {0, 0, 2}, {0, 0, -1}}) {
+    const auto g = grade_routing(p, one_net(0, {{0, 0, 0}, bad, {3, 0, 0}}));
+    EXPECT_EQ(g.nets[0].reason,
+              util::format("cell (%d %d %d) out of bounds", bad.x, bad.y,
+                           bad.layer));
+  }
+}
+
+TEST(RouteGrader, CountsViasOnThreeLayers) {
+  // Layers 1 and 2 both count as the upper side of a via: (0 0) has its
+  // upper cell on layer 2 only, (1 0) on layers 1 and 2 (one via), (3 0)
+  // on both as well.
+  const auto p = open_grid(3, {{0, {{0, 0, 0}, {3, 0, 0}}}});
+  const auto sol = one_net(0, {{0, 0, 0}, {1, 0, 0}, {1, 0, 1}, {1, 0, 2},
+                               {0, 0, 2}, {2, 0, 2}, {3, 0, 2}, {3, 0, 1},
+                               {3, 0, 0}});
+  const auto g = grade_routing(p, sol);
+  ASSERT_EQ(g.legal_nets, 1) << g.report;
+  EXPECT_EQ(g.nets[0].vias, 3);
+  EXPECT_EQ(g.nets[0].vias, route::count_vias(sol.nets[0]));
+  EXPECT_EQ(g.total_vias, 3);
+  EXPECT_EQ(g.nets[0].wirelength, 9);
+}
+
+TEST(RouteGrader, FailedNetStillOwnsItsCells) {
+  // Net 0 fails on its pin check, after claiming (0 0 0) and (1 0 0);
+  // net 1 then crossing (1 0 0) is an overlap with net 0.
+  const auto p = open_grid(2, {{0, {{0, 0, 0}, {2, 0, 0}}},
+                               {1, {{0, 1, 0}, {2, 1, 0}}}});
+  auto sol = one_net(0, {{0, 0, 0}, {1, 0, 0}});
+  sol.nets.push_back(
+      one_net(1, {{0, 1, 0}, {1, 1, 0}, {1, 0, 0}, {2, 1, 0}}).nets[0]);
+  const auto g = grade_routing(p, sol);
+  ASSERT_EQ(g.nets.size(), 2u);
+  EXPECT_EQ(g.nets[0].reason, "pin (2 0 0) not covered");
+  EXPECT_EQ(g.nets[1].reason, "cell (1 0 0) overlaps net 0");
 }
 
 TEST(RouteGrader, TextPathHandlesGarbage) {

@@ -255,6 +255,21 @@ TEST(LintFormats, ExtensionThenSniffThenUnknownNote) {
   EXPECT_EQ(fr.errors(), 0);
 }
 
+TEST(LintFormats, SniffsPlacementBeforeDimacsComment) {
+  // A placement line opens with 'c' like a DIMACS comment: "cell " wins.
+  EXPECT_EQ(sniff_format("cell 0 1 1\ncell 1 2 2\n"), Format::kPlacement);
+  EXPECT_EQ(sniff_format("# hw6\n\ncell 0 1 1\n"), Format::kPlacement);
+  // A 'c'-comment CNF still sniffs as DIMACS, with or without the space.
+  EXPECT_EQ(sniff_format("c generated\np cnf 2 1\n1 2 0\n"), Format::kCnf);
+  EXPECT_EQ(sniff_format("c\np cnf 1 1\n1 0\n"), Format::kCnf);
+  EXPECT_EQ(sniff_format("cellular automaton\np cnf 1 1\n1 0\n"),
+            Format::kCnf);
+  // With no extension, lint runs the placement pack, not the DIMACS one.
+  const auto fr = lint_text("upload", "cell 0 1 1\ncell 1 2 2\n");
+  EXPECT_EQ(fr.format, Format::kPlacement);
+  for (const auto& f : fr.findings) EXPECT_NE(f.rule, "L2L-C001");
+}
+
 TEST(LintFormats, FlagNamesRoundTrip) {
   for (const char* name : {"blif", "pla", "cnf", "place", "route-problem",
                            "route-solution", "kbdd", "axb"}) {

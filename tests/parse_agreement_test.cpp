@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "api/espresso.hpp"
 #include "api/grade.hpp"
 #include "api/sat.hpp"
@@ -77,36 +75,7 @@ std::string engine_outcome(lint::Format format, const std::string& text) {
   }
 }
 
-/// Runs one cacheable grade against an empty disk tier and returns the
-/// bytes the facade persisted: the serialized grader.* record.
-template <typename Grade>
-std::string persisted_record(const fs::path& dir, Grade grade) {
-  cache::Cache::global().clear();
-  grade();
-  std::string record;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    record += parse_corpus::read_file(entry.path());
-    fs::remove(entry.path());
-  }
-  return record;
-}
-
-class ParseAgreement : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("l2l_parse_agreement_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-    cache::set_enabled(true);
-    cache::Cache::global().set_disk_dir(dir_.string());
-  }
-  void TearDown() override {
-    cache::Cache::global().set_disk_dir("");
-    cache::Cache::global().clear();
-    fs::remove_all(dir_);
-  }
-  fs::path dir_;
-};
+class ParseAgreement : public parse_corpus::DiskCacheTest {};
 
 std::string golden_lines(const fs::path& dir) {
   std::string out;
@@ -136,7 +105,7 @@ std::string golden_lines(const fs::path& dir) {
       api::RouteGradeRequest req;
       req.submission = text;
       api::RouteGradeResult res;
-      const auto record = persisted_record(
+      const auto record = parse_corpus::persisted_record(
           dir, [&] { res = api::grade_route_submission(fx.problem, req); });
       line(name, "report", digest(res.grade.report));
       line(name, "record", digest(record));
@@ -158,7 +127,7 @@ std::string golden_lines(const fs::path& dir) {
       req.submission = text;
       req.reference_hpwl = fx.reference_hpwl;
       api::PlaceGradeResult res;
-      const auto record = persisted_record(dir, [&] {
+      const auto record = parse_corpus::persisted_record(dir, [&] {
         res = api::grade_place_submission(fx.problem, fx.grid, req);
       });
       line(name, "report", digest(res.grade.report));

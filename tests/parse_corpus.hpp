@@ -6,6 +6,8 @@
 // dropped and cut nets). Everything is deterministic: the same build
 // always yields the same inputs in the same order.
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -14,6 +16,9 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "cache/cache.hpp"
 #include "gen/placement_gen.hpp"
 #include "gen/routing_gen.hpp"
 #include "place/legalize.hpp"
@@ -31,6 +36,38 @@ inline std::string read_file(const std::filesystem::path& path) {
   ss << in.rdbuf();
   return ss.str();
 }
+
+/// Runs one cacheable call against an empty disk tier and returns the
+/// bytes the facade persisted: the serialized cache record.
+template <typename Call>
+std::string persisted_record(const std::filesystem::path& dir, Call call) {
+  cache::Cache::global().clear();
+  call();
+  std::string record;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    record += read_file(entry.path());
+    std::filesystem::remove(entry.path());
+  }
+  return record;
+}
+
+/// A fresh on-disk cache tier per test, for persisted_record.
+class DiskCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("l2l_disk_cache_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    cache::set_enabled(true);
+    cache::Cache::global().set_disk_dir(dir_.string());
+  }
+  void TearDown() override {
+    cache::Cache::global().set_disk_dir("");
+    cache::Cache::global().clear();
+    std::filesystem::remove_all(dir_);
+  }
+  std::filesystem::path dir_;
+};
 
 struct NamedText {
   std::string name;  ///< "data/<file>" or "hostile/<file>"
