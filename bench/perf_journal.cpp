@@ -1,9 +1,13 @@
 // Journal-layer microbenchmarks (mooc/journal.hpp, mooc/shard_map.hpp):
 // what the crash-recovery machinery itself costs, isolated from the
-// grading loop it protects. Three questions:
+// grading loop it protects. Four questions:
 //
 //   * append -- frames/sec through JournalWriter with a once-per-tick
-//     flush cadence (the write path every journaled drain pays);
+//     flush cadence (the write path every journaled drain pays), for
+//     graded outcomes and for dedup-memo replays (the frame nearly every
+//     upload of a duplicate-heavy semester writes);
+//   * crc    -- bytes/sec through cache::crc32, which every frame pays
+//     on write and on scan;
 //   * scan   -- bytes/sec through scan_journal's CRC-checked frame walk
 //     (the recovery path's startup cost);
 //   * ring   -- ShardMap course-ownership lookups/sec (paid per arrival
@@ -15,6 +19,7 @@
 #include <filesystem>
 #include <string>
 
+#include "cache/digest.hpp"
 #include "mooc/grading_queue.hpp"
 #include "mooc/grading_service.hpp"
 #include "mooc/journal.hpp"
@@ -82,6 +87,56 @@ void BM_JournalAppend(benchmark::State& state) {
   state.counters["frames_per_tick"] = kPerTick + 2;
 }
 BENCHMARK(BM_JournalAppend)->Unit(benchmark::kMillisecond);
+
+/// Memo-replay append throughput: ticks of 64 dedup-memo replay frames,
+/// each naming the submission whose outcome it replays.
+void BM_JournalAppendReplays(benchmark::State& state) {
+  const auto path = temp_path("l2l_perf_journal_replays.l2lj");
+  constexpr int kPerTick = 64;
+  std::int64_t frames = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    mooc::JournalWriter writer;
+    if (const auto st = writer.open(path, bench_header(), false); !st.ok()) {
+      state.SkipWithError(st.to_string().c_str());
+      break;
+    }
+    state.ResumeTiming();
+    for (std::uint32_t tick = 0; tick < 64; ++tick) {
+      writer.tick_begin(tick);
+      for (int i = 0; i < kPerTick; ++i) {
+        const auto id = static_cast<std::uint64_t>(tick) * kPerTick + i;
+        writer.replayed(id, mooc::ReplaySource::kFullMemo,
+                        mooc::Disposition::kGraded, 1, id % 32);
+      }
+      if (const auto st = writer.tick_end(tick, 0x1234u + tick); !st.ok()) {
+        state.SkipWithError(st.to_string().c_str());
+        break;
+      }
+      frames += kPerTick + 2;
+    }
+    benchmark::DoNotOptimize(writer.bytes_written());
+  }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  state.SetItemsProcessed(frames);
+}
+BENCHMARK(BM_JournalAppendReplays)->Unit(benchmark::kMillisecond);
+
+/// CRC-32 over one buffer of range(0) bytes.
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::string buf(n, '\0');
+  for (std::size_t i = 0; i < n; ++i)
+    buf[i] = static_cast<char>((i * 2654435761u) >> 13);
+  std::uint32_t acc = 0;
+  for (auto _ : state) {
+    acc ^= cache::crc32(buf);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->RangeMultiplier(8)->Range(64, 64 << 10);
 
 /// Scan/recovery read path: CRC-walk a complete journal of 64 ticks and
 /// decode every frame.

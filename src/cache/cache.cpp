@@ -1,6 +1,7 @@
 #include "cache/cache.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -345,7 +346,12 @@ void append_record(std::string& out, std::string_view record) {
 }
 
 void append_i64(std::string& out, std::int64_t v) {
-  append_record(out, std::to_string(v));
+  // Formatted on the stack: the journal appends a few of these per
+  // scheduled submission.
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+  append_record(out, std::string_view(digits, static_cast<std::size_t>(
+                                                  end - digits)));
 }
 
 void append_f64(std::string& out, double v) {
@@ -353,7 +359,7 @@ void append_f64(std::string& out, double v) {
   // exception-free parse_int64 round-trips it exactly.
   std::int64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  append_record(out, std::to_string(bits));
+  append_i64(out, bits);
 }
 
 bool RecordReader::next(std::string_view& record) {

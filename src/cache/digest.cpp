@@ -1,6 +1,7 @@
 #include "cache/digest.hpp"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace l2l::cache {
@@ -23,6 +24,18 @@ std::uint64_t splitmix64_fin(std::uint64_t x) {
 
 std::uint64_t rotl(std::uint64_t v, int s) {
   return (v << s) | (v >> (64 - s));
+}
+
+/// Little-endian word loads: one memcpy (a plain load on little-endian
+/// hosts), byte-swapped on big-endian ones, so the values stay
+/// byte-order defined.
+std::uint32_t load_le32(const unsigned char* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big)
+    v = ((v & 0xffu) << 24) | ((v & 0xff00u) << 8) | ((v >> 8) & 0xff00u) |
+        (v >> 24);
+  return v;
 }
 
 }  // namespace
@@ -81,6 +94,13 @@ Hasher& Hasher::str(std::string_view s) {
 }
 
 Hasher& Hasher::u64(std::uint64_t v) {
+  if (pending_n_ == 0) {
+    // Chunk-aligned: v's little-endian bytes are one whole word, which
+    // is v itself.
+    total_ += 8;
+    absorb_word(v);
+    return *this;
+  }
   unsigned char buf[8];
   for (int i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
   return bytes(buf, 8);
@@ -116,21 +136,38 @@ Digest128 digest_bytes(std::string_view data) {
 }
 
 std::uint32_t crc32(std::string_view data, std::uint32_t seed) {
-  // Table built on first use from the reflected polynomial; byte-at-a-time
-  // is plenty for journal frames (a few hundred bytes each).
-  static const auto kTable = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8, tables built on first use from the reflected
+  // polynomial: t[0] is the classic byte table, t[k][i] is the CRC of
+  // byte i followed by k zero bytes, so one step folds 8 input bytes
+  // with 8 independent lookups. The journal CRCs every frame it writes
+  // and reads, so this sits on the per-submission path.
+  static const auto kTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     return t;
   }();
+  const auto& t = kTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (const char ch : data)
-    c = kTable[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  while (n >= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    p += 8;
+    n -= 8;
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

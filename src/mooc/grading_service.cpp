@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -30,36 +30,66 @@ struct Entry {
   std::uint8_t lane = 0;
 };
 
-/// One priority lane of one course: an EDF index (deadline, id) plus the
-/// id-ordered entry store. Both are ordered containers, so pops and
-/// evictions are total-order decisions -- no hashing, no schedule input.
-struct LaneQueue {
-  std::set<std::pair<std::uint64_t, std::uint64_t>> edf;
-  std::map<std::uint64_t, Entry> by_id;
+/// EDF order: earliest deadline first, ties to the smallest submission
+/// id. As a heap comparator ("a sinks below b") it makes a min-heap.
+bool later_deadline(const Entry& a, const Entry& b) {
+  return a.deadline != b.deadline ? a.deadline > b.deadline : a.id > b.id;
+}
 
-  std::size_t size() const { return by_id.size(); }
+/// One priority lane of one course: a binary min-heap on (deadline, id)
+/// for EDF pops, plus the lane's entries in arrival order for
+/// newest-first eviction (ids ascend with arrival, so the last live
+/// entry is the newest). An entry leaves through one index and is marked
+/// in the run's `taken` flags (indexed by submission id); the other
+/// index drops it lazily when it surfaces, and compacts once its dead
+/// entries outnumber the live ones. Both keys are total orders, so every
+/// pop and eviction is a schedule-free decision, and no admission
+/// allocates once the vectors have grown to the lane's peak.
+struct LaneQueue {
+  std::vector<Entry> heap;
+  std::vector<Entry> arrivals;
+  std::size_t live = 0;
+
+  std::size_t size() const { return live; }
 
   void insert(const Entry& e) {
-    edf.emplace(e.deadline, e.id);
-    by_id.emplace(e.id, e);
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), later_deadline);
+    arrivals.push_back(e);
+    ++live;
   }
 
-  Entry take(std::uint64_t id) {
-    auto it = by_id.find(id);
-    Entry e = it->second;
-    by_id.erase(it);
-    edf.erase({e.deadline, e.id});
-    return e;
+  Entry pop_edf(std::vector<unsigned char>& taken) {
+    while (taken[heap.front().id] != 0) {
+      std::pop_heap(heap.begin(), heap.end(), later_deadline);
+      heap.pop_back();
+    }
+    std::pop_heap(heap.begin(), heap.end(), later_deadline);
+    const Entry e = heap.back();
+    heap.pop_back();
+    return take(e, taken);
   }
-
-  /// Earliest deadline, ties to the smallest submission id.
-  Entry pop_edf() { return take(edf.begin()->second); }
 
   /// The shed victim under `policy` (never called on an empty lane).
-  Entry evict(ShedPolicy policy) {
-    if (policy == ShedPolicy::kNewestFirst)
-      return take(by_id.rbegin()->first);
-    return pop_edf();  // oldest deadline
+  Entry evict(ShedPolicy policy, std::vector<unsigned char>& taken) {
+    if (policy != ShedPolicy::kNewestFirst) return pop_edf(taken);
+    while (taken[arrivals.back().id] != 0) arrivals.pop_back();
+    const Entry e = arrivals.back();
+    arrivals.pop_back();
+    return take(e, taken);
+  }
+
+ private:
+  Entry take(const Entry& e, std::vector<unsigned char>& taken) {
+    taken[e.id] = 1;
+    --live;
+    const auto dead = [&](const Entry& x) { return taken[x.id] != 0; };
+    if (heap.size() > 2 * live) {
+      std::erase_if(heap, dead);
+      std::make_heap(heap.begin(), heap.end(), later_deadline);
+    }
+    if (arrivals.size() > 2 * live) std::erase_if(arrivals, dead);
+    return e;
   }
 };
 
@@ -74,14 +104,40 @@ struct CourseState {
   std::size_t depth() const { return lanes[0].size() + lanes[1].size(); }
 
   /// Service order: the first-submit lane outranks resubmits.
-  Entry pop() {
-    return lanes[0].size() ? lanes[0].pop_edf() : lanes[1].pop_edf();
+  Entry pop(std::vector<unsigned char>& taken) {
+    return lanes[0].size() ? lanes[0].pop_edf(taken)
+                           : lanes[1].pop_edf(taken);
   }
 
   /// Shed order: resubmits go first; a first submit is only evicted when
   /// the resubmit lane is already empty.
-  Entry evict(ShedPolicy policy) {
-    return lanes[1].size() ? lanes[1].evict(policy) : lanes[0].evict(policy);
+  Entry evict(ShedPolicy policy, std::vector<unsigned char>& taken) {
+    return lanes[1].size() ? lanes[1].evict(policy, taken)
+                           : lanes[0].evict(policy, taken);
+  }
+};
+
+/// The dedup memos of one body content class. Each keeps the first
+/// submission that produced it (kNone until then) and, where the replay
+/// needs them, that submission's outcome, allocated only once a memo
+/// exists so the per-class slots stay a few words.
+struct Memo {
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::uint64_t lint_rejected = kNone;
+  std::uint64_t lint_clean = kNone;
+  std::uint64_t full = kNone;
+  std::unique_ptr<const SubmissionOutcome> rejected_out;
+  std::unique_ptr<const SubmissionOutcome> full_out;
+
+  void remember_rejected(std::uint64_t source, const SubmissionOutcome& out) {
+    if (lint_rejected != kNone) return;
+    lint_rejected = source;
+    rejected_out = std::make_unique<const SubmissionOutcome>(out);
+  }
+  void remember_full(std::uint64_t source, const SubmissionOutcome& out) {
+    if (full != kNone) return;
+    full = source;
+    full_out = std::make_unique<const SubmissionOutcome>(out);
   }
 };
 
@@ -250,13 +306,25 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
 
   // Dedup/replay infrastructure, all consulted and updated at sequential
   // program points only. Off entirely under the cache kill switch, which
-  // restores the grade-everything service exactly.
+  // restores the grade-everything service exactly. Bodies with equal
+  // digests share one memo slot (their content class).
   const bool use_cache = cache::enabled();
   std::vector<cache::Digest128> body_digests;
+  std::vector<std::uint32_t> body_class;
+  std::size_t num_classes = 0;
   if (use_cache) {
     body_digests.reserve(trace.bodies.size());
-    for (const auto& b : trace.bodies)
+    body_class.reserve(trace.bodies.size());
+    std::map<cache::Digest128, std::uint32_t> class_of;
+    for (const auto& b : trace.bodies) {
       body_digests.push_back(cache::digest_bytes(b));
+      body_class.push_back(
+          class_of
+              .emplace(body_digests.back(),
+                       static_cast<std::uint32_t>(class_of.size()))
+              .first->second);
+    }
+    num_classes = class_of.size();
   }
   cache::Digest128 config{};
   const bool cross_run = use_cache && !opt_.queue.cache_domain.empty();
@@ -272,10 +340,9 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
     config = h.finish();
   }
   // Lint verdicts are pure in the submission bytes, so they replay on any
-  // tick; full outcomes replay only across sound ticks.
-  std::map<cache::Digest128, SubmissionOutcome> lint_rejected_memo;
-  std::set<cache::Digest128> lint_clean;
-  std::map<cache::Digest128, SubmissionOutcome> full_done;
+  // tick; full outcomes replay only across sound ticks. A memo's source
+  // id is what its replay frames name.
+  std::vector<Memo> memos(num_classes);
 
   auto record = [&](std::uint64_t id, Disposition d, std::uint8_t lane,
                     bool replayed, std::uint32_t tick,
@@ -314,6 +381,8 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
   };
 
   std::vector<CourseState> courses(static_cast<std::size_t>(num_courses));
+  // Lane removals by submission id (see LaneQueue).
+  std::vector<unsigned char> taken(events.size(), 0);
   struct BatchItem {
     Entry e;
     int course = 0;
@@ -389,11 +458,16 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
           ++jshed;
       }
     };
-    // Memo replays are re-derived; the journal only audits them.
-    auto note_memo_replay = [&](std::uint64_t id, ReplaySource src) {
-      if (replaying) {
+    // Memo replays are re-derived; the journal verifies them.
+    auto note_memo_replay = [&](std::uint64_t id, ReplaySource src,
+                                Disposition d, std::uint8_t lane,
+                                std::uint64_t source_id) {
+      if (writing) {
+        writer.replayed(id, src, d, lane, source_id);
+      } else if (replaying) {
         if (jrepl >= jt->replays.size() || jt->replays[jrepl].id != id ||
-            jt->replays[jrepl].source != src)
+            jt->replays[jrepl].source != src ||
+            jt->replays[jrepl].source_id != source_id)
           diverge("dedup replay");
         else
           ++jrepl;
@@ -445,7 +519,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
         // which may be the newcomer itself. Either way the eviction is a
         // recorded outcome, never a silent drop.
         course.lanes[e.lane].insert(e);
-        const Entry victim = course.evict(opt_.shed_policy);
+        const Entry victim = course.evict(opt_.shed_policy, taken);
         ++stats.shed;
         note_shed(victim.id, victim.lane);
         record(victim.id, Disposition::kShed, victim.lane, false, tick,
@@ -478,7 +552,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
               0;
       for (int served = 0; served < opt_.service_rate && course.depth() > 0;
            ++served) {
-        const Entry e = course.pop();
+        const Entry e = course.pop(taken);
         --queued;
         bool probe = false;
         bool degraded = false;
@@ -491,45 +565,37 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
           }
         }
         if (use_cache && !probe) {
-          const auto& dig = body_digests[e.body];
-          if (const auto it = lint_rejected_memo.find(dig);
-              it != lint_rejected_memo.end()) {
+          Memo& memo = memos[body_class[e.body]];
+          if (memo.lint_rejected != Memo::kNone) {
             ++stats.dedup_hits;
-            if (writing)
-              writer.replayed(e.id, ReplaySource::kLintMemo,
-                              Disposition::kLintRejected, e.lane, it->second);
-            else
-              note_memo_replay(e.id, ReplaySource::kLintMemo);
-            count_serviced(Disposition::kLintRejected, it->second, tick,
-                           e.arrival);
+            note_memo_replay(e.id, ReplaySource::kLintMemo,
+                             Disposition::kLintRejected, e.lane,
+                             memo.lint_rejected);
+            count_serviced(Disposition::kLintRejected, *memo.rejected_out,
+                           tick, e.arrival);
             record(e.id, Disposition::kLintRejected, e.lane, true, tick,
-                   &it->second);
+                   memo.rejected_out.get());
             continue;
           }
           if (degraded) {
-            if (lint_clean.count(dig) != 0) {
+            if (memo.lint_clean != Memo::kNone) {
               ++stats.dedup_hits;
-              SubmissionOutcome out;  // lint-only pass: no attempts, ok
-              if (writing)
-                writer.replayed(e.id, ReplaySource::kDegradedMemo,
-                                Disposition::kDegraded, e.lane, out);
-              else
-                note_memo_replay(e.id, ReplaySource::kDegradedMemo);
+              const SubmissionOutcome out;  // lint-only pass: no attempts, ok
+              note_memo_replay(e.id, ReplaySource::kDegradedMemo,
+                               Disposition::kDegraded, e.lane,
+                               memo.lint_clean);
               count_serviced(Disposition::kDegraded, out, tick, e.arrival);
               record(e.id, Disposition::kDegraded, e.lane, true, tick, &out);
               continue;
             }
           } else if (sound) {
-            if (const auto it = full_done.find(dig); it != full_done.end()) {
+            if (memo.full != Memo::kNone) {
               ++stats.dedup_hits;
-              const Disposition d = to_disposition(it->second.kind, false);
-              if (writing)
-                writer.replayed(e.id, ReplaySource::kFullMemo, d, e.lane,
-                                it->second);
-              else
-                note_memo_replay(e.id, ReplaySource::kFullMemo);
-              count_serviced(d, it->second, tick, e.arrival);
-              record(e.id, d, e.lane, true, tick, &it->second);
+              const Disposition d = to_disposition(memo.full_out->kind, false);
+              note_memo_replay(e.id, ReplaySource::kFullMemo, d, e.lane,
+                               memo.full);
+              count_serviced(d, *memo.full_out, tick, e.arrival);
+              record(e.id, d, e.lane, true, tick, memo.full_out.get());
               continue;
             }
             if (cross_run) {
@@ -540,31 +606,30 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
                 if (jrepl < jt->replays.size() &&
                     jt->replays[jrepl].id == e.id &&
                     jt->replays[jrepl].source == ReplaySource::kCache) {
-                  SubmissionOutcome out = jt->replays[jrepl].outcome;
+                  const SubmissionOutcome& out = jt->replays[jrepl].outcome;
                   ++jrepl;
                   ++stats.cache_hits;
                   const Disposition d = to_disposition(out.kind, false);
                   count_serviced(d, out, tick, e.arrival);
                   record(e.id, d, e.lane, true, tick, &out);
-                  full_done.emplace(dig, std::move(out));
+                  memo.remember_full(e.id, out);
                   continue;
                 }
                 // No kCache frame for this id: the original run missed
                 // here too; fall through to the batch, where the
                 // journaled outcome is substituted positionally.
               } else {
-                const cache::CacheKey key{"mooc.service", dig, config};
+                const cache::CacheKey key{"mooc.service",
+                                          body_digests[e.body], config};
                 SubmissionOutcome out;
                 if (const auto hit = cache::Cache::global().lookup(key);
                     hit && deserialize_outcome(*hit, out)) {
                   ++stats.cache_hits;
                   const Disposition d = to_disposition(out.kind, false);
-                  if (writing)
-                    writer.replayed(e.id, ReplaySource::kCache, d, e.lane,
-                                    out);
+                  if (writing) writer.cache_hit(e.id, d, e.lane, out);
                   count_serviced(d, out, tick, e.arrival);
                   record(e.id, d, e.lane, true, tick, &out);
-                  full_done.emplace(dig, std::move(out));
+                  memo.remember_full(e.id, out);
                   continue;
                 }
               }
@@ -656,15 +721,16 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
       count_serviced(d, out, tick, item.e.arrival);
       if (use_cache) {
         const auto& dig = body_digests[item.e.body];
+        Memo& memo = memos[body_class[item.e.body]];
         if (out.kind == OutcomeKind::kRejected) {
-          lint_rejected_memo.emplace(dig, out);
+          memo.remember_rejected(item.e.id, out);
         } else {
-          lint_clean.insert(dig);
+          if (memo.lint_clean == Memo::kNone) memo.lint_clean = item.e.id;
           if (!item.degraded && sound) {
             if (cross_run)
               cache::Cache::global().insert({"mooc.service", dig, config},
                                             serialize_outcome(out));
-            full_done.emplace(dig, out);
+            memo.remember_full(item.e.id, out);
           }
         }
       }

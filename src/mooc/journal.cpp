@@ -16,9 +16,9 @@ constexpr std::size_t kFrameOverhead = 9;
 // the grade callback's message sizes), far under this.
 constexpr std::size_t kMaxPayload = std::size_t{1} << 26;
 
-void put_u32le(std::string& out, std::uint32_t v) {
+void put_u32le(char* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 std::uint32_t get_u32le(const char* p) {
@@ -73,8 +73,7 @@ bool next_enum(cache::RecordReader& r, std::int64_t max, std::uint8_t& v) {
   return true;
 }
 
-std::string encode_header(const JournalHeader& h) {
-  std::string p;
+void encode_header(std::string& p, const JournalHeader& h) {
   append_u64(p, h.version);
   append_u64(p, h.trace_digest.hi);
   append_u64(p, h.trace_digest.lo);
@@ -83,7 +82,6 @@ std::string encode_header(const JournalHeader& h) {
   append_u64(p, h.num_events);
   append_u64(p, h.shard);
   append_u64(p, h.num_shards);
-  return p;
 }
 
 bool decode_header(std::string_view payload, JournalHeader& h) {
@@ -121,15 +119,17 @@ bool decode_shed(std::string_view payload, JournaledShed& out) {
 bool decode_replayed(std::string_view payload, JournaledReplay& out) {
   cache::RecordReader r(payload);
   std::uint8_t src = 0, d = 0;
-  std::string_view body;
   if (!next_u64(r, out.id) ||
       !next_enum(r, static_cast<std::int64_t>(ReplaySource::kCache), src) ||
-      !next_enum(r, kMaxDisposition, d) || !next_enum(r, 1, out.lane) ||
-      !r.next(body) || !r.complete())
+      !next_enum(r, kMaxDisposition, d) || !next_enum(r, 1, out.lane))
     return false;
   out.source = static_cast<ReplaySource>(src);
   out.disposition = static_cast<Disposition>(d);
-  return deserialize_outcome(body, out.outcome);
+  if (out.source != ReplaySource::kCache)
+    return next_u64(r, out.source_id) && r.complete();
+  std::string_view body;
+  return r.next(body) && r.complete() &&
+         deserialize_outcome(body, out.outcome);
 }
 
 bool decode_outcome(std::string_view payload, JournaledOutcome& out) {
@@ -348,18 +348,26 @@ util::Status JournalWriter::open(const std::string& path,
                          : std::ios::binary | std::ios::trunc);
   if (!out_) return util::Status::internal("journal: cannot open " + path);
   if (append) return util::Status::okay();
-  frame(JournalFrameType::kHeader, encode_header(header));
+  const std::size_t f = begin_frame(JournalFrameType::kHeader);
+  encode_header(pending_, header);
+  end_frame(f);
   return flush();
 }
 
-void JournalWriter::frame(JournalFrameType type, std::string_view payload) {
+std::size_t JournalWriter::begin_frame(JournalFrameType type) {
   const std::size_t start = pending_.size();
   pending_.push_back(static_cast<char>(type));
-  put_u32le(pending_, static_cast<std::uint32_t>(payload.size()));
-  pending_.append(payload.data(), payload.size());
-  const std::string_view checked(pending_.data() + start,
-                                 pending_.size() - start);
-  put_u32le(pending_, cache::crc32(checked));
+  pending_.append(4, '\0');
+  return start;
+}
+
+void JournalWriter::end_frame(std::size_t start) {
+  const std::size_t len = pending_.size() - start - 5;
+  put_u32le(pending_.data() + start + 1, static_cast<std::uint32_t>(len));
+  const std::uint32_t crc = cache::crc32(
+      std::string_view(pending_.data() + start, pending_.size() - start));
+  pending_.append(4, '\0');
+  put_u32le(pending_.data() + pending_.size() - 4, crc);
   ++frames_;
 }
 
@@ -382,75 +390,87 @@ util::Status JournalWriter::flush() {
 }
 
 void JournalWriter::tick_begin(std::uint32_t tick) {
-  std::string p;
-  append_u64(p, tick);
-  frame(JournalFrameType::kTickBegin, p);
+  const std::size_t f = begin_frame(JournalFrameType::kTickBegin);
+  append_u64(pending_, tick);
+  end_frame(f);
 }
 
 void JournalWriter::rejected(std::uint64_t id, Disposition d,
                              std::uint8_t lane) {
-  std::string p;
-  append_u64(p, id);
-  append_u64(p, static_cast<std::uint64_t>(d));
-  append_u64(p, lane);
-  frame(JournalFrameType::kRejected, p);
+  const std::size_t f = begin_frame(JournalFrameType::kRejected);
+  append_u64(pending_, id);
+  append_u64(pending_, static_cast<std::uint64_t>(d));
+  append_u64(pending_, lane);
+  end_frame(f);
 }
 
 void JournalWriter::shed(std::uint64_t id, std::uint8_t lane) {
-  std::string p;
-  append_u64(p, id);
-  append_u64(p, lane);
-  frame(JournalFrameType::kShed, p);
+  const std::size_t f = begin_frame(JournalFrameType::kShed);
+  append_u64(pending_, id);
+  append_u64(pending_, lane);
+  end_frame(f);
 }
 
 void JournalWriter::replayed(std::uint64_t id, ReplaySource source,
                              Disposition d, std::uint8_t lane,
-                             const SubmissionOutcome& out) {
-  std::string p;
-  append_u64(p, id);
-  append_u64(p, static_cast<std::uint64_t>(source));
-  append_u64(p, static_cast<std::uint64_t>(d));
-  append_u64(p, lane);
-  cache::append_record(p, serialize_outcome(out));
-  frame(JournalFrameType::kReplayed, p);
+                             std::uint64_t source_id) {
+  const std::size_t f = begin_frame(JournalFrameType::kReplayed);
+  append_u64(pending_, id);
+  append_u64(pending_, static_cast<std::uint64_t>(source));
+  append_u64(pending_, static_cast<std::uint64_t>(d));
+  append_u64(pending_, lane);
+  append_u64(pending_, source_id);
+  end_frame(f);
+}
+
+void JournalWriter::cache_hit(std::uint64_t id, Disposition d,
+                              std::uint8_t lane,
+                              const SubmissionOutcome& out) {
+  const std::size_t f = begin_frame(JournalFrameType::kReplayed);
+  append_u64(pending_, id);
+  append_u64(pending_, static_cast<std::uint64_t>(ReplaySource::kCache));
+  append_u64(pending_, static_cast<std::uint64_t>(d));
+  append_u64(pending_, lane);
+  cache::append_record(pending_, serialize_outcome(out));
+  end_frame(f);
 }
 
 void JournalWriter::outcome(std::uint64_t id, Disposition d,
                             std::uint8_t lane, bool degraded, bool probe,
                             const SubmissionOutcome& out,
                             const FaultTally& tally) {
-  std::string p;
-  append_u64(p, id);
-  append_u64(p, static_cast<std::uint64_t>(d));
-  append_u64(p, lane);
-  append_u64(p, degraded ? 1 : 0);
-  append_u64(p, probe ? 1 : 0);
-  cache::append_record(p, serialize_outcome(out));
-  cache::append_i64(p, tally.transients);
-  cache::append_i64(p, tally.stalls);
-  frame(JournalFrameType::kOutcome, p);
+  const std::size_t f = begin_frame(JournalFrameType::kOutcome);
+  append_u64(pending_, id);
+  append_u64(pending_, static_cast<std::uint64_t>(d));
+  append_u64(pending_, lane);
+  append_u64(pending_, degraded ? 1 : 0);
+  append_u64(pending_, probe ? 1 : 0);
+  cache::append_record(pending_, serialize_outcome(out));
+  cache::append_i64(pending_, tally.transients);
+  cache::append_i64(pending_, tally.stalls);
+  end_frame(f);
 }
 
 void JournalWriter::breaker(std::uint32_t course, BreakerAction action) {
-  std::string p;
-  append_u64(p, course);
-  append_u64(p, static_cast<std::uint64_t>(action));
-  frame(JournalFrameType::kBreaker, p);
+  const std::size_t f = begin_frame(JournalFrameType::kBreaker);
+  append_u64(pending_, course);
+  append_u64(pending_, static_cast<std::uint64_t>(action));
+  end_frame(f);
 }
 
 util::Status JournalWriter::tick_end(std::uint32_t tick,
                                      std::uint64_t stats_check) {
-  std::string p;
-  append_u64(p, tick);
-  append_u64(p, stats_check);
-  frame(JournalFrameType::kTickEnd, p);
+  const std::size_t f = begin_frame(JournalFrameType::kTickEnd);
+  append_u64(pending_, tick);
+  append_u64(pending_, stats_check);
+  end_frame(f);
   return flush();
 }
 
 util::Status JournalWriter::run_end(std::uint64_t stats_check) {
-  std::string p;
-  append_u64(p, stats_check);
-  frame(JournalFrameType::kRunEnd, p);
+  const std::size_t f = begin_frame(JournalFrameType::kRunEnd);
+  append_u64(pending_, stats_check);
+  end_frame(f);
   return flush();
 }
 

@@ -16,6 +16,15 @@
 //     ServiceStats checksum at every tick boundary. A mismatch is a
 //     hard kInternal error, never a silent "best effort": a journal is
 //     replayed exactly or not at all.
+//   * A dedup-memo replay is a few words: its frame names the SOURCE
+//     submission whose outcome it replayed (the first submission with
+//     the same body whose outcome that memo holds), not the outcome
+//     bytes. Recovery re-derives the replay and verifies id, memo kind
+//     and source id; a reader answers "where did this verdict come
+//     from?" by following the source id to that submission's kOutcome
+//     or kCache frame, which always comes earlier in the file. Only a
+//     cross-run cache hit (kCache) carries its outcome, because
+//     recovery substitutes it.
 //   * Frames are flushed once per tick, so the on-disk journal is
 //     always a prefix of complete ticks plus (after a crash) a torn
 //     tail. Recovery scans to the last frame-valid kTickEnd, quarantines
@@ -36,7 +45,9 @@
 // version plus the trace/config digests and the shard coordinates; a
 // recovery against a journal whose digests do not match the live run is
 // refused (kInvalidArgument) -- replaying someone else's decisions is
-// worse than regrading.
+// worse than regrading. A journal of another format version (version 1
+// wrote full outcomes into memo frames) takes the unreadable-header
+// path: the whole file is quarantined and the drain starts from tick 0.
 //
 // The journal.* obs counters describe the journal I/O THIS process
 // performed (frames appended, ticks replayed, tails quarantined); they
@@ -58,16 +69,17 @@
 
 namespace l2l::mooc {
 
-/// Bump on any frame/payload layout change; recovery refuses a version
-/// it does not speak.
-inline constexpr std::uint64_t kJournalFormatVersion = 1;
+/// Bump on any frame/payload layout change. Recovery reads only this
+/// version: a journal of any other is quarantined whole and the drain
+/// regrades from tick 0 (the version also feeds the config digest).
+inline constexpr std::uint64_t kJournalFormatVersion = 2;
 
 enum class JournalFrameType : std::uint8_t {
   kHeader = 1,     ///< version, digests, shard coordinates
   kTickBegin = 2,  ///< tick number
   kRejected = 3,   ///< admission refusal (quota / queue-full)
   kShed = 4,       ///< queue eviction by the shed policy
-  kReplayed = 5,   ///< dedup-memo or cross-run-cache replay
+  kReplayed = 5,   ///< dedup-memo (source id) or cross-run-cache replay
   kOutcome = 6,    ///< one graded batch slot (outcome + fault tally)
   kBreaker = 7,    ///< circuit-breaker transition
   kTickEnd = 8,    ///< tick number + running ServiceStats checksum
@@ -118,8 +130,9 @@ struct JournaledReplay {
   ReplaySource source = ReplaySource::kFullMemo;
   Disposition disposition = Disposition::kGraded;
   std::uint8_t lane = 0;
-  /// The replayed outcome; substituted during recovery for kCache,
-  /// audit-only for the re-derivable memo sources.
+  /// Memo sources: the submission whose outcome was replayed.
+  std::uint64_t source_id = 0;
+  /// kCache only: the cached outcome, substituted during recovery.
   SubmissionOutcome outcome;
 };
 
@@ -198,8 +211,13 @@ class JournalWriter {
   void tick_begin(std::uint32_t tick);
   void rejected(std::uint64_t id, Disposition d, std::uint8_t lane);
   void shed(std::uint64_t id, std::uint8_t lane);
+  /// A dedup-memo replay (any source but kCache) of `source_id`'s
+  /// outcome.
   void replayed(std::uint64_t id, ReplaySource source, Disposition d,
-                std::uint8_t lane, const SubmissionOutcome& out);
+                std::uint8_t lane, std::uint64_t source_id);
+  /// A cross-run cache hit; the frame carries the outcome.
+  void cache_hit(std::uint64_t id, Disposition d, std::uint8_t lane,
+                 const SubmissionOutcome& out);
   void outcome(std::uint64_t id, Disposition d, std::uint8_t lane,
                bool degraded, bool probe, const SubmissionOutcome& out,
                const FaultTally& tally);
@@ -215,7 +233,11 @@ class JournalWriter {
   std::int64_t bytes_written() const { return bytes_written_; }
 
  private:
-  void frame(JournalFrameType type, std::string_view payload);
+  // Payloads are encoded straight into pending_: begin_frame writes the
+  // type and a length placeholder, end_frame patches the length and
+  // appends the CRC.
+  std::size_t begin_frame(JournalFrameType type);
+  void end_frame(std::size_t start);
   util::Status flush();
 
   std::ofstream out_;

@@ -1,4 +1,5 @@
-// l2l::cache unit suite: digest stability goldens, hit/miss/evict
+// l2l::cache unit suite: digest stability goldens, the journal CRC
+// against its check value and a bytewise oracle, hit/miss/evict
 // accounting, the LRU bound, the persistent tier round-trip with
 // corrupt-entry quarantine, the kill switch, and byte-identical stats
 // export at any L2L_THREADS. The digest goldens pin the hash across
@@ -7,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -17,6 +21,7 @@
 #include "mooc/grading_service.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace l2l {
 namespace {
@@ -83,6 +88,94 @@ TEST(DigestTest, SingleByteChangesTheDigest) {
 }
 
 // ---- serialization ------------------------------------------------------
+
+TEST(DigestTest, WordAppendsMatchTheirLittleEndianBytes) {
+  // Hasher::u64 absorbs a whole word when no partial chunk is pending;
+  // the digest must equal feeding the same eight bytes through bytes(),
+  // aligned or not.
+  util::Rng rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    cache::Hasher words, raw;
+    for (int k = 0; k < 12; ++k) {
+      if (rng.next_below(3) == 0) {
+        const std::string s(rng.next_below(11), static_cast<char>('a' + k));
+        words.str(s);
+        raw.u64(s.size()).bytes(s.data(), s.size());
+        continue;
+      }
+      const std::uint64_t v = rng.next_u64();
+      unsigned char le[8];
+      for (int i = 0; i < 8; ++i)
+        le[i] = static_cast<unsigned char>(v >> (8 * i));
+      words.u64(v);
+      raw.bytes(le, 4).bytes(le + 4, 4);
+    }
+    EXPECT_EQ(words.finish(), raw.finish()) << "trial " << trial;
+  }
+}
+
+// ---- crc32 ---------------------------------------------------------------
+
+/// The byte-at-a-time table CRC that slicing-by-8 replaced, kept as the
+/// oracle.
+std::uint32_t bytewise_crc32(std::string_view data, std::uint32_t seed = 0) {
+  static const auto kTable = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (const char ch : data)
+    c = kTable[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+std::string random_bytes(util::Rng& rng, std::size_t n) {
+  std::string out(n, '\0');
+  for (auto& c : out) c = static_cast<char>(rng.next_below(256));
+  return out;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(cache::crc32("123456789"), 0xcbf43926u);
+  EXPECT_EQ(cache::crc32(""), 0u);
+  EXPECT_EQ(cache::crc32("", 0x12345678u), 0x12345678u);
+}
+
+TEST(Crc32Test, SeedChainsOverConcatenation) {
+  util::Rng rng(7);
+  const std::string buf = random_bytes(rng, 3000);
+  for (const std::size_t cut : {0, 1, 7, 8, 9, 15, 16, 17, 100, 2999, 3000}) {
+    const std::string_view a(buf.data(), cut);
+    const std::string_view b(buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(cache::crc32(b, cache::crc32(a)), cache::crc32(buf))
+        << "cut " << cut;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseOracle) {
+  util::Rng rng(11);
+  // Every length 0..1024 at every alignment 0..7 of the 8-byte loads.
+  const std::string buf = random_bytes(rng, 1024 + 8);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view v(buf.data() + off, len);
+      ASSERT_EQ(cache::crc32(v), bytewise_crc32(v))
+          << "offset " << off << " length " << len;
+    }
+  // Seeded buffers up to 64 KB, with and without a chained seed.
+  for (const std::size_t n : {4093u, 8192u, 40001u, 65535u, 65536u}) {
+    const std::string big = random_bytes(rng, n);
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    EXPECT_EQ(cache::crc32(big), bytewise_crc32(big)) << n;
+    EXPECT_EQ(cache::crc32(big, seed), bytewise_crc32(big, seed)) << n;
+  }
+}
 
 TEST(RecordTest, RoundTripsMixedRecords) {
   std::string bytes;

@@ -16,8 +16,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -457,6 +459,277 @@ TEST_F(JournalTest, RecoveredCountersAreThreadCountInvariant) {
   EXPECT_FALSE(exports[0].empty());
   EXPECT_EQ(exports[0], exports[1]) << "threads 1 vs 2";
   EXPECT_EQ(exports[0], exports[2]) << "threads 1 vs 8";
+}
+
+// ---- format v2: memo frames name their source ----------------------------
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint32_t le32(const char* p) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
+  return v;
+}
+
+/// One frame as the journal lays it out: [type][u32 len][payload][u32 crc].
+struct RawFrame {
+  mooc::JournalFrameType type{};
+  std::size_t offset = 0;  ///< of the type byte
+  std::size_t size = 0;    ///< whole frame, CRC included
+  std::string_view payload;
+};
+
+/// Walks the frames of a valid journal (the test writes them itself, so
+/// no recovery logic is needed here).
+std::vector<RawFrame> frames_of(const std::string& bytes) {
+  std::vector<RawFrame> out;
+  for (std::size_t pos = 0; pos + 9 <= bytes.size();) {
+    const std::uint32_t len = le32(bytes.data() + pos + 1);
+    RawFrame f;
+    f.type = static_cast<mooc::JournalFrameType>(bytes[pos]);
+    f.offset = pos;
+    f.size = 9 + len;
+    f.payload = std::string_view(bytes).substr(pos + 5, len);
+    out.push_back(f);
+    pos += f.size;
+  }
+  return out;
+}
+
+std::string encode_frame(mooc::JournalFrameType type,
+                         const std::string& payload) {
+  std::string f(1, static_cast<char>(type));
+  auto put = [&f](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) f.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  put(static_cast<std::uint32_t>(payload.size()));
+  f += payload;
+  put(cache::crc32(f));
+  return f;
+}
+
+/// The integer records of a payload ("<len>\n<decimal>" each), in order;
+/// a non-integer record ends the list.
+std::vector<std::int64_t> int_records(std::string_view payload) {
+  std::vector<std::int64_t> out;
+  cache::RecordReader r(payload);
+  for (std::int64_t v = 0; r.next_i64(v);) out.push_back(v);
+  return out;
+}
+
+std::string encode_ints(const std::vector<std::int64_t>& values) {
+  std::string p;
+  for (const auto v : values) cache::append_i64(p, v);
+  return p;
+}
+
+constexpr auto kCacheSource =
+    static_cast<std::int64_t>(mooc::ReplaySource::kCache);
+
+TEST_F(JournalTest, RewrittenMemoSourceIdFailsRecovery) {
+  const auto trace = make_trace(300, 2, 30, 11);
+  const auto sopt = make_options();
+  const std::string path = temp_journal("memo_source");
+  remove_journal(path);
+  util::Status st;
+  mooc::RunRequest req;
+  req.journal_path = path;
+  (void)run_service(trace, sopt, req, st);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+
+  std::string bytes = read_bytes(path);
+  bool rewritten = false;
+  for (const auto& f : frames_of(bytes)) {
+    if (f.type != mooc::JournalFrameType::kReplayed) continue;
+    // id, source, disposition, lane, source id
+    auto rec = int_records(f.payload);
+    ASSERT_EQ(rec.size(), 5u);
+    ASSERT_NE(rec[1], kCacheSource);
+    rec[4] += 1;  // a different (still well-formed) source submission
+    bytes.replace(f.offset, f.size,
+                  encode_frame(f.type, encode_ints(rec)));
+    rewritten = true;
+    break;
+  }
+  ASSERT_TRUE(rewritten) << "the run journaled no memo replay";
+  write_bytes(path, bytes);
+  // Frame-valid: the scan still trusts every tick.
+  EXPECT_EQ(mooc::scan_journal(path).torn_bytes, 0);
+
+  mooc::RunRequest recover;
+  recover.journal_path = path;
+  recover.recover = true;
+  (void)run_service(trace, sopt, recover, st);
+  EXPECT_EQ(st.code, util::StatusCode::kInternalError) << st.to_string();
+  EXPECT_NE(st.message.find("journal replay diverged (dedup replay)"),
+            std::string::npos)
+      << st.to_string();
+  remove_journal(path);
+}
+
+/// Every memo frame of a journaled run names the first submission with
+/// the same body whose outcome that memo holds: for a lint memo the first
+/// lint-rejected kOutcome, for a degraded memo the first lint-clean one,
+/// for a full memo (checked when every tick is sound, so every
+/// non-degraded outcome is memoized) the first non-degraded, lint-clean
+/// kOutcome or kCache frame. Each comes earlier in the file.
+void expect_sources_precede(const mooc::SubmissionTrace& trace,
+                            const std::string& path, bool all_sound,
+                            std::vector<std::int64_t>& memo_kinds) {
+  constexpr auto kRejected =
+      static_cast<std::int64_t>(mooc::Disposition::kLintRejected);
+  // First source per memo kind, keyed by body content.
+  std::map<std::string, std::size_t> first[3];
+  auto note = [&](int kind, std::size_t id) {
+    first[kind].emplace(trace.bodies[trace.events[id].body], id);
+  };
+  for (const auto& f : frames_of(read_bytes(path))) {
+    if (f.type != mooc::JournalFrameType::kOutcome &&
+        f.type != mooc::JournalFrameType::kReplayed)
+      continue;
+    const auto rec = int_records(f.payload);
+    ASSERT_GE(rec.size(), 4u);
+    const auto id = static_cast<std::size_t>(rec[0]);
+    ASSERT_LT(id, trace.events.size());
+    if (f.type == mooc::JournalFrameType::kOutcome) {
+      if (rec[1] == kRejected) {
+        note(0, id);
+      } else {
+        note(1, id);
+        if (rec[3] == 0) note(2, id);  // not degraded
+      }
+      continue;
+    }
+    if (rec[1] == kCacheSource) {
+      note(2, id);
+      continue;
+    }
+    ASSERT_EQ(rec.size(), 5u);
+    const auto kind = static_cast<std::size_t>(rec[1]);
+    ++memo_kinds.at(kind);
+    const auto src = static_cast<std::size_t>(rec[4]);
+    const auto want = first[kind].find(trace.bodies[trace.events[id].body]);
+    if (want == first[kind].end()) {
+      ADD_FAILURE() << "submission " << id << " replays " << src
+                    << ", but no earlier frame holds that memo";
+    } else if (kind != 2 || all_sound) {
+      EXPECT_EQ(src, want->second) << "submission " << id << ", memo " << kind;
+    } else {
+      EXPECT_EQ(trace.bodies[trace.events[src].body],
+                trace.bodies[trace.events[id].body])
+          << "submission " << id << " replays " << src;
+    }
+  }
+}
+
+TEST_F(JournalTest, MemoFramesNameTheFirstSourceWithTheSameBody) {
+  // A small body pool, so one tick often grades the same body twice and
+  // the memo must keep the first.
+  mooc::TraceOptions topt;
+  topt.num_students = 1500;
+  topt.num_courses = 2;
+  topt.ticks = 80;
+  topt.unique_bodies_per_course = 24;
+  util::Rng rng(5);
+  const auto trace = mooc::generate_submission_trace(topt, rng);
+  std::vector<std::int64_t> memo_kinds(3, 0);
+  const std::string path = temp_journal("memo_sources");
+  remove_journal(path);
+  util::Status st;
+  mooc::RunRequest req;
+  req.journal_path = path;
+  (void)run_service(trace, make_options(), req, st);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  expect_sources_precede(trace, path, false, memo_kinds);
+  remove_journal(path);
+  // Lint, degraded and full memos all replayed at least once.
+  EXPECT_GT(memo_kinds[0], 0);
+  EXPECT_GT(memo_kinds[1], 0);
+  EXPECT_GT(memo_kinds[2], 0);
+
+  // No storm: every tick is sound, so full-memo sources are pinned too.
+  auto calm = make_options();
+  calm.storm_end_tick = 0;
+  (void)run_service(trace, calm, req, st);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  expect_sources_precede(trace, path, true, memo_kinds);
+  remove_journal(path);
+
+  // A warm rerun: full memos whose source is a cross-run cache hit.
+  auto warm = calm;
+  warm.queue.cache_domain = "journal-test.sources";
+  cache::Cache::global().clear();
+  const mooc::GradingService service(warm, counting_grade);
+  (void)service.run(trace);
+  mooc::RunRequest warm_req;
+  warm_req.journal_path = path;
+  const auto rerun = service.run(trace, warm_req, st);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_GT(rerun.stats.cache_hits, 0);
+  expect_sources_precede(trace, path, true, memo_kinds);
+  remove_journal(path);
+}
+
+TEST_F(JournalTest, VersionOneJournalIsQuarantinedAndRegraded) {
+  const auto trace = make_trace(300, 2, 30, 11);
+  const auto sopt = make_options();
+  util::Status st;
+  g_grade_calls.store(0);
+  const auto plain = run_service(trace, sopt, {}, st);
+  ASSERT_TRUE(st.ok());
+  const std::int64_t full_grades = g_grade_calls.load();
+  ASSERT_GT(full_grades, 0);
+
+  // A journal of the previous format: this run's frames under a header
+  // that says version 1 (CRC recomputed, so only the version is wrong).
+  const std::string path = temp_journal("v1");
+  remove_journal(path);
+  mooc::RunRequest crash;
+  crash.journal_path = path;
+  crash.halt_after_ticks = 12;
+  (void)run_service(trace, sopt, crash, st);
+  ASSERT_TRUE(st.ok());
+  std::string bytes = read_bytes(path);
+  const auto header = frames_of(bytes).at(0);
+  ASSERT_EQ(header.type, mooc::JournalFrameType::kHeader);
+  auto fields = int_records(header.payload);
+  ASSERT_EQ(fields.at(0),
+            static_cast<std::int64_t>(mooc::kJournalFormatVersion));
+  fields[0] = 1;
+  bytes.replace(header.offset, header.size,
+                encode_frame(header.type, encode_ints(fields)));
+  write_bytes(path, bytes);
+  EXPECT_FALSE(mooc::scan_journal(path).found);
+
+  g_grade_calls.store(0);
+  mooc::RunRequest recover;
+  recover.journal_path = path;
+  recover.recover = true;
+  const auto recovered = run_service(trace, sopt, recover, st);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  expect_same_result(recovered, plain, "v1 journal");
+  // Nothing was replayed: the drain regraded from tick 0.
+  EXPECT_EQ(g_grade_calls.load(), full_grades);
+  const auto counters = obs::Registry::global().snapshot().counters;
+  EXPECT_EQ(counters.count("journal.ticks_replayed"), 0u);
+  EXPECT_EQ(counters.at("journal.quarantined_bytes"),
+            static_cast<std::int64_t>(bytes.size()));
+  EXPECT_EQ(read_bytes(path + ".quarantine"), bytes);
+  const auto scan = mooc::scan_journal(path);
+  EXPECT_TRUE(scan.found);
+  EXPECT_TRUE(scan.run_complete);
+  EXPECT_EQ(scan.header.version, mooc::kJournalFormatVersion);
+  remove_journal(path);
 }
 
 // ---- shard map -----------------------------------------------------------
