@@ -1,6 +1,6 @@
-// Journal-layer microbenchmarks (mooc/journal.hpp, mooc/shard_map.hpp):
-// what the crash-recovery machinery itself costs, isolated from the
-// grading loop it protects. Four questions:
+// Journal-layer microbenchmarks (mooc/journal.hpp): what the
+// crash-recovery machinery itself costs, isolated from the grading loop
+// it protects. Three questions:
 //
 //   * append -- frames/sec through JournalWriter with a once-per-tick
 //     flush cadence (the write path every journaled drain pays), for
@@ -9,9 +9,7 @@
 //   * crc    -- bytes/sec through cache::crc32, which every frame pays
 //     on write and on scan;
 //   * scan   -- bytes/sec through scan_journal's CRC-checked frame walk
-//     (the recovery path's startup cost);
-//   * ring   -- ShardMap course-ownership lookups/sec (paid per arrival
-//     in sharded runs).
+//     (the recovery path's startup cost).
 
 #include <benchmark/benchmark.h>
 
@@ -23,7 +21,6 @@
 #include "mooc/grading_queue.hpp"
 #include "mooc/grading_service.hpp"
 #include "mooc/journal.hpp"
-#include "mooc/shard_map.hpp"
 #include "util/status.hpp"
 
 namespace {
@@ -177,20 +174,5 @@ void BM_JournalScan(benchmark::State& state) {
   benchmark::DoNotOptimize(ticks);
 }
 BENCHMARK(BM_JournalScan)->Unit(benchmark::kMillisecond);
-
-/// Ring lookup: the per-arrival cost of course ownership in a sharded
-/// drain (binary search over num_shards * 64 points).
-void BM_ShardMapLookup(benchmark::State& state) {
-  const mooc::ShardMap map(static_cast<int>(state.range(0)));
-  std::uint64_t acc = 0;
-  std::uint32_t course = 0;
-  for (auto _ : state) {
-    acc += static_cast<std::uint64_t>(map.shard_for_course(course));
-    course = (course + 1) & 0xfff;
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardMapLookup)->Arg(4)->Arg(16);
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Grading-service benchmarks: what the persistent sharded daemon
+// Grading-service benchmarks: what the persistent grading daemon
 // (mooc::GradingService) sustains tick over tick, and what the overload
 // machinery -- admission quotas, shed policies, circuit breakers -- costs
 // when a semester's deadline spike hits. The headline case is the

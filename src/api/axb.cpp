@@ -127,7 +127,7 @@ AxbResult run_solver(const AxbRequest& req) {
 
 AxbResult solve_axb(const AxbRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled()) {
+  if (req.cacheable()) {
     cache::Hasher h;
     h.u64(kAxbFormatVersion).boolean(req.use_cg);
     key = cache::CacheKey{"axb", cache::digest_bytes(req.input), h.finish()};

@@ -11,8 +11,12 @@
 //     (espresso, mls, place, route, place-grade) still honor the rule at
 //     the cache layer: the limit marks the result non-reproducible even
 //     if the engine itself runs to completion.
-//   * use_cache = false opts a single request out of the result cache
-//     without touching the process-wide kill switch (cache::enabled()).
+//   * use_cache = false opts a single request out of the result cache.
+//
+// cacheable() is the facade's whole decision. The process-wide switch
+// (cache::set_enabled, a tool's --no-cache) is read by cache::Cache
+// alone: with it off, a cacheable request's lookup misses and its
+// insert is dropped.
 //
 // Deliberately NOT in the base: the deterministic budgets (prop_limit,
 // node_limit, step_limit, conflict_limit). Their units differ per engine
@@ -32,14 +36,13 @@ struct RequestBase {
   /// -1 = unlimited; >= 0 enables the engine's wall-clock deadline where
   /// supported and always disables caching (see header comment).
   std::int64_t time_limit_ms = -1;
-  /// Per-request cache opt-out; the process-wide switch is
-  /// cache::enabled() and both must be true for a lookup to happen.
+  /// Per-request cache opt-out.
   bool use_cache = true;
 
   /// The one cacheability rule, spelled once: opted in AND free of a
-  /// wall-clock deadline. Facades still AND this with cache::enabled()
-  /// and any engine-specific reproducibility conditions (e.g. a non-null
-  /// Budget pointer in RouterOptions).
+  /// wall-clock deadline. Facades AND this only with engine-specific
+  /// reproducibility conditions (e.g. a non-null Budget pointer in
+  /// RouterOptions).
   bool cacheable() const { return use_cache && time_limit_ms < 0; }
 };
 

@@ -260,7 +260,7 @@ BddScriptResult run_script(const BddScriptRequest& req) {
 
 BddScriptResult run_bdd_script(const BddScriptRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled()) {
+  if (req.cacheable()) {
     cache::Hasher h;
     h.u64(kBddFormatVersion).i64(req.node_limit);
     key = cache::CacheKey{"bdd", cache::digest_bytes(req.script), h.finish()};

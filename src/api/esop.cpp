@@ -208,7 +208,7 @@ EsopResult synthesize_esop(const EsopRequest& req) {
   // never store or replay such results. The deterministic guards
   // (max_terms, conflict_limit, prop_limit) are config-digest inputs.
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled()) {
+  if (req.cacheable()) {
     cache::Hasher h;
     h.u64(kEsopFormatVersion)
         .i32(req.max_terms)

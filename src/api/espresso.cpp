@@ -72,7 +72,7 @@ EspressoResult run_minimizer(const EspressoRequest& req) {
 
 EspressoResult minimize_pla(const EspressoRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled()) {
+  if (req.cacheable()) {
     cache::Hasher h;
     h.u64(kEspressoFormatVersion)
         .boolean(req.exact)

@@ -14,6 +14,9 @@ namespace {
 // after the lint block; bumping the version invalidates v1 cache
 // entries instead of misreading them.
 constexpr std::uint64_t kGradeFormatVersion = 2;
+// v3: grader.place records drop the always-ok status record. Route
+// records keep kGradeFormatVersion and their v2 layout.
+constexpr std::uint64_t kPlaceGradeFormatVersion = 3;
 
 std::string serialize_route(const RouteGradeResult& res) {
   const grader::RouteGrade& g = res.grade;
@@ -86,7 +89,6 @@ std::string serialize_place(const PlaceGradeResult& res) {
   detail::append_diagnostics(out, g.diagnostics);
   detail::append_diagnostics(out, g.lint);
   detail::append_diagnostics(out, g.sema);
-  detail::append_status(out, g.status);
   return out;
 }
 
@@ -99,8 +101,7 @@ bool deserialize_place(std::string_view bytes, PlaceGradeResult& res) {
       !in.next_f64(g.score) || !in.next_string(g.report) ||
       !detail::read_diagnostics(in, g.diagnostics) ||
       !detail::read_diagnostics(in, g.lint) ||
-      !detail::read_diagnostics(in, g.sema) ||
-      !detail::read_status(in, g.status))
+      !detail::read_diagnostics(in, g.sema))
     return false;
   g.legal = legal != 0;
   return in.complete();
@@ -117,7 +118,7 @@ RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
                                         const cache::Digest128& problem_digest,
                                         const RouteGradeRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled()) {
+  if (req.cacheable()) {
     cache::Hasher h;
     h.u64(kGradeFormatVersion)
         .u64(problem_digest.hi)
@@ -155,9 +156,9 @@ PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
                                         const cache::Digest128& problem_digest,
                                         const PlaceGradeRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled()) {
+  if (req.cacheable()) {
     cache::Hasher h;
-    h.u64(kGradeFormatVersion)
+    h.u64(kPlaceGradeFormatVersion)
         .u64(problem_digest.hi)
         .u64(problem_digest.lo)
         .i32(grid.rows)

@@ -64,7 +64,7 @@ bool deserialize(std::string_view bytes, std::string& blif,
 
 MlsResult optimize_blif(const MlsRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled())
+  if (req.cacheable())
     key = cache::CacheKey{"mls", cache::digest_bytes(req.blif),
                           config_digest(req.options)};
   return detail::cached_call<MlsResult>(
@@ -93,14 +93,10 @@ MlsResult optimize_blif(const MlsRequest& req) {
 }
 
 MlsNetworkResult optimize_network(network::Network& net,
-                                  const mls::ScriptOptions& opt,
-                                  bool use_cache) {
-  std::optional<cache::CacheKey> key;
-  if (use_cache && cache::enabled())
-    key = cache::CacheKey{"mls", cache::digest_bytes(network::write_blif(net)),
-                          config_digest(opt)};
+                                  const mls::ScriptOptions& opt) {
   return detail::cached_call<MlsNetworkResult>(
-      key,
+      cache::CacheKey{"mls", cache::digest_bytes(network::write_blif(net)),
+                      config_digest(opt)},
       [&](std::string_view bytes, MlsNetworkResult& res) {
         std::string blif;
         if (!deserialize(bytes, blif, res.stats)) return false;

@@ -47,7 +47,6 @@ struct MlsNetworkResult {
 
 /// In-place variant for callers already holding a Network.
 MlsNetworkResult optimize_network(network::Network& net,
-                                  const mls::ScriptOptions& opt,
-                                  bool use_cache = true);
+                                  const mls::ScriptOptions& opt);
 
 }  // namespace l2l::api

@@ -57,7 +57,7 @@ bool deserialize(std::string_view bytes, PlaceResult& res) {
 PlaceResult place_and_legalize(const gen::PlacementProblem& problem,
                                const PlaceRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled() && req.options.budget == nullptr)
+  if (req.cacheable() && req.options.budget == nullptr)
     key = cache::CacheKey{"place", placement_problem_digest(problem),
                           config_digest(req)};
   return detail::cached_call<PlaceResult>(

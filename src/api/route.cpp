@@ -98,7 +98,7 @@ bool deserialize(std::string_view bytes, RouteResult& res) {
 RouteResult route_nets(const gen::RoutingProblem& problem,
                        const RouteRequest& req) {
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled() && req.options.budget == nullptr)
+  if (req.cacheable() && req.options.budget == nullptr)
     key = cache::CacheKey{"route", routing_problem_digest(problem),
                           config_digest(req.options)};
   return detail::cached_call<RouteResult>(

@@ -80,7 +80,7 @@ SatResult solve_sat(const SatRequest& req) {
   // A wall-clock deadline (or an external budget the caller wired into
   // options) makes the stopping point non-reproducible: bypass the cache.
   std::optional<cache::CacheKey> key;
-  if (req.cacheable() && cache::enabled() && req.options.budget == nullptr) {
+  if (req.cacheable() && req.options.budget == nullptr) {
     cache::Hasher h;
     h.u64(kSatFormatVersion)
         .boolean(req.options.use_vsids)

@@ -20,14 +20,10 @@ namespace l2l::cache {
 
 namespace {
 
-std::atomic<int> g_enabled{-1};  // -1 = not yet resolved from env
+// The process-wide switch. Only lookup() and insert() read it.
+std::atomic<bool> g_enabled{true};
 
-bool resolve_enabled_from_env() {
-  const char* v = std::getenv("L2L_CACHE");
-  if (v == nullptr) return true;
-  std::string s(v);
-  return !(s == "0" || s == "off" || s == "false" || s == "no");
-}
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 // On-disk entry format (version bumps invalidate old entries safely --
 // an unknown version reads as corrupt and is quarantined):
@@ -44,18 +40,7 @@ constexpr int kFormatVersion = 1;
 
 }  // namespace
 
-bool enabled() {
-  int e = g_enabled.load(std::memory_order_relaxed);
-  if (e < 0) {
-    e = resolve_enabled_from_env() ? 1 : 0;
-    g_enabled.store(e, std::memory_order_relaxed);
-  }
-  return e != 0;
-}
-
-void set_enabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 std::string CacheKey::file_stem() const {
   return engine + "-" + input.hex() + "-" + config.hex();

@@ -34,9 +34,11 @@
 // quarantined (renamed *.quarantine) instead of crashing or being
 // believed.
 //
-// Kill switch: L2L_CACHE=0 (or Cache-level set_enabled(false)) makes
-// lookup always miss and insert a no-op, restoring compute-everything
-// seed behavior exactly.
+// Switch: set_enabled(false) (a tool's --no-cache) makes lookup always
+// miss and insert a no-op, restoring compute-everything behavior
+// exactly. Cache is the only reader of the switch: a facade asks only
+// whether its request is cacheable (api::RequestBase::cacheable()), and
+// the grading service's in-run dedup is its own memo, not the cache.
 
 #include <cstdint>
 #include <memory>
@@ -48,11 +50,7 @@
 
 namespace l2l::cache {
 
-/// Process-wide kill switch. Defaults to on; L2L_CACHE=0/off/false/no in
-/// the environment turns it off (read once, cached).
-bool enabled();
-
-/// Test/tool override of the cached kill switch.
+/// The process-wide switch read by Cache::lookup/insert. Defaults to on.
 void set_enabled(bool on);
 
 /// The content-addressed key. `engine` is a short stable id ("sat",

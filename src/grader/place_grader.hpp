@@ -35,9 +35,6 @@ struct PlaceGrade {
   /// with semantic defects to the wrong portal. Never changes the score;
   /// a placement submission has none.
   std::vector<util::Diagnostic> sema;
-  /// Always ok: the text grader reports problems as diagnostics. Kept
-  /// so the cached grade record (api/grade.cpp) keeps its layout.
-  util::Status status;
 };
 
 /// Placement solution text: one "cell <index> <col> <row>" line per cell.

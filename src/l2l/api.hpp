@@ -16,8 +16,10 @@
 //   api::route_nets        maze routing          (flow stage)
 //   api::grade_route_submission / grade_place_submission  auto-graders
 //
-// Caching is controlled per-request (use_cache), globally (L2L_CACHE=0),
-// and persisted across processes with L2L_CACHE_DIR (see README).
+// A facade looks a request up when RequestBase::cacheable() says so; the
+// cache itself honours the process-wide cache::set_enabled switch (a
+// tool's --no-cache) and persists across processes with L2L_CACHE_DIR
+// (see README).
 //
 // Every Request struct inherits api::RequestBase (api/base.hpp): the
 // shared wall-clock limit + cache policy, and the one cacheability rule

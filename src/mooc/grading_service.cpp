@@ -9,7 +9,6 @@
 
 #include "cache/cache.hpp"
 #include "mooc/journal.hpp"
-#include "mooc/shard_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -222,8 +221,6 @@ GradingService::GradingService(ServiceOptions opt, GradeFn grade)
   opt_.service_rate = std::max(opt_.service_rate, 1);
   opt_.breaker_threshold = std::max(opt_.breaker_threshold, 1);
   opt_.breaker_probe_interval = std::max(opt_.breaker_probe_interval, 1);
-  opt_.num_shards = std::max(opt_.num_shards, 1);
-  opt_.shard = std::clamp(opt_.shard, 0, opt_.num_shards - 1);
 }
 
 ServiceResult GradingService::run(const SubmissionTrace& trace) const {
@@ -242,22 +239,9 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
   const int num_courses = std::max(trace.num_courses, 1);
   if (opt_.record_outcomes) res.outcomes.resize(events.size());
 
-  // Sharding: this process owns only the courses the ring assigns to
-  // opt_.shard. Foreign events are skipped before ANY accounting so the
-  // trace-wide submission ids (and the fault draws they key) line up
-  // with the single-process run.
-  const bool sharded = opt_.num_shards > 1;
-  const ShardMap shard_map(opt_.num_shards);
-  std::vector<bool> owned(static_cast<std::size_t>(num_courses), true);
-  if (sharded)
-    for (int c = 0; c < num_courses; ++c)
-      owned[static_cast<std::size_t>(c)] =
-          shard_map.shard_for_course(static_cast<std::uint32_t>(c)) ==
-          opt_.shard;
-
   // Journal setup: on a fresh run open/truncate and write the header; on
   // recovery quarantine the torn tail, verify the header pins THIS
-  // (trace, options, shard) triple, take the complete ticks for replay,
+  // (trace, options) pair, take the complete ticks for replay,
   // and reopen for append so the continued drain extends the same log.
   const bool journaling = !req.journal_path.empty();
   JournalWriter writer;
@@ -268,8 +252,6 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
     header.trace_digest = trace_digest(trace);
     header.config_digest = service_config_digest(opt_);
     header.num_events = events.size();
-    header.shard = static_cast<std::uint32_t>(opt_.shard);
-    header.num_shards = static_cast<std::uint32_t>(opt_.num_shards);
     bool append = false;
     if (req.recover) {
       JournalScan scan = recover_journal(req.journal_path);
@@ -281,7 +263,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
         if (!(scan.header == header)) {
           status = util::Status::invalid(
               "journal header mismatch: " + req.journal_path +
-              " was written for a different trace, config, or shard");
+              " was written for a different trace or config");
           return res;
         }
         replay_ticks = std::move(scan.ticks);
@@ -305,29 +287,25 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
   storm.stall_rate = opt_.storm_stall_rate;
 
   // Dedup/replay infrastructure, all consulted and updated at sequential
-  // program points only. Off entirely under the cache kill switch, which
-  // restores the grade-everything service exactly. Bodies with equal
-  // digests share one memo slot (their content class).
-  const bool use_cache = cache::enabled();
+  // program points only. In-run dedup is the service's own memo and
+  // always runs; cross-run replay goes through cache::Cache, which alone
+  // reads the process-wide switch. Bodies with equal digests share one
+  // memo slot (their content class).
   std::vector<cache::Digest128> body_digests;
   std::vector<std::uint32_t> body_class;
-  std::size_t num_classes = 0;
-  if (use_cache) {
-    body_digests.reserve(trace.bodies.size());
-    body_class.reserve(trace.bodies.size());
-    std::map<cache::Digest128, std::uint32_t> class_of;
-    for (const auto& b : trace.bodies) {
-      body_digests.push_back(cache::digest_bytes(b));
-      body_class.push_back(
-          class_of
-              .emplace(body_digests.back(),
-                       static_cast<std::uint32_t>(class_of.size()))
-              .first->second);
-    }
-    num_classes = class_of.size();
+  body_digests.reserve(trace.bodies.size());
+  body_class.reserve(trace.bodies.size());
+  std::map<cache::Digest128, std::uint32_t> class_of;
+  for (const auto& b : trace.bodies) {
+    body_digests.push_back(cache::digest_bytes(b));
+    body_class.push_back(
+        class_of
+            .emplace(body_digests.back(),
+                     static_cast<std::uint32_t>(class_of.size()))
+            .first->second);
   }
   cache::Digest128 config{};
-  const bool cross_run = use_cache && !opt_.queue.cache_domain.empty();
+  const bool cross_run = !opt_.queue.cache_domain.empty();
   if (cross_run) {
     cache::Hasher h;
     h.u64(kServiceFormatVersion)
@@ -342,7 +320,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
   // Lint verdicts are pure in the submission bytes, so they replay on any
   // tick; full outcomes replay only across sound ticks. A memo's source
   // id is what its replay frames name.
-  std::vector<Memo> memos(num_classes);
+  std::vector<Memo> memos(class_of.size());
 
   auto record = [&](std::uint64_t id, Disposition d, std::uint8_t lane,
                     bool replayed, std::uint32_t tick,
@@ -493,12 +471,9 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
       const auto id = static_cast<std::uint64_t>(next_event);
       const auto& ev = events[next_event];
       ++next_event;
-      const auto course_idx =
-          static_cast<std::size_t>(ev.course %
-                                   static_cast<std::uint32_t>(num_courses));
-      if (!owned[course_idx]) continue;  // another shard's course
       ++stats.arrivals;
-      auto& course = courses[course_idx];
+      auto& course = courses[static_cast<std::size_t>(
+          ev.course % static_cast<std::uint32_t>(num_courses))];
       if (course.admitted_this_tick >= opt_.admit_quota) {
         ++stats.rejected_quota;
         note_rejected(id, Disposition::kRejectedQuota, ev.lane);
@@ -564,7 +539,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
             degraded = true;
           }
         }
-        if (use_cache && !probe) {
+        if (!probe) {
           Memo& memo = memos[body_class[e.body]];
           if (memo.lint_rejected != Memo::kNone) {
             ++stats.dedup_hits;
@@ -719,19 +694,17 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
         writer.outcome(item.e.id, d, item.e.lane, item.degraded, item.probe,
                        out, btallies[s]);
       count_serviced(d, out, tick, item.e.arrival);
-      if (use_cache) {
-        const auto& dig = body_digests[item.e.body];
-        Memo& memo = memos[body_class[item.e.body]];
-        if (out.kind == OutcomeKind::kRejected) {
-          memo.remember_rejected(item.e.id, out);
-        } else {
-          if (memo.lint_clean == Memo::kNone) memo.lint_clean = item.e.id;
-          if (!item.degraded && sound) {
-            if (cross_run)
-              cache::Cache::global().insert({"mooc.service", dig, config},
-                                            serialize_outcome(out));
-            memo.remember_full(item.e.id, out);
-          }
+      Memo& memo = memos[body_class[item.e.body]];
+      if (out.kind == OutcomeKind::kRejected) {
+        memo.remember_rejected(item.e.id, out);
+      } else {
+        if (memo.lint_clean == Memo::kNone) memo.lint_clean = item.e.id;
+        if (!item.degraded && sound) {
+          if (cross_run)
+            cache::Cache::global().insert(
+                {"mooc.service", body_digests[item.e.body], config},
+                serialize_outcome(out));
+          memo.remember_full(item.e.id, out);
         }
       }
       const bool fault_fail =

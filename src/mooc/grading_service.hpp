@@ -4,7 +4,7 @@
 // as, and the repo's only grading pipeline: every submission is isolated,
 // retried and deduplicated here, on top of the per-submission stages in
 // grading_queue.hpp (lint_pre_grade_rejects, grade_one_submission). It is
-// a tick-driven daemon over multi-course sharded bounded queues, built to
+// a tick-driven daemon over per-course bounded queues, built to
 // survive what a semester throws at it:
 //
 //   * admission control  -- per-course per-tick arrival quotas; an
@@ -25,9 +25,11 @@
 //                           schedule re-close it when the fault storm
 //                           passes;
 //   * dedup & replay     -- byte-identical uploads replay the first
-//                           outcome (in-run dedup) and, with a
-//                           cache_domain, across runs through the result
-//                           cache (engine id "mooc.service") -- both
+//                           outcome (in-run dedup, the service's own
+//                           memo, always on) and, with a cache_domain,
+//                           across runs through the result cache (engine
+//                           id "mooc.service"; cache::set_enabled(false)
+//                           turns only these lookups off) -- both
 //                           decided sequentially so hits never depend on
 //                           the thread schedule. Outcomes are memoized at
 //                           the tick's sequential fold, so duplicates
@@ -116,15 +118,6 @@ struct ServiceOptions {
   /// Record one ServiceOutcome per trace event (tests, reports). The
   /// stats/counters accounting is identical either way.
   bool record_outcomes = true;
-
-  /// Logical sharding (shard_map.hpp): with num_shards > 1 this process
-  /// walks the whole trace but owns only the courses the consistent-hash
-  /// ring assigns to `shard` -- foreign events are skipped entirely
-  /// (not arrivals, not rejections), preserving trace-wide submission
-  /// ids so fault draws match the single-process run. merge_sharded()
-  /// reassembles the N partial results into the 1-process result.
-  int num_shards = 1;
-  int shard = 0;
 };
 
 /// Terminal disposition of one arrival. The first six are "admitted"
@@ -161,8 +154,8 @@ struct ServiceOutcome {
   /// the reason, and a million identical strings help nobody.
   std::string diagnostic;
 
-  /// Field-wise equality -- the recovery and shard-merge tests compare
-  /// whole outcome vectors against the uninterrupted run's.
+  /// Field-wise equality -- the recovery tests compare whole outcome
+  /// vectors against the uninterrupted run's.
   bool operator==(const ServiceOutcome&) const = default;
 };
 
@@ -239,7 +232,7 @@ struct RunRequest {
   std::int64_t halt_after_ticks = -1;
 };
 
-/// The persistent sharded grading daemon. Construct with options and the
+/// The persistent grading daemon. Construct with options and the
 /// grading callback, then run() a trace: the loop ticks from 0 until the
 /// last arrival is consumed AND every course queue has drained, so no
 /// submission is left behind even when overload pushes service past the

@@ -80,21 +80,14 @@ void encode_header(std::string& p, const JournalHeader& h) {
   append_u64(p, h.config_digest.hi);
   append_u64(p, h.config_digest.lo);
   append_u64(p, h.num_events);
-  append_u64(p, h.shard);
-  append_u64(p, h.num_shards);
 }
 
 bool decode_header(std::string_view payload, JournalHeader& h) {
   cache::RecordReader r(payload);
-  std::uint64_t shard = 0, num_shards = 0;
-  if (!next_u64(r, h.version) || !next_u64(r, h.trace_digest.hi) ||
-      !next_u64(r, h.trace_digest.lo) || !next_u64(r, h.config_digest.hi) ||
-      !next_u64(r, h.config_digest.lo) || !next_u64(r, h.num_events) ||
-      !next_u64(r, shard) || !next_u64(r, num_shards) || !r.complete())
-    return false;
-  h.shard = static_cast<std::uint32_t>(shard);
-  h.num_shards = static_cast<std::uint32_t>(num_shards);
-  return true;
+  return next_u64(r, h.version) && next_u64(r, h.trace_digest.hi) &&
+         next_u64(r, h.trace_digest.lo) && next_u64(r, h.config_digest.hi) &&
+         next_u64(r, h.config_digest.lo) && next_u64(r, h.num_events) &&
+         r.complete();
 }
 
 constexpr std::int64_t kMaxDisposition =
@@ -514,8 +507,7 @@ cache::Digest128 service_config_digest(const ServiceOptions& opt) {
       .f64(opt.queue.transient_fault_rate)
       .f64(opt.queue.stall_rate)
       .boolean(static_cast<bool>(opt.queue.lint))
-      .str(opt.queue.cache_domain)
-      .boolean(cache::enabled());
+      .str(opt.queue.cache_domain);
   return h.finish();
 }
 

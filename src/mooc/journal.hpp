@@ -42,12 +42,13 @@
 // (cache::append_record / RecordReader), and SubmissionOutcome bodies
 // reusing the result-cache wire format (serialize_outcome). CRC-32 is
 // cache::crc32. A header frame opens the file carrying the format
-// version plus the trace/config digests and the shard coordinates; a
-// recovery against a journal whose digests do not match the live run is
-// refused (kInvalidArgument) -- replaying someone else's decisions is
-// worse than regrading. A journal of another format version (version 1
-// wrote full outcomes into memo frames) takes the unreadable-header
-// path: the whole file is quarantined and the drain starts from tick 0.
+// version, the trace/config digests and the event count; a recovery
+// against a journal whose digests do not match the live run is refused
+// (kInvalidArgument) -- replaying someone else's decisions is worse than
+// regrading. A journal of another format version (version 1 wrote full
+// outcomes into memo frames, versions 1 and 2 carried shard coordinates
+// in the header) takes the unreadable-header path: the whole file is
+// quarantined and the drain starts from tick 0.
 //
 // The journal.* obs counters describe the journal I/O THIS process
 // performed (frames appended, ticks replayed, tails quarantined); they
@@ -72,10 +73,10 @@ namespace l2l::mooc {
 /// Bump on any frame/payload layout change. Recovery reads only this
 /// version: a journal of any other is quarantined whole and the drain
 /// regrades from tick 0 (the version also feeds the config digest).
-inline constexpr std::uint64_t kJournalFormatVersion = 2;
+inline constexpr std::uint64_t kJournalFormatVersion = 3;
 
 enum class JournalFrameType : std::uint8_t {
-  kHeader = 1,     ///< version, digests, shard coordinates
+  kHeader = 1,     ///< version, digests, event count
   kTickBegin = 2,  ///< tick number
   kRejected = 3,   ///< admission refusal (quota / queue-full)
   kShed = 4,       ///< queue eviction by the shed policy
@@ -108,8 +109,6 @@ struct JournalHeader {
   cache::Digest128 trace_digest;   ///< mooc::trace_digest of the input
   cache::Digest128 config_digest;  ///< mooc::service_config_digest
   std::uint64_t num_events = 0;
-  std::uint32_t shard = 0;
-  std::uint32_t num_shards = 1;
 
   bool operator==(const JournalHeader&) const = default;
 };
@@ -251,10 +250,8 @@ class JournalWriter {
 cache::Digest128 trace_digest(const SubmissionTrace& trace);
 
 /// Canonical digest of every ServiceOptions knob that feeds a decision
-/// the journal records, INCLUDING the process-wide cache kill switch
-/// (cache::enabled() changes the dedup paths) and the storm window.
-/// Excludes record_outcomes (presentation only) and the shard
-/// coordinates (header fields of their own).
+/// the journal records, the storm window included. Excludes
+/// record_outcomes (presentation only).
 cache::Digest128 service_config_digest(const ServiceOptions& opt);
 
 /// Order-pinned checksum over every ServiceStats field -- the per-tick

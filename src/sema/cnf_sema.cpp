@@ -44,8 +44,7 @@ std::vector<Finding> analyze_cnf(const std::string& text) {
   clauses.reserve(parsed.clauses.size());
   for (auto& pc : parsed.clauses) {
     Clause c;
-    // An empty clause carries no literal line (it anchors nowhere).
-    c.line = pc.lits.empty() ? 0 : pc.line;
+    c.line = pc.line;  // an explicit empty clause anchors at its 0
     c.canon = std::move(pc.lits);
     std::sort(c.canon.begin(), c.canon.end());
     c.canon.erase(std::unique(c.canon.begin(), c.canon.end()), c.canon.end());

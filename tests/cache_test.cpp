@@ -1,10 +1,11 @@
 // l2l::cache unit suite: digest stability goldens, the journal CRC
 // against its check value and a bytewise oracle, hit/miss/evict
 // accounting, the LRU bound, the persistent tier round-trip with
-// corrupt-entry quarantine, the kill switch, and byte-identical stats
-// export at any L2L_THREADS. The digest goldens pin the hash across
-// refactors: the persistent tier's file names ARE digests, so an
-// accidental hash change would silently orphan every on-disk entry.
+// corrupt-entry quarantine, the switch (which the service's in-run dedup
+// does not read), and byte-identical stats export at any L2L_THREADS.
+// The digest goldens pin the hash across refactors: the persistent
+// tier's file names ARE digests, so an accidental hash change would
+// silently orphan every on-disk entry.
 
 #include <gtest/gtest.h>
 
@@ -275,6 +276,55 @@ TEST(CacheTest, KillSwitchMakesLookupMissAndInsertNoOp) {
   cache::set_enabled(true);
   EXPECT_FALSE(c.lookup(make_key("test", "ks2")).has_value());
   EXPECT_TRUE(c.lookup(key).has_value());
+}
+
+TEST(CacheTest, SwitchOffLeavesTheServicesInRunDedupUnchanged) {
+  // The switch is read by Cache alone. A drain without a cache_domain
+  // never touches the cache, so turning the switch off must change
+  // nothing: the in-run memo is the service's own and replays the same
+  // duplicates (lint, degraded and full memos) either way.
+  mooc::TraceOptions topt;
+  topt.num_students = 600;
+  topt.num_courses = 2;
+  topt.ticks = 40;
+  topt.unique_bodies_per_course = 16;
+  util::Rng rng(3);
+  const auto trace = mooc::generate_submission_trace(topt, rng);
+  mooc::ServiceOptions opt;
+  opt.service_rate = 8;
+  opt.breaker_threshold = 4;
+  opt.breaker_probe_interval = 4;
+  opt.storm_begin_tick = 10;
+  opt.storm_end_tick = 20;
+  opt.storm_transient_rate = 0.95;
+  opt.queue.max_retries = 1;
+  opt.queue.lint = [](const std::string& body) {
+    std::vector<util::Diagnostic> out;
+    std::uint32_t sum = 0;
+    for (const char c : body) sum += static_cast<unsigned char>(c);
+    if (sum % 7 == 0)
+      out.push_back(util::make_error(1, 1, "checksum lint tripped"));
+    return out;
+  };
+  const mooc::GradingService service(
+      opt, [](const std::string& s, const util::Budget&) {
+        return static_cast<double>(s.size() % 101);
+      });
+
+  cache::Cache::global().clear();
+  const auto on = service.run(trace);
+  cache::set_enabled(false);
+  const auto off = service.run(trace);
+  cache::set_enabled(true);
+
+  EXPECT_GT(on.stats.dedup_hits, 0);
+  EXPECT_GT(on.stats.lint_rejected, 0);
+  EXPECT_GT(on.stats.degraded, 0);
+  EXPECT_EQ(off.stats.dedup_hits, on.stats.dedup_hits);
+  EXPECT_TRUE(off.stats == on.stats) << "ServiceStats diverged";
+  ASSERT_EQ(off.outcomes.size(), on.outcomes.size());
+  for (std::size_t i = 0; i < on.outcomes.size(); ++i)
+    ASSERT_TRUE(off.outcomes[i] == on.outcomes[i]) << "outcome " << i;
 }
 
 // ---- persistent tier ----------------------------------------------------

@@ -713,9 +713,9 @@ TEST_F(DeterminismTest, FullFlowColdAndWarmRunsAreByteIdentical) {
   cache::Cache::global().clear();
 }
 
-// L2L_CACHE=0 equivalence: with the kill switch down, back-to-back flows
-// re-run every engine and the metrics export mentions no cache counters
-// at all -- byte-identical to the pre-cache codebase.
+// --no-cache equivalence: with cache::set_enabled(false), back-to-back
+// flows re-run every engine and the metrics export mentions no cache
+// counters at all -- byte-identical to the pre-cache codebase.
 TEST_F(DeterminismTest, CacheKillSwitchRestoresUncachedCounters) {
   obs::set_enabled(true);
   cache::set_enabled(false);

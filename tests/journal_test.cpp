@@ -1,13 +1,11 @@
 // Crash-recovery property tests for the grading-service journal
-// (mooc/journal.hpp) and the consistent-hash shard map
-// (mooc/shard_map.hpp). The central property, pinned from several
+// (mooc/journal.hpp). The central property, pinned from several
 // directions: a service killed at ANY point -- any tick boundary, any
 // byte offset of a torn write -- and restarted with --recover reaches a
 // final state byte-identical to the uninterrupted run's: same outcomes,
 // same stats, same deterministic obs counters (modulo the journal.*
 // family, which legitimately describes THIS process's journal I/O), at
-// any L2L_THREADS. And the sharding property: an N-shard drain, merged,
-// equals the single-process drain submission for submission.
+// any L2L_THREADS.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +24,6 @@
 #include "mooc/cohort.hpp"
 #include "mooc/grading_service.hpp"
 #include "mooc/journal.hpp"
-#include "mooc/shard_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -593,7 +590,9 @@ void expect_sources_precede(const mooc::SubmissionTrace& trace,
   auto note = [&](int kind, std::size_t id) {
     first[kind].emplace(trace.bodies[trace.events[id].body], id);
   };
-  for (const auto& f : frames_of(read_bytes(path))) {
+  // Named, not a temporary: the frames view into these bytes.
+  const std::string bytes = read_bytes(path);
+  for (const auto& f : frames_of(bytes)) {
     if (f.type != mooc::JournalFrameType::kOutcome &&
         f.type != mooc::JournalFrameType::kReplayed)
       continue;
@@ -690,133 +689,53 @@ TEST_F(JournalTest, VersionOneJournalIsQuarantinedAndRegraded) {
   const std::int64_t full_grades = g_grade_calls.load();
   ASSERT_GT(full_grades, 0);
 
-  // A journal of the previous format: this run's frames under a header
-  // that says version 1 (CRC recomputed, so only the version is wrong).
-  const std::string path = temp_journal("v1");
-  remove_journal(path);
-  mooc::RunRequest crash;
-  crash.journal_path = path;
-  crash.halt_after_ticks = 12;
-  (void)run_service(trace, sopt, crash, st);
-  ASSERT_TRUE(st.ok());
-  std::string bytes = read_bytes(path);
-  const auto header = frames_of(bytes).at(0);
-  ASSERT_EQ(header.type, mooc::JournalFrameType::kHeader);
-  auto fields = int_records(header.payload);
-  ASSERT_EQ(fields.at(0),
-            static_cast<std::int64_t>(mooc::kJournalFormatVersion));
-  fields[0] = 1;
-  bytes.replace(header.offset, header.size,
-                encode_frame(header.type, encode_ints(fields)));
-  write_bytes(path, bytes);
-  EXPECT_FALSE(mooc::scan_journal(path).found);
-
-  g_grade_calls.store(0);
-  mooc::RunRequest recover;
-  recover.journal_path = path;
-  recover.recover = true;
-  const auto recovered = run_service(trace, sopt, recover, st);
-  ASSERT_TRUE(st.ok()) << st.to_string();
-  expect_same_result(recovered, plain, "v1 journal");
-  // Nothing was replayed: the drain regraded from tick 0.
-  EXPECT_EQ(g_grade_calls.load(), full_grades);
-  const auto counters = obs::Registry::global().snapshot().counters;
-  EXPECT_EQ(counters.count("journal.ticks_replayed"), 0u);
-  EXPECT_EQ(counters.at("journal.quarantined_bytes"),
-            static_cast<std::int64_t>(bytes.size()));
-  EXPECT_EQ(read_bytes(path + ".quarantine"), bytes);
-  const auto scan = mooc::scan_journal(path);
-  EXPECT_TRUE(scan.found);
-  EXPECT_TRUE(scan.run_complete);
-  EXPECT_EQ(scan.header.version, mooc::kJournalFormatVersion);
-  remove_journal(path);
-}
-
-// ---- shard map -----------------------------------------------------------
-
-TEST_F(JournalTest, ShardMapIsDeterministicBalancedAndStable) {
-  const mooc::ShardMap a(4);
-  const mooc::ShardMap b(4);
-  for (std::uint32_t c = 0; c < 4096; ++c)
-    ASSERT_EQ(a.shard_for_course(c), b.shard_for_course(c)) << c;
-
-  const auto per = a.courses_per_shard(4096);
-  ASSERT_EQ(per.size(), 4u);
-  int lo = per[0], hi = per[0];
-  for (const int n : per) {
-    lo = std::min(lo, n);
-    hi = std::max(hi, n);
-  }
-  EXPECT_GT(lo, 0);
-  EXPECT_LT(hi, 4 * lo) << "ring too lumpy: " << lo << " .. " << hi;
-
-  // Consistent-hash stability: 4 -> 5 shards re-homes roughly 1/5 of the
-  // courses, never a wholesale reshuffle.
-  const mooc::ShardMap wider(5);
-  int moved = 0;
-  for (std::uint32_t c = 0; c < 4096; ++c)
-    if (wider.shard_for_course(c) != a.shard_for_course(c)) ++moved;
-  EXPECT_GT(moved, 0);
-  EXPECT_LT(moved, 4096 * 2 / 5) << "adding a shard re-homed " << moved
-                                 << "/4096 courses";
-}
-
-TEST_F(JournalTest, ShardedDrainMergesToSingleProcess) {
-  const auto trace = make_trace(1200, 8, 60, 7);
-  const auto sopt = make_options();
-  util::Status st;
-  const auto single = run_service(trace, sopt, {}, st);
-  ASSERT_TRUE(st.ok());
-
-  constexpr int kShards = 4;
-  const mooc::ShardMap map(kShards);
-  std::vector<mooc::ServiceResult> parts;
-  for (int s = 0; s < kShards; ++s) {
-    auto shard_opt = sopt;
-    shard_opt.num_shards = kShards;
-    shard_opt.shard = s;
-    parts.push_back(run_service(trace, shard_opt, {}, st));
-    ASSERT_TRUE(st.ok()) << "shard " << s;
-    EXPECT_TRUE(parts.back().accounting_ok()) << "shard " << s;
-  }
-  const auto merged = mooc::merge_sharded(trace, map, parts, st);
-  ASSERT_TRUE(st.ok()) << st.to_string();
-  expect_same_result(merged, single, "merged vs single-process");
-  EXPECT_TRUE(merged.accounting_ok());
-}
-
-TEST_F(JournalTest, ShardedRecoveryComposesWithMerge) {
-  const auto trace = make_trace(600, 8, 40, 7);
-  const auto sopt = make_options();
-  util::Status st;
-  const auto single = run_service(trace, sopt, {}, st);
-  ASSERT_TRUE(st.ok());
-
-  constexpr int kShards = 3;
-  const mooc::ShardMap map(kShards);
-  std::vector<mooc::ServiceResult> parts;
-  for (int s = 0; s < kShards; ++s) {
-    auto shard_opt = sopt;
-    shard_opt.num_shards = kShards;
-    shard_opt.shard = s;
-    const std::string path =
-        temp_journal("shard_rec_" + std::to_string(s));
+  // Journals of previous formats: this run's frames under a header that
+  // says version 1 (only the version is wrong), and under a version-2
+  // header that still ends in the shard index and shard count formats 1
+  // and 2 wrote. CRCs are recomputed, so only the header is stale.
+  for (const std::int64_t version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string path = temp_journal("v" + std::to_string(version));
     remove_journal(path);
     mooc::RunRequest crash;
     crash.journal_path = path;
-    crash.halt_after_ticks = 9 + s;  // shards die at different ticks
-    (void)run_service(trace, shard_opt, crash, st);
+    crash.halt_after_ticks = 12;
+    (void)run_service(trace, sopt, crash, st);
     ASSERT_TRUE(st.ok());
+    std::string bytes = read_bytes(path);
+    const auto header = frames_of(bytes).at(0);
+    ASSERT_EQ(header.type, mooc::JournalFrameType::kHeader);
+    auto fields = int_records(header.payload);
+    ASSERT_EQ(fields.size(), 6u);
+    ASSERT_EQ(fields.at(0),
+              static_cast<std::int64_t>(mooc::kJournalFormatVersion));
+    fields[0] = version;
+    if (version == 2) fields.insert(fields.end(), {0, 1});
+    bytes.replace(header.offset, header.size,
+                  encode_frame(header.type, encode_ints(fields)));
+    write_bytes(path, bytes);
+    EXPECT_FALSE(mooc::scan_journal(path).found);
+
+    g_grade_calls.store(0);
     mooc::RunRequest recover;
     recover.journal_path = path;
     recover.recover = true;
-    parts.push_back(run_service(trace, shard_opt, recover, st));
-    ASSERT_TRUE(st.ok()) << "shard " << s;
+    const auto recovered = run_service(trace, sopt, recover, st);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    expect_same_result(recovered, plain, "old-format journal");
+    // Nothing was replayed: the drain regraded from tick 0.
+    EXPECT_EQ(g_grade_calls.load(), full_grades);
+    const auto counters = obs::Registry::global().snapshot().counters;
+    EXPECT_EQ(counters.count("journal.ticks_replayed"), 0u);
+    EXPECT_EQ(counters.at("journal.quarantined_bytes"),
+              static_cast<std::int64_t>(bytes.size()));
+    EXPECT_EQ(read_bytes(path + ".quarantine"), bytes);
+    const auto scan = mooc::scan_journal(path);
+    EXPECT_TRUE(scan.found);
+    EXPECT_TRUE(scan.run_complete);
+    EXPECT_EQ(scan.header.version, mooc::kJournalFormatVersion);
     remove_journal(path);
   }
-  const auto merged = mooc::merge_sharded(trace, map, parts, st);
-  ASSERT_TRUE(st.ok()) << st.to_string();
-  expect_same_result(merged, single, "recovered shards, merged");
 }
 
 // ---- trace options validation (satellite: the TraceOptions contract) ----

@@ -120,8 +120,7 @@ std::string render(const api::PlaceGradeResult& r) {
   return util::format("%d|%.17g|%.17g|%.17g|", g.legal ? 1 : 0, g.hpwl,
                       g.quality_ratio, g.score) +
          g.reason + "|" + g.report + "|" + diagnostics_text(g.diagnostics) +
-         "|" + diagnostics_text(g.lint) + "|" + diagnostics_text(g.sema) +
-         "|" + g.status.to_string();
+         "|" + diagnostics_text(g.lint) + "|" + diagnostics_text(g.sema);
 }
 std::string render(const api::RouteGradeResult& r) {
   const auto& g = r.grade;

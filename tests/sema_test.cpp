@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/lint.hpp"
@@ -220,6 +222,24 @@ TEST(SemaNetwork, InputShadowGetsItsOwnDiagnosticEverywhere) {
         f.message.find("also a declared model input") != std::string::npos)
       sema_names_it = true;
   EXPECT_TRUE(sema_names_it);
+}
+
+TEST(SemaCnf, ExplicitEmptyClauseIsAnchoredAtItsLine) {
+  // A lone "0" is an empty clause: unsatisfiable before any search, so
+  // C104 names the line the 0 is on, and a second one duplicates it.
+  const auto findings = analyze_cnf("p cnf 2 3\n1 2 0\n0\n0\n");
+  std::vector<std::pair<std::string, int>> got;
+  for (const auto& f : findings) got.emplace_back(f.rule, f.line);
+  EXPECT_NE(std::find(got.begin(), got.end(),
+                      std::pair<std::string, int>{"L2L-C104", 3}),
+            got.end());
+  EXPECT_NE(std::find(got.begin(), got.end(),
+                      std::pair<std::string, int>{"L2L-C101", 4}),
+            got.end());
+  for (const auto& f : findings) {
+    EXPECT_GT(f.line, 0) << f.to_string();
+    EXPECT_EQ(f.column, 1) << f.to_string();
+  }
 }
 
 TEST(SemaDispatch, FormatsWithoutAPassProduceCleanReports) {

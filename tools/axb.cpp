@@ -15,7 +15,7 @@
 // matrix", which carry the same stderr text and exit code either way.
 // --lint runs the L2L-Axxx rule pack first (shape + symmetry pre-check);
 // findings print as '# lint:' lines on stderr, lint errors exit 3.
-// Shared pack: --metrics/--trace/--cache/--no-cache/--cache-dir.
+// Shared pack: --metrics/--trace/--no-cache/--cache-dir.
 //
 // Exit codes follow the shared convention (util/status.hpp): 0 ok,
 // 1 solve failure, 2 usage/IO, 3 malformed input, 4 budget exceeded,

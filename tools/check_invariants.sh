@@ -87,9 +87,9 @@ scan_in sema-no-wall-clock 'system_clock|gettimeofday|[^_[:alnum:]]time[[:space:
 # a frame, or an unordered-container walk on the write path would make
 # the journal disagree with its own replay. Scoped like the sema pack so
 # the promise survives any relaxation of the global rules.
-scan_in journal-no-clock 'system_clock|steady_clock|gettimeofday|[^_[:alnum:]]time[[:space:]]*\(' '^src/mooc/(journal|shard_map)'
-scan_in journal-no-unordered 'std::unordered_' '^src/mooc/(journal|shard_map)'
-scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/mooc/(journal|shard_map)'
+scan_in journal-no-clock 'system_clock|steady_clock|gettimeofday|[^_[:alnum:]]time[[:space:]]*\(' '^src/mooc/journal'
+scan_in journal-no-unordered 'std::unordered_' '^src/mooc/journal'
+scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/mooc/journal'
 # One located parse per input format: PLA, DIMACS, placement and BLIF are
 # tokenized once (espresso::parse_pla_lenient, sat::parse_dimacs_lenient,
 # place::parse_placement_lenient, network::parse_blif_structure), and the

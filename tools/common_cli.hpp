@@ -8,8 +8,7 @@
 //                     input; error-severity findings gate like lint's
 //   --metrics FILE    deterministic metrics export on every exit path
 //   --trace FILE      Chrome trace export on every exit path
-//   --cache           force the result cache on (overrides L2L_CACHE=0)
-//   --no-cache        disable the result cache for this run
+//   --no-cache        turn result-cache lookups off for this run
 //   --cache-dir DIR   persistent cache tier (same as L2L_CACHE_DIR)
 //
 // Engine portals whose request inherits api::RequestBase additionally
@@ -35,7 +34,6 @@ namespace l2l::tools {
 struct CommonFlags {
   bool lint = false;
   bool sema = false;  ///< semantic analysis (cycles, stuck-ats, ...)
-  bool cache_on = false;
   bool no_cache = false;
   std::string cache_dir;
 };
@@ -49,10 +47,8 @@ inline void add_common_flags(util::ArgParser& parser, CommonFlags& flags,
                "write deterministic metrics to FILE");
   parser.value("--trace", &obs_export.trace_path,
                "write a Chrome trace to FILE");
-  parser.flag("--cache", &flags.cache_on,
-              "force the result cache on (overrides L2L_CACHE=0)");
   parser.flag("--no-cache", &flags.no_cache,
-              "disable the result cache for this run");
+              "turn result-cache lookups off for this run");
   parser.value("--cache-dir", &flags.cache_dir,
                "persistent result-cache directory (same as L2L_CACHE_DIR)");
 }
@@ -66,9 +62,8 @@ inline void add_request_flags(util::ArgParser& parser, api::RequestBase& req) {
                      "wall-clock budget (disables the result cache)");
 }
 
-/// Apply the cache flags after parse(). --no-cache wins over --cache.
+/// Apply the cache flags after parse().
 inline void apply_cache_flags(const CommonFlags& flags) {
-  if (flags.cache_on) cache::set_enabled(true);
   if (flags.no_cache) cache::set_enabled(false);
   if (!flags.cache_dir.empty())
     cache::Cache::global().set_disk_dir(flags.cache_dir);

@@ -9,7 +9,7 @@
 // Flags: --max-terms N (cap per output), --conflict-limit N,
 // --prop-limit N, --time-limit-ms N, --stats, --lint (run the L2L-Pxxx
 // PLA rule pack first when the input is a PLA), plus the shared pack
-// from tools/common_cli.hpp (--metrics/--trace/--cache/--no-cache/
+// from tools/common_cli.hpp (--metrics/--trace/--no-cache/
 // --cache-dir).
 //
 // Exit codes: 0 ok, 2 usage/IO, 3 malformed or oversized input,

@@ -7,7 +7,7 @@
 // Flags: --exact, --stats, --single-pass (ablation), --lint (run the
 // L2L-Pxxx rule pack first; findings print as '# lint:' lines on stderr
 // and lint errors exit 3 before minimization), plus the shared pack from
-// tools/common_cli.hpp (--metrics/--trace/--cache/--no-cache/--cache-dir).
+// tools/common_cli.hpp (--metrics/--trace/--no-cache/--cache-dir).
 //
 // Exit codes: 0 ok, 2 usage/IO, 3 malformed PLA, 5 internal error.
 

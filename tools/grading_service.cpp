@@ -1,4 +1,4 @@
-// grading_service: drive the persistent sharded grading daemon
+// grading_service: drive the persistent grading daemon
 // (mooc::GradingService) over a generated semester trace -- the
 // operational loop behind the paper's planet-scale homework grading.
 // Generates a deadline-clustered, duplicate-heavy submission trace
@@ -16,24 +16,23 @@
 //   --fault-storm      inject a mid-semester fault storm (trips breakers)
 //   --seed N           trace seed
 //
-// Durability / sharding (mooc/journal.hpp, mooc/shard_map.hpp):
+// Durability (mooc/journal.hpp):
 //
-//   --journal-dir D      journal every decision to D/shard-<s>.l2lj,
+//   --journal-dir D      journal every decision to D/shard-0.l2lj,
 //                        flushed once per tick
 //   --recover            replay an existing journal first (quarantining
 //                        any torn tail), then continue the drain live
-//   --shards N           drain the trace as N consistent-hash shards run
-//                        sequentially, then merge -- provably equal to
-//                        the single-process drain
 //   --halt-after-tick K  stop cold before tick K (the crash harness's
 //                        deterministic SIGKILL); prints the partial
 //                        report, skips the accounting check, exits 0
 //
-// Shared pack: --lint/--metrics/--trace/--cache/--no-cache/--cache-dir.
+// Shared pack: --lint/--metrics/--trace/--no-cache/--cache-dir. The
+// service always dedups within a run, and this driver sets no
+// cache_domain, so --no-cache leaves its report unchanged.
 // Every line of the report except the trailing "# wall-clock" comment is
 // deterministic: bit-identical at any L2L_THREADS value and across runs.
-// The "sharding:" and "journal:" lines describe the run topology, not
-// the drain; comparison tests filter them before diffing reports.
+// The "journal:" line describes the run, not the drain; comparison tests
+// filter it before diffing reports.
 //
 // Exit codes follow the shared convention (util/status.hpp): 0 ok,
 // 2 usage, 3 malformed flag value (including a count that does not fit
@@ -52,7 +51,6 @@
 #include "common_cli.hpp"
 #include "mooc/cohort.hpp"
 #include "mooc/grading_service.hpp"
-#include "mooc/shard_map.hpp"
 #include "mooc/submission_lint.hpp"
 #include "obs/trace.hpp"
 #include "util/arg_parser.hpp"
@@ -81,9 +79,8 @@ double digest_grade(const std::string& s, const l2l::util::Budget& guard) {
 }
 
 /// Narrow a parsed (non-negative) int64 flag value into the field it
-/// fills. A value the field cannot hold is a malformed flag value (exit 3,
-/// like --shards), never silently wrapped: --service-rate 4294967297 must
-/// not become 1.
+/// fills. A value the field cannot hold is a malformed flag value (exit 3),
+/// never silently wrapped: --service-rate 4294967297 must not become 1.
 template <typename T>
 l2l::util::Status narrow_flag(const char* flag, std::int64_t value, T& out) {
   constexpr auto hi = static_cast<std::int64_t>(std::numeric_limits<T>::max());
@@ -110,7 +107,6 @@ int main(int argc, char** argv) try {
   bool fault_storm = false;
   std::string journal_dir;
   bool recover = false;
-  std::int64_t shards = 1;
   std::int64_t halt_after_tick = -1;
   l2l::mooc::ServiceOptions sopt;
 
@@ -137,18 +133,13 @@ int main(int argc, char** argv) try {
               "inject a mid-semester worker-fault storm");
   parser.int64_value("--seed", &seed, "trace seed");
   parser.value("--journal-dir", &journal_dir,
-               "journal decisions to DIR/shard-<s>.l2lj");
+               "journal decisions to DIR/shard-0.l2lj");
   parser.flag("--recover", &recover,
               "replay the existing journal before continuing the drain");
-  parser.int64_value("--shards", &shards,
-                     "drain as N consistent-hash shards, then merge");
   parser.int64_value("--halt-after-tick", &halt_after_tick,
                      "stop cold before tick K (simulated crash)");
   if (const auto st = parser.parse(argc, argv); !st.ok()) return fail(st);
   l2l::tools::apply_cache_flags(common);
-
-  if (shards < 1 || shards > 64)
-    return fail(l2l::util::Status::invalid("--shards wants [1, 64]"));
 
   l2l::mooc::TraceOptions topt;
   for (const auto& st :
@@ -189,33 +180,14 @@ int main(int argc, char** argv) try {
     };
   }
 
-  // Drive each shard sequentially over the same trace (shards == 1 is
-  // the plain single-process drain), journaling per shard if asked, then
-  // merge -- the merged N-shard result equals the 1-process result.
-  const auto num_shards = static_cast<int>(shards);
-  const l2l::mooc::ShardMap shard_map(num_shards);
-  std::vector<l2l::mooc::ServiceResult> parts;
-  for (int shard = 0; shard < num_shards; ++shard) {
-    l2l::mooc::ServiceOptions shard_opt = sopt;
-    shard_opt.num_shards = num_shards;
-    shard_opt.shard = shard;
-    l2l::mooc::RunRequest rreq;
-    if (!journal_dir.empty())
-      rreq.journal_path =
-          journal_dir + "/shard-" + std::to_string(shard) + ".l2lj";
-    rreq.recover = recover;
-    rreq.halt_after_ticks = halt_after_tick;
-    const l2l::mooc::GradingService service(shard_opt, digest_grade);
-    l2l::util::Status run_status;
-    parts.push_back(service.run(trace, rreq, run_status));
-    if (!run_status.ok()) return fail(run_status);
-  }
-  l2l::util::Status merge_status;
-  const auto res = num_shards == 1
-                       ? std::move(parts.front())
-                       : l2l::mooc::merge_sharded(trace, shard_map, parts,
-                                                  merge_status);
-  if (!merge_status.ok()) return fail(merge_status);
+  l2l::mooc::RunRequest rreq;
+  if (!journal_dir.empty()) rreq.journal_path = journal_dir + "/shard-0.l2lj";
+  rreq.recover = recover;
+  rreq.halt_after_ticks = halt_after_tick;
+  const l2l::mooc::GradingService service(sopt, digest_grade);
+  l2l::util::Status run_status;
+  const auto res = service.run(trace, rreq, run_status);
+  if (!run_status.ok()) return fail(run_status);
   const auto& s = res.stats;
 
   std::cout << "service: courses=" << trace.num_courses
@@ -226,17 +198,10 @@ int main(int argc, char** argv) try {
             << " service-rate=" << sopt.service_rate
             << " shed=" << l2l::mooc::shed_policy_name(sopt.shed_policy)
             << (fault_storm ? " fault-storm" : "") << "\n";
-  // Topology lines: present only when the feature is on, and filtered by
-  // the report-diff tests (the drain itself must match without them).
-  if (num_shards > 1) {
-    std::cout << "sharding: shards=" << num_shards << " courses=[";
-    const auto per = shard_map.courses_per_shard(trace.num_courses);
-    for (std::size_t i = 0; i < per.size(); ++i)
-      std::cout << (i ? "," : "") << per[i];
-    std::cout << "]\n";
-  }
+  // Present only when journaling, and filtered by the report-diff tests
+  // (the drain itself must match without it).
   if (!journal_dir.empty())
-    std::cout << "journal: dir=" << journal_dir << " shards=" << num_shards
+    std::cout << "journal: dir=" << journal_dir
               << (recover ? " recovered" : "") << "\n";
   std::cout << "arrivals " << s.arrivals << " | admitted " << s.admitted
             << " | rejected-quota " << s.rejected_quota << " | rejected-full "

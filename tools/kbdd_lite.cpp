@@ -18,7 +18,7 @@
 //   dot <f>                Graphviz DOT dump
 //
 // Usage: kbdd_lite [--lint] [--node-limit N] [--time-limit-ms N]
-// [shared pack: --metrics/--trace/--cache/--no-cache/--cache-dir]
+// [shared pack: --metrics/--trace/--no-cache/--cache-dir]
 // [script-file] (default input: stdin). --lint runs the L2L-Kxxx rule
 // pack over the whole script before any BDD is built; lint errors exit 3
 // without executing a command.

@@ -9,7 +9,7 @@
 // result from an exhausted guard exits 4), --lint (run the L2L-Cxxx rule
 // pack first; findings print as 'c lint:' comment lines and lint errors
 // exit 3 before the solver starts), plus the shared pack from
-// tools/common_cli.hpp (--metrics/--trace/--cache/--no-cache/--cache-dir).
+// tools/common_cli.hpp (--metrics/--trace/--no-cache/--cache-dir).
 //
 // Exit codes: 10 SAT, 20 UNSAT (the MiniSat convention), plus the shared
 // convention for everything else: 2 usage/IO, 3 malformed input, 4 budget

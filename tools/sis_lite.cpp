@@ -15,8 +15,8 @@
 //   map [-delay]             technology map and report area/delay
 //   quit
 //
-// Usage: sis_lite [--lint] [shared pack: --metrics/--trace/--cache/
-// --no-cache/--cache-dir] [script-file] (default input: stdin). --lint
+// Usage: sis_lite [--lint] [shared pack: --metrics/--trace/--no-cache/
+// --cache-dir] [script-file] (default input: stdin). --lint
 // runs the L2L-Bxxx rule pack on every network read_blif loads; lint
 // errors abort with exit 3 before parsing.
 //
