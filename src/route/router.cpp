@@ -133,8 +133,9 @@ namespace {
 /// Jacobi across chunks -- and commit in ascending net order. Chunk
 /// boundaries are fixed by the grain, never the lane count, so the
 /// solution is bit-identical at any L2L_THREADS value. Small rip-up sets
-/// and stall-escape sweeps run sequentially with live commits, which is
-/// what finally untangles the last contested cells.
+/// and stall-escape sweeps (every net near an overused cell) run
+/// sequentially with live commits, which is what finally untangles the
+/// last contested cells.
 RouteSolution route_negotiated(const gen::RoutingProblem& p,
                                const RouterOptions& opt) {
   RouteSolution sol;
@@ -173,11 +174,22 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
   std::vector<double> extra_base(n_points, 0.0);
   std::vector<bool> have_route(p.nets.size(), false);
   // Stall escape: if the overused-cell count stops shrinking, the frozen
-  // clean routes are boxing the contested nets in. One full sequential
-  // sweep (every net, live commit -- the classic algorithm) lets the
-  // surrounding nets shift and make room. Both the counter and the sweep
-  // are thread-count independent.
+  // clean routes are boxing the contested nets in. One sequential sweep
+  // with live commits over every net near an overused cell (a pin or wire
+  // within kStallRadius in x and y, on either layer) lets the contested
+  // nets and their neighbours shift and make room; nets far from every
+  // contested cell keep their wires. The counter, the radius and the
+  // sweep's set depend only on the usage grid, so they are thread-count
+  // independent.
   constexpr int kStallLimit = 2;
+  constexpr int kStallRadius = 3;
+  // Small rip-up sets (the negotiation tail, where a handful of nets
+  // contest a handful of cells) resolve with live Gauss-Seidel commits:
+  // each net sees the routes the previous nets just picked, which is
+  // what breaks the final stand-offs that snapshot routing can only
+  // escape through history build-up. The trigger depends only on the
+  // set size, so the schedule is identical at any thread count.
+  constexpr std::size_t kSequentialTail = 16;
   std::size_t best_over = static_cast<std::size_t>(-1);
   int stall = 0;
   for (int iter = 0; iter < opt.max_negotiation_iterations; ++iter) {
@@ -196,49 +208,68 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
     for (std::size_t i = 0; i < n_points; ++i)
       extra_base[i] = history[i] + present * usage[i];
 
-    // Rip-up set: nets not yet routed plus the *losing* sharers of each
-    // overused cell. The first net in routing order that uses a contested
-    // cell holds its route; everyone else on that cell rips up. The hold
-    // policy keeps the asymmetry that makes sequential negotiation
-    // converge — without it, all sharers would flee the same snapshot to
-    // the same alternative cell and oscillate. Clean nets keep their
-    // wires, which also bounds per-iteration work.
-    std::vector<std::int32_t> holder(n_points, -1);
-    for (const std::size_t n : order) {
-      if (!reachable[n]) continue;
-      for (const auto& c : wires[n]) {
-        const std::size_t i = idx(c);
-        if (usage[i] > 1 && holder[i] < 0)
-          holder[i] = static_cast<std::int32_t>(n);
-      }
-    }
     // Escalate on stall, and always spend the final budget iterations
-    // on full sweeps so a budget-limited run ends with the same cleanup
-    // the classic algorithm would have applied.
+    // on stall sweeps so a budget-limited run ends with the same cleanup
+    // around its contested cells.
     const bool escalate = stall >= kStallLimit ||
                           iter + 2 >= opt.max_negotiation_iterations;
     if (escalate) stall = 0;
     std::vector<std::size_t> active;
     active.reserve(p.nets.size());
-    for (const std::size_t n : order) {
-      if (!reachable[n]) continue;
-      bool rip = escalate || !have_route[n];
-      for (std::size_t w = 0; !rip && w < wires[n].size(); ++w) {
-        const std::size_t i = idx(wires[n][w]);
-        rip = usage[i] > 1 && holder[i] != static_cast<std::int32_t>(n);
+    if (escalate) {
+      // hot: the (x, y) cells within kStallRadius of an overused cell.
+      const std::size_t plane = static_cast<std::size_t>(p.width) *
+                                static_cast<std::size_t>(p.height);
+      std::vector<bool> hot(plane, false);
+      for (std::size_t i = 0; i < n_points; ++i) {
+        if (usage[i] <= 1) continue;
+        const int xy = static_cast<int>(i % plane);
+        const int x = xy % p.width, y = xy / p.width;
+        for (int yy = std::max(0, y - kStallRadius);
+             yy <= std::min(p.height - 1, y + kStallRadius); ++yy)
+          for (int xx = std::max(0, x - kStallRadius);
+               xx <= std::min(p.width - 1, x + kStallRadius); ++xx)
+            hot[static_cast<std::size_t>(yy * p.width + xx)] = true;
       }
-      if (rip) active.push_back(n);
+      auto near = [&](const std::vector<GridPoint>& cells) {
+        return std::any_of(cells.begin(), cells.end(), [&](const GridPoint& c) {
+          return hot[static_cast<std::size_t>(c.y * p.width + c.x)];
+        });
+      };
+      for (const std::size_t n : order)
+        if (reachable[n] &&
+            (!have_route[n] || near(p.nets[n].pins) || near(wires[n])))
+          active.push_back(n);
+    } else {
+      // Rip-up set: nets not yet routed plus the *losing* sharers of each
+      // overused cell. The first net in routing order that uses a
+      // contested cell holds its route; everyone else on that cell rips
+      // up. The hold policy keeps the asymmetry that makes sequential
+      // negotiation converge — without it, all sharers would flee the same
+      // snapshot to the same alternative cell and oscillate. Clean nets
+      // keep their wires, which also bounds per-iteration work.
+      std::vector<std::int32_t> holder(n_points, -1);
+      for (const std::size_t n : order) {
+        if (!reachable[n]) continue;
+        for (const auto& c : wires[n]) {
+          const std::size_t i = idx(c);
+          if (usage[i] > 1 && holder[i] < 0)
+            holder[i] = static_cast<std::int32_t>(n);
+        }
+      }
+      for (const std::size_t n : order) {
+        if (!reachable[n]) continue;
+        bool rip = !have_route[n];
+        for (std::size_t w = 0; !rip && w < wires[n].size(); ++w) {
+          const std::size_t i = idx(wires[n][w]);
+          rip = usage[i] > 1 && holder[i] != static_cast<std::int32_t>(n);
+        }
+        if (rip) active.push_back(n);
+      }
     }
 
     obs::observe("route.ripup_set_size", static_cast<std::int64_t>(active.size()));
 
-    // Small rip-up sets (the negotiation tail, where a handful of nets
-    // contest a handful of cells) resolve with live Gauss-Seidel commits:
-    // each net sees the routes the previous nets just picked, which is
-    // what breaks the final stand-offs that snapshot routing can only
-    // escape through history build-up. The trigger depends only on the
-    // set size, so the schedule is identical at any thread count.
-    constexpr std::size_t kSequentialTail = 16;
     if (escalate || (!active.empty() && active.size() <= kSequentialTail)) {
       for (const std::size_t n : active) {
         for (const auto& c : wires[n]) {

@@ -1,7 +1,15 @@
 #pragma once
-// Sequential multi-net routing with rip-up-and-reroute. Nets are routed
-// one at a time (shortest bounding box first); nets that fail rip up the
-// blocking nets and retry, bounded by an iteration budget.
+// Multi-net routing on the 2-layer grid, shortest pin span first, in one
+// of two modes (RouterOptions::negotiated):
+//  - negotiated congestion (the default, PathFinder-style): wires may
+//    share cells, priced by growing present and history penalties. Each
+//    iteration re-routes a rip-up set: the unrouted nets and the losing
+//    sharers of each overused cell or, when the overflow stalls, every
+//    net near an overused cell. A final pass gives each cell one owner.
+//  - sequential: nets route one at a time on exclusive cells; when some
+//    fail, every wire is ripped up and the failed nets retry first,
+//    bounded by max_ripup_iterations.
+// Both return bit-identical solutions at any L2L_THREADS value.
 
 #include <vector>
 

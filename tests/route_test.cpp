@@ -5,6 +5,7 @@
 #include <set>
 
 #include "grader/route_grader.hpp"
+#include "obs/metrics.hpp"
 #include "route/maze.hpp"
 #include "route/router.hpp"
 #include "route/solution.hpp"
@@ -404,6 +405,80 @@ TEST(Router, Fig07CompletionFloor) {
     const auto g = grader::grade_routing(p, route_all(p, opt));
     EXPECT_GE(g.legal_nets, floor) << size << "x" << size;
   }
+}
+
+// Quality floor of the stall sweep, which re-routes only the nets near
+// overused cells: the perf_route negotiated instance still routes every
+// net, and the 32x32/32-net/12-iteration family (seeds 100-139) keeps the
+// legal-net total of the full-sweep router it replaced.
+TEST(Router, StallEscapeQualityFloor) {
+  auto problem = [](int size, int nets, std::uint64_t seed) {
+    util::Rng rng(seed);
+    gen::RoutingGenOptions gopt;
+    gopt.width = gopt.height = size;
+    gopt.num_nets = nets;
+    gopt.max_pins_per_net = 3;
+    return gen::generate_routing(gopt, rng);
+  };
+  const auto p = problem(48, 40, 25);
+  RouterOptions opt;
+  opt.max_negotiation_iterations = 40;
+  EXPECT_EQ(grader::grade_routing(p, route_all(p, opt)).legal_nets, 40);
+
+  opt.max_negotiation_iterations = 12;
+  int legal = 0;
+  for (std::uint64_t seed = 100; seed <= 139; ++seed) {
+    const auto f = problem(32, 32, seed);
+    legal += grader::grade_routing(f, route_all(f, opt)).legal_nets;
+  }
+  EXPECT_GE(legal, 1154);
+}
+
+// A stall sweep rips up only the nets near an overused cell. Two nets
+// must squeeze through a one-cell gap out of a walled corner pocket, so
+// the gap stays overused after the first iteration; a third net runs far
+// from the corner. With a 2-iteration budget the second iteration is a
+// stall sweep: it must leave the far net out of its rip-up set, so the
+// far net keeps the wires the first iteration gave it.
+TEST(Router, StallSweepRipsUpOnlyNetsNearOverusedCells) {
+  auto p = empty_grid(20, 20);
+  auto block = [&](int x, int y, int layer) {
+    p.blocked[static_cast<std::size_t>(layer)]
+             [static_cast<std::size_t>(y) * 20 + static_cast<std::size_t>(x)] = true;
+  };
+  for (int layer = 0; layer < 2; ++layer)
+    for (int k = 0; k <= 4; ++k) {
+      if (!(k == 1 && layer == 0)) block(4, k, layer);  // the gap: (4, 1, 0)
+      block(k, 4, layer);
+    }
+  p.nets.push_back({0, {{0, 0, 0}, {8, 0, 0}}});
+  p.nets.push_back({1, {{0, 2, 0}, {8, 2, 0}}});
+  p.nets.push_back({2, {{12, 15, 0}, {18, 15, 0}}});
+
+  RouterOptions one;
+  one.max_negotiation_iterations = 1;
+  const auto first = route_all(p, one);
+  ASSERT_TRUE(first.nets[2].routed);
+
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  RouterOptions two;
+  two.max_negotiation_iterations = 2;
+  const auto sol = route_all(p, two);
+  const auto snap = obs::Registry::global().snapshot();
+  obs::Registry::global().reset();
+
+  const auto it = snap.histograms.find("route.ripup_set_size");
+  ASSERT_NE(it, snap.histograms.end());
+  ASSERT_EQ(it->second.count, 2);
+  // The first iteration routes every net (none has a route yet).
+  const std::int64_t sweep = it->second.sum - static_cast<std::int64_t>(p.nets.size());
+  EXPECT_GT(sweep, 0);
+  EXPECT_LT(sweep, static_cast<std::int64_t>(p.nets.size()));
+  ASSERT_TRUE(sol.nets[2].routed);
+  EXPECT_EQ(sol.nets[2].cells, first.nets[2].cells);
+  // The gap admits one net, so one of the pocket nets ends unrouted.
+  EXPECT_EQ(sol.stats.routed, 2);
 }
 
 TEST(Solution, WriteParseRoundTrip) {

@@ -8,6 +8,10 @@
 //                     input; error-severity findings gate like lint's
 //   --metrics FILE    deterministic metrics export on every exit path
 //   --trace FILE      Chrome trace export on every exit path
+//
+// Portals whose engine reads the result cache also register the cache
+// pair (add_cache_flags), applied after parse() by apply_cache_flags:
+//
 //   --no-cache        turn result-cache lookups off for this run
 //   --cache-dir DIR   persistent cache tier (same as L2L_CACHE_DIR)
 //
@@ -47,6 +51,10 @@ inline void add_common_flags(util::ArgParser& parser, CommonFlags& flags,
                "write deterministic metrics to FILE");
   parser.value("--trace", &obs_export.trace_path,
                "write a Chrome trace to FILE");
+}
+
+/// The result-cache pair, for portals whose engine reads the cache.
+inline void add_cache_flags(util::ArgParser& parser, CommonFlags& flags) {
   parser.flag("--no-cache", &flags.no_cache,
               "turn result-cache lookups off for this run");
   parser.value("--cache-dir", &flags.cache_dir,

@@ -36,6 +36,7 @@ int main(int argc, char** argv) try {
 
   l2l::util::ArgParser parser;
   l2l::tools::add_common_flags(parser, common, obs_export);
+  l2l::tools::add_cache_flags(parser, common);
   std::int64_t max_terms = -1;
   parser.int64_value("--max-terms", &max_terms,
                      "cap on product terms per output");

@@ -29,6 +29,7 @@ int main(int argc, char** argv) try {
 
   l2l::util::ArgParser parser;
   l2l::tools::add_common_flags(parser, common, obs_export);
+  l2l::tools::add_cache_flags(parser, common);
   parser.flag("--exact", &req.exact, "exact Quine-McCluskey minimization");
   parser.flag("--stats", &req.show_stats, "per-output cube/literal stats");
   parser.flag("--single-pass", &req.single_pass,

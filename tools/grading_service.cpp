@@ -26,9 +26,10 @@
 //                        deterministic SIGKILL); prints the partial
 //                        report, skips the accounting check, exits 0
 //
-// Shared pack: --lint/--metrics/--trace/--no-cache/--cache-dir. The
-// service always dedups within a run, and this driver sets no
-// cache_domain, so --no-cache leaves its report unchanged.
+// Shared pack: --lint/--sema/--metrics/--trace. The cache pair
+// (--no-cache/--cache-dir) is not registered and is rejected like any
+// unknown flag: the service dedups within a run on its own memo, and this
+// driver sets no cache_domain, so neither flag could change its report.
 // Every line of the report except the trailing "# wall-clock" comment is
 // deterministic: bit-identical at any L2L_THREADS value and across runs.
 // The "journal:" line describes the run, not the drain; comparison tests
@@ -139,7 +140,6 @@ int main(int argc, char** argv) try {
   parser.int64_value("--halt-after-tick", &halt_after_tick,
                      "stop cold before tick K (simulated crash)");
   if (const auto st = parser.parse(argc, argv); !st.ok()) return fail(st);
-  l2l::tools::apply_cache_flags(common);
 
   l2l::mooc::TraceOptions topt;
   for (const auto& st :

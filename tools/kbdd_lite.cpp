@@ -43,6 +43,7 @@ int main(int argc, char** argv) try {
 
   l2l::util::ArgParser parser;
   l2l::tools::add_common_flags(parser, common, obs_export);
+  l2l::tools::add_cache_flags(parser, common);
   parser.int64_value("--node-limit", &req.node_limit, "BDD node budget");
   l2l::tools::add_request_flags(parser, req);
   if (const auto st = parser.parse(argc, argv); !st.ok()) {

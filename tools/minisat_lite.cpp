@@ -44,6 +44,7 @@ int main(int argc, char** argv) try {
 
   l2l::util::ArgParser parser;
   l2l::tools::add_common_flags(parser, common, obs_export);
+  l2l::tools::add_cache_flags(parser, common);
   parser.flag("--no-vsids", &no_vsids, "disable the VSIDS decision heuristic");
   parser.flag("--no-restarts", &no_restarts, "disable Luby restarts");
   parser.flag("--stats", &req.show_stats, "print the solver statistics line");

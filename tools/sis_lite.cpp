@@ -179,6 +179,7 @@ int main(int argc, char** argv) try {
 
   l2l::util::ArgParser parser;
   l2l::tools::add_common_flags(parser, common, obs_export);
+  l2l::tools::add_cache_flags(parser, common);
   if (const auto st = parser.parse(argc, argv); !st.ok()) {
     std::cerr << "error: " << st.message << "\n";
     return l2l::util::kExitUsage;
