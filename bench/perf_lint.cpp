@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "lint/lint.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -68,6 +71,34 @@ void BM_LintCnfPack(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_LintCnfPack)->Arg(256)->Arg(2048)->Arg(16384);
+
+// Placement uploads like the placement course's: 240 cells on a 19 x 19
+// grid, lines shuffled. Arg 0 is a legal upload; Arg 1 repeats one cell
+// and moves another onto a taken site, so the L002 and L005 paths run.
+void BM_LintPlacement(benchmark::State& state) {
+  constexpr int kCells = 240;
+  const int side = static_cast<int>(std::ceil(std::sqrt(kCells * 1.5)));
+  util::Rng rng(2021);
+  std::vector<std::string> lines;
+  for (int c = 0; c < kCells; ++c)
+    lines.push_back(util::format("cell %d %d %d", c, c % side, c / side));
+  if (state.range(0) != 0) {
+    lines.push_back(util::format("cell 7 %d %d", side - 1, side - 1));
+    lines[9] = util::format("cell 9 %d %d", 3 % side, 3 / side);
+  }
+  for (std::size_t i = lines.size() - 1; i > 0; --i)
+    std::swap(lines[i], lines[rng.next_below(i + 1)]);
+  std::string text;
+  for (const auto& l : lines) text += l + "\n";
+  const lint::PlacementSpec spec{kCells, side, side};
+  for (auto _ : state) {
+    auto findings = lint::lint_placement(text, spec);
+    benchmark::DoNotOptimize(findings);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_LintPlacement)->Arg(0)->Arg(1);
 
 // The guard every pack promises: a header that *declares* astronomical
 // sizes must lint in time proportional to the bytes present, because the

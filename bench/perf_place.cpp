@@ -1,8 +1,11 @@
 // Placement benchmarks + ablations: clique vs star net models, recursion
-// depth, annealing vs pure greedy descent, and multi-thread scaling of
-// the quadratic solve (parallel SpMV + chunk-ordered CG reductions).
+// depth, annealing vs pure greedy descent, multi-thread scaling of the
+// quadratic solve (parallel SpMV + chunk-ordered CG reductions), and the
+// legality check every placement grade runs.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "gen/placement_gen.hpp"
 #include "place/annealing.hpp"
@@ -126,5 +129,33 @@ void BM_QuadraticSeedVsColdAnneal(benchmark::State& state) {
   state.SetLabel(quad_seed ? "quadratic seed" : "random seed");
 }
 BENCHMARK(BM_QuadraticSeedVsColdAnneal)->Arg(0)->Arg(1)->Iterations(1);
+
+// place::is_legal on a legal row-major placement of `cells` cells on the
+// smallest square grid with 1.5 sites per cell (the placement course's
+// 240-cell layout at Arg 240): the whole placement is scanned, so this
+// is the check's worst case.
+void BM_IsLegal(benchmark::State& state) {
+  const int cells = static_cast<int>(state.range(0));
+  const int side = static_cast<int>(std::ceil(std::sqrt(cells * 1.5)));
+  const place::Grid grid{side, side, 1.0, 1.0};
+  util::Rng rng(15);
+  place::GridPlacement gp;
+  for (int c = 0; c < cells; ++c) {
+    gp.col.push_back(c % side);
+    gp.row.push_back(c / side);
+  }
+  for (int c = cells - 1; c > 0; --c) {  // cell order as a learner's file
+    const auto k = static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint64_t>(c) + 1));
+    std::swap(gp.col[static_cast<std::size_t>(c)], gp.col[k]);
+    std::swap(gp.row[static_cast<std::size_t>(c)], gp.row[k]);
+  }
+  for (auto _ : state) {
+    bool legal = place::is_legal(gp, grid);
+    benchmark::DoNotOptimize(legal);
+  }
+  state.SetItemsProcessed(state.iterations() * cells);
+}
+BENCHMARK(BM_IsLegal)->Arg(240)->Arg(4096);
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "lint/lint.hpp"
@@ -21,9 +23,15 @@ RouteGrade grade_routing(const gen::RoutingProblem& problem,
   RouteGrade g;
   g.total_nets = static_cast<int>(problem.nets.size());
 
-  // Solution nets by id.
-  std::map<int, const route::NetRoute*> by_id;
-  for (const auto& net : solution.nets) by_id[net.net_id] = &net;
+  // Solution nets by id: (id, block index) pairs sorted, so a lookup is
+  // a binary search and the last block with an id is the last pair of
+  // its run. Ids come from the upload; a sort costs O(N log N) whatever
+  // they are, where a hash table keyed on them can be driven into long
+  // probe chains.
+  std::vector<std::pair<int, std::uint32_t>> by_id(solution.nets.size());
+  for (std::size_t b = 0; b < by_id.size(); ++b)
+    by_id[b] = {solution.nets[b].net_id, static_cast<std::uint32_t>(b)};
+  std::sort(by_id.begin(), by_id.end());
 
   // One mark per grid cell, indexed (layer * height + y) * width + x like
   // the router's search arena. `owner` is the first net to claim the cell
@@ -60,13 +68,19 @@ RouteGrade grade_routing(const gen::RoutingProblem& problem,
     }
     NetGrade ng;
     ng.net_id = pnet.id;
-    const auto it = by_id.find(pnet.id);
-    if (it == by_id.end() || it->second->cells.empty()) {
+    const auto last = std::upper_bound(
+        by_id.begin(), by_id.end(),
+        std::pair(pnet.id, std::numeric_limits<std::uint32_t>::max()));
+    const route::NetRoute* found =
+        last == by_id.begin() || std::prev(last)->first != pnet.id
+            ? nullptr
+            : &solution.nets[std::prev(last)->second];
+    if (found == nullptr || found->cells.empty()) {
       ng.reason = "net missing from solution";
       g.nets.push_back(std::move(ng));
       continue;
     }
-    const auto& cells = it->second->cells;
+    const auto& cells = found->cells;
     const auto stamp = static_cast<std::uint32_t>(k + 1);
 
     // Checks in order: bounds, obstacle, duplicate, overlap. A net that

@@ -39,14 +39,14 @@ std::vector<Finding> lint_cnf(const std::string& text) {
   constexpr int kMaxTrackedVars = 1 << 20;
   std::map<std::vector<int>, int> seen;  // sorted clause -> first line
   std::set<int> used_vars;
-  for (auto& clause : parsed.clauses) {
+  for (const auto& clause : parsed.clauses) {
     const int line = clause.line;
-    if (clause.lits.empty()) {
+    const auto key = parsed.lits_of(clause);  // sorted in place
+    if (key.empty()) {
       emit("L2L-C004", util::Severity::kWarning, line,
            "empty clause: the formula is trivially unsatisfiable");
       continue;
     }
-    std::vector<int>& key = clause.lits;  // sorted in place, then kept
     std::sort(key.begin(), key.end());
     bool dup_lit = false, tautology = false;
     for (std::size_t k = 0; k + 1 < key.size(); ++k) {
@@ -65,7 +65,8 @@ std::vector<Finding> lint_cnf(const std::string& text) {
       emit("L2L-C006", util::Severity::kWarning, line,
            "tautological clause (contains v and -v)",
            "the clause is always true; drop it");
-    const auto [it, fresh] = seen.try_emplace(std::move(key), line);
+    const auto [it, fresh] =
+        seen.try_emplace(std::vector<int>(key.begin(), key.end()), line);
     if (!fresh)
       emit("L2L-C005", util::Severity::kWarning, line,
            "duplicate clause (first on line " + std::to_string(it->second) +

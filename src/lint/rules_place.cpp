@@ -2,9 +2,14 @@
 // the parse the placement grader reads: "cell <id> <col> <row>" text.
 // With a PlacementSpec the range/overlap/completeness rules run against
 // the assignment's grid; without one only the shape rules apply, so a
-// standalone file still lints.
+// standalone file still lints. Repeats and overlaps are found by
+// sorting the lines present, so a spec-less upload with ids and
+// coordinates up to INT_MAX costs no more than its bytes.
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "lint/lint.hpp"
 #include "place/placement_text.hpp"
@@ -47,20 +52,75 @@ std::vector<Finding> lint_placement(const place::ParsedPlacement& parsed,
                : util::format("cell index %d is negative", d.cell));
   }
 
-  std::map<int, int> cell_line;                   // cell id -> first line
-  std::map<std::pair<int, int>, int> site_owner;  // (col,row) -> cell id
-  for (const auto& l : parsed.lines) {
-    const auto [it, fresh] = cell_line.try_emplace(l.cell, l.line);
-    if (!fresh) {
+  // Repeats and overlaps by sorting, not hashing: (key, line index)
+  // pairs sorted, so each key's lines form one run in file order and the
+  // run's head is its first line. That costs O(N log N) whatever ids and
+  // sites the upload picks (a table keyed on them could be steered into
+  // long probe chains), and a spec-less upload with ids and coordinates
+  // up to INT_MAX costs no more than its bytes.
+  const auto& lines = parsed.lines;
+  const std::size_t n = lines.size();
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
+  keys.reserve(n);
+  // Sorts `keys`; for each line in them, the first line of its key's run
+  // (itself when it leads). Lines not in `keys` map to 0.
+  const auto first_of_run = [&] {
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::uint32_t> head(n, 0);
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      head[keys[k].second] = k > 0 && keys[k].first == keys[k - 1].first
+                                 ? head[keys[k - 1].second]
+                                 : keys[k].second;
+    return head;
+  };
+  const auto in_range = [&](const place::PlacementLine& l) {
+    return l.col >= 0 && (spec.cols < 0 || l.col < spec.cols) &&
+           l.row >= 0 && (spec.rows < 0 || l.row < spec.rows);
+  };
+
+  // A parsed line's cell id is never negative.
+  for (std::size_t i = 0; i < n; ++i)
+    keys.emplace_back(static_cast<std::uint64_t>(lines[i].cell),
+                      static_cast<std::uint32_t>(i));
+  const std::vector<std::uint32_t> first_line = first_of_run();
+  if (spec.num_cells >= 0) {
+    // The missing cells are [0, num_cells) minus the ids present; the
+    // first is where the ascending ids first skip a value.
+    int present = 0, first_missing = 0;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const auto cell = static_cast<int>(keys[k].first);
+      if (cell >= spec.num_cells) break;
+      if (k > 0 && keys[k].first == keys[k - 1].first) continue;
+      ++present;
+      if (cell == first_missing) ++first_missing;
+    }
+    const int missing = spec.num_cells - present;
+    if (missing > 0)
+      emit("L2L-L006", util::Severity::kError, 0,
+           util::format("%d cell(s) unassigned (first: cell %d)", missing,
+                        first_missing),
+           "every cell needs exactly one 'cell' line");
+  }
+
+  // The sites of the in-range first lines; both coordinates are >= 0.
+  keys.clear();
+  for (std::size_t i = 0; i < n; ++i)
+    if (first_line[i] == i && in_range(lines[i]))
+      keys.emplace_back(static_cast<std::uint64_t>(lines[i].col) << 32 |
+                            static_cast<std::uint32_t>(lines[i].row),
+                        static_cast<std::uint32_t>(i));
+  const std::vector<std::uint32_t> site_owner = first_of_run();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& l = lines[i];
+    if (first_line[i] != i) {
       emit("L2L-L002", util::Severity::kError, l.line,
            util::format("cell %d assigned twice (first on line %d)", l.cell,
-                        it->second),
+                        lines[first_line[i]].line),
            "keep one line per cell");
       continue;
     }
-    const bool col_bad = l.col < 0 || (spec.cols >= 0 && l.col >= spec.cols);
-    const bool row_bad = l.row < 0 || (spec.rows >= 0 && l.row >= spec.rows);
-    if (col_bad || row_bad) {
+    if (!in_range(l)) {
       emit("L2L-L004", util::Severity::kError, l.line,
            spec.cols >= 0 && spec.rows >= 0
                ? util::format(
@@ -70,26 +130,11 @@ std::vector<Finding> lint_placement(const place::ParsedPlacement& parsed,
                               l.row));
       continue;
     }
-    const auto [owner, site_fresh] =
-        site_owner.try_emplace({l.col, l.row}, l.cell);
-    if (!site_fresh)
+    if (site_owner[i] != i)
       emit("L2L-L005", util::Severity::kError, l.line,
            util::format("cell %d overlaps cell %d at site (%d, %d)", l.cell,
-                        owner->second, l.col, l.row),
+                        lines[site_owner[i]].cell, l.col, l.row),
            "every cell needs its own site");
-  }
-  if (spec.num_cells >= 0) {
-    int missing = 0, first_missing = -1;
-    for (int c = 0; c < spec.num_cells; ++c)
-      if (!cell_line.count(c)) {
-        ++missing;
-        if (first_missing < 0) first_missing = c;
-      }
-    if (missing > 0)
-      emit("L2L-L006", util::Severity::kError, 0,
-           util::format("%d cell(s) unassigned (first: cell %d)", missing,
-                        first_missing),
-           "every cell needs exactly one 'cell' line");
   }
 
   sort_findings(out);

@@ -5,6 +5,8 @@
 // structure and layers the geometric rules on top when the problem is
 // available.
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -253,9 +255,22 @@ std::vector<Finding> lint_route_solution(const route::ParsedSolution& parsed,
   // Semantics over the salvaged nets. Line anchors are gone after the
   // parse (the grader's structures carry none), so these findings are
   // net-anchored instead: line 0 with the net id in the message.
-  std::map<int, int> seen_ids;  // net id -> occurrences
-  for (const auto& net : parsed.solution.nets) {
-    if (++seen_ids[net.net_id] == 2)
+  // S002 fires at an id's second block. The (id, block index) pairs are
+  // sorted, so each id's blocks form one run in upload order: O(N log N)
+  // whatever ids the upload picks.
+  const auto& nets = parsed.solution.nets;
+  std::vector<std::pair<int, std::uint32_t>> ids(nets.size());
+  for (std::size_t b = 0; b < ids.size(); ++b)
+    ids[b] = {nets[b].net_id, static_cast<std::uint32_t>(b)};
+  std::sort(ids.begin(), ids.end());
+  std::vector<char> second_block(nets.size(), 0);
+  for (std::size_t k = 1; k < ids.size(); ++k)
+    if (ids[k].first == ids[k - 1].first &&
+        (k == 1 || ids[k - 2].first != ids[k].first))
+      second_block[ids[k].second] = 1;
+  for (std::size_t b = 0; b < nets.size(); ++b) {
+    const auto& net = nets[b];
+    if (second_block[b])
       emit("L2L-S002", util::Severity::kError, 0,
            util::format("net id %d appears more than once", net.net_id),
            "one block per net; merge the cell lists");

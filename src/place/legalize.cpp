@@ -1,6 +1,7 @@
 #include "place/legalize.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -68,13 +69,19 @@ GridPlacement legalize(const gen::PlacementProblem& p, const Placement& pl,
 }
 
 bool is_legal(const GridPlacement& gp, const Grid& grid) {
-  std::set<std::pair<int, int>> seen;
+  // Every site in range, then no site twice: the packed (col, row) keys
+  // sorted, so a collision is an adjacent pair. Bounded by the cell
+  // count, not the grid size.
+  if (gp.row.size() < gp.col.size()) return false;
+  std::vector<std::uint64_t> sites(gp.col.size());
   for (std::size_t c = 0; c < gp.col.size(); ++c) {
     if (gp.col[c] < 0 || gp.col[c] >= grid.sites_per_row) return false;
     if (gp.row[c] < 0 || gp.row[c] >= grid.rows) return false;
-    if (!seen.insert({gp.col[c], gp.row[c]}).second) return false;
+    sites[c] = static_cast<std::uint64_t>(gp.col[c]) << 32 |
+               static_cast<std::uint32_t>(gp.row[c]);
   }
-  return true;
+  std::sort(sites.begin(), sites.end());
+  return std::adjacent_find(sites.begin(), sites.end()) == sites.end();
 }
 
 }  // namespace l2l::place

@@ -17,8 +17,11 @@ ParsedPlacement parse_placement_lenient(std::string_view text,
     const auto t = util::trim(raw);
     if (t.empty() || t[0] == '#') return true;
     const int column = util::content_column(raw);
-    const auto tok = util::split_views(t);
-    if (tok.size() != 4 || tok[0] != "cell") {
+    // Exactly four tokens, walked in place (a token is never empty).
+    util::TokenWalker walk(t);
+    std::string_view tok[4];
+    for (auto& v : tok) v = walk.next();
+    if (tok[3].empty() || !walk.next().empty() || tok[0] != "cell") {
       out.defects.push_back({Kind::kBadLine, lineno, column, t});
       return true;
     }

@@ -17,6 +17,9 @@ ParsedDimacs parse_dimacs_lenient(std::string_view text) {
     if (out.defects.size() < util::kMaxDefects)
       out.defects.push_back({kind, line, std::move(msg), std::move(hint)});
   };
+  // A literal and its separator take at least two bytes, so this bounds
+  // the literal count by the input size, never by the header.
+  out.lits.reserve(text.size() / 2 + 1);
   bool have_header = false;
   bool open = false;  // the last clause still waits for its 0
   int declared_clauses = -1, terminated = 0, last_content_line = 0;
@@ -62,7 +65,8 @@ ParsedDimacs parse_dimacs_lenient(std::string_view text) {
              "the 'p cnf ...' header must come first");
       have_header = true;  // report once, keep scanning
     }
-    for (const auto tok : util::split_views(t)) {
+    util::TokenWalker walk(t);
+    for (auto tok = walk.next(); !tok.empty(); tok = walk.next()) {
       const auto lit = util::parse_int(tok);
       if (!lit) {
         defect(Kind::kLiteral, lineno,
@@ -76,12 +80,15 @@ ParsedDimacs parse_dimacs_lenient(std::string_view text) {
                             *lit, out.num_vars));
         continue;
       }
-      if (!open) out.clauses.push_back({{}, lineno});
+      if (!open)
+        out.clauses.push_back({out.lits.size(), out.lits.size(), lineno});
       open = *lit != 0;
-      if (open)
-        out.clauses.back().lits.push_back(*lit);
-      else
+      if (open) {
+        out.lits.push_back(*lit);
+        out.clauses.back().end = out.lits.size();
+      } else {
         ++terminated;
+      }
     }
     return true;
   });
@@ -112,8 +119,9 @@ CnfFormula parse_dimacs(const std::string& text) {
   f.clauses.reserve(parsed.clauses.size());
   for (const auto& clause : parsed.clauses) {
     auto& lits = f.clauses.emplace_back();
-    lits.reserve(clause.lits.size());
-    for (const int v : clause.lits) lits.push_back(Lit(std::abs(v) - 1, v < 0));
+    lits.reserve(clause.end - clause.begin);
+    for (const int v : parsed.lits_of(clause))
+      lits.push_back(Lit(std::abs(v) - 1, v < 0));
   }
   return f;
 }

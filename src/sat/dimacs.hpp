@@ -2,7 +2,9 @@
 // DIMACS CNF reader/writer -- the interchange format the MOOC's miniSAT
 // portal consumed ("Input: Text file / Output: Webpage", Fig. 4).
 
+#include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,10 +23,11 @@ struct CnfFormula {
 /// "p cnf 2000000000 1" is a defect, not an OOM later.
 inline constexpr int kMaxDimacsVars = 1 << 24;
 
-/// One clause as written: its DIMACS literals in file order and the line
-/// of its first accepted token (a literal, or the 0 of an empty clause).
+/// One clause as written: its DIMACS literals in file order are
+/// ParsedDimacs::lits[begin, end), and `line` is the line of its first
+/// accepted token (a literal, or the 0 of an empty clause).
 struct DimacsClause {
-  std::vector<int> lits;
+  std::size_t begin = 0, end = 0;
   int line = 0;
 };
 
@@ -46,10 +49,17 @@ struct DimacsDefect {
 /// costs no more than its bytes.
 struct ParsedDimacs {
   int num_vars = -1;  ///< -1 = no usable problem line
+  std::vector<int> lits;  ///< every clause's literals, back to back
   std::vector<DimacsClause> clauses;
   std::vector<DimacsDefect> defects;
 
   bool clean() const { return defects.empty(); }
+  std::span<int> lits_of(const DimacsClause& c) {
+    return {lits.data() + c.begin, c.end - c.begin};
+  }
+  std::span<const int> lits_of(const DimacsClause& c) const {
+    return {lits.data() + c.begin, c.end - c.begin};
+  }
 };
 
 ParsedDimacs parse_dimacs_lenient(std::string_view text);

@@ -17,14 +17,9 @@ std::vector<std::string> split(std::string_view s, std::string_view delims) {
 std::vector<std::string_view> split_views(std::string_view s,
                                           std::string_view delims) {
   std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && delims.find(s[i]) != std::string_view::npos) ++i;
-    std::size_t j = i;
-    while (j < s.size() && delims.find(s[j]) == std::string_view::npos) ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
-  }
+  TokenWalker walk(s, delims);
+  for (auto tok = walk.next(); !tok.empty(); tok = walk.next())
+    out.push_back(tok);
   return out;
 }
 
@@ -40,10 +35,15 @@ int content_column(std::string_view line) {
 }
 
 std::string_view trim(std::string_view s) {
+  // std::isspace's set in the "C" locale, the only one this code runs
+  // in, tested inline: every parser trims every line.
+  const auto space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
   std::size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (b < s.size() && space(s[b])) ++b;
   std::size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (e > b && space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 

@@ -3,12 +3,49 @@
 // (BLIF/PLA/DIMACS parsers, the kbdd/sis script interpreters, graders).
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace l2l::util {
+
+/// The tokens of `s` -- maximal runs of characters not in `delims` -- read
+/// one at a time in place: each token is a view into `s`, and walking
+/// allocates nothing. This is the one tokenizer; split() and
+/// split_views() collect its tokens, and the hot line parsers (DIMACS,
+/// placement) walk it directly.
+class TokenWalker {
+ public:
+  explicit TokenWalker(std::string_view s, std::string_view delims = " \t\r\n")
+      : s_(s) {
+    for (const char c : delims) {
+      const auto u = static_cast<unsigned char>(c);
+      delim_bits_[u >> 6] |= std::uint64_t{1} << (u & 63);
+    }
+  }
+
+  /// The next token, or an empty view once none is left (a token is
+  /// never empty).
+  std::string_view next() {
+    while (pos_ < s_.size() && is_delim(s_[pos_])) ++pos_;
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && !is_delim(s_[pos_])) ++pos_;
+    return s_.substr(start, pos_ - start);
+  }
+
+ private:
+  // One bit per byte value: a character test is a shift, not a search.
+  bool is_delim(char c) const {
+    const auto u = static_cast<unsigned char>(c);
+    return (delim_bits_[u >> 6] >> (u & 63)) & 1;
+  }
+
+  std::string_view s_;
+  std::uint64_t delim_bits_[4] = {};
+  std::size_t pos_ = 0;
+};
 
 /// Split on any run of the given delimiter characters; empty tokens are
 /// dropped (the behaviour every whitespace-separated EDA text format wants).

@@ -210,6 +210,17 @@ TEST(LintRules, NoRuleFiresOnItsFormatsCleanArtifact) {
   }
 }
 
+TEST(LintRules, SpecLessPlacementAtIntMaxReportsTheRepeat) {
+  // No spec, so no range rule applies: ids and sites up to INT_MAX are
+  // hashed, never used as sizes, and the repeat is the one finding.
+  const std::string line = "cell 2147483647 2147483647 2147483647\n";
+  const auto findings = lint_placement(line + line);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].to_string(),
+            "line 2, col 1: error: [L2L-L002] cell 2147483647 assigned twice "
+            "(first on line 1) (hint: keep one line per cell)");
+}
+
 TEST(LintRules, TableCoversTheEntireRegistry) {
   std::set<std::string> in_table;
   for (const auto& c : kRuleCases) in_table.insert(c.rule);

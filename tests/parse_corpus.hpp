@@ -1,10 +1,11 @@
 #pragma once
-// The input corpus shared by the parse-agreement golden and the mutation
-// fuzzer: every file in data/ and tests/data/hostile/, plus seeded
-// placement and routing uploads carrying the defects the end-to-end
-// semester benchmark seeds (swapped cells, overlaps, malformed lines,
-// dropped and cut nets). Everything is deterministic: the same build
-// always yields the same inputs in the same order.
+// The input corpus shared by the parse-agreement golden, the mutation
+// fuzzer and the checker oracle: every file in data/ and
+// tests/data/hostile/, plus seeded placement and routing uploads carrying
+// the defects the end-to-end semester benchmark seeds (swapped cells,
+// overlaps, malformed lines, dropped and cut nets), and the fuzzer's
+// mutation operators. Everything is deterministic: the same build always
+// yields the same inputs in the same order.
 
 #include <gtest/gtest.h>
 
@@ -95,6 +96,66 @@ inline std::vector<NamedText> file_corpus() {
 
 /// A CNF pasted into a layout portal: exercises the graders' sema block.
 inline constexpr const char* kMisdirectedCnf = "p cnf 1 2\n1 0\n-1 0\n";
+
+// ---- mutation ------------------------------------------------------------
+// The seeded mutation fuzzer's operators and sizes (parse_fuzz_test),
+// shared so the checker oracle can replay the fuzzer's mutant streams.
+
+/// Mutants per corpus input; inputs above kMaxBytes are skipped (the
+/// quadratic-by-design engine paths would dominate the time budget).
+inline constexpr int kMutants = 160;
+inline constexpr std::size_t kMaxBytes = 16 * 1024;
+
+inline std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  util::for_each_line(text, [&](int, std::string_view l) {
+    out.emplace_back(l);
+    return true;
+  });
+  return out;
+}
+
+/// One deterministic mutation of `text`; `donor` supplies spliced lines.
+inline std::string mutate(const std::string& text, const std::string& donor,
+                          util::Rng& rng) {
+  std::string s = text;
+  // Bytes that matter to the formats under test, so flips hit tokens.
+  static constexpr char kAlphabet[] = "012-~.#%pcnfe \t\n\\x";
+  switch (rng.next_below(6)) {
+    case 0:  // flip one bit
+      if (!s.empty())
+        s[rng.next_below(s.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+      return s;
+    case 1:  // overwrite one byte with a format-relevant one
+      if (!s.empty())
+        s[rng.next_below(s.size())] =
+            kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
+      return s;
+    case 2:  // truncate
+      s.resize(rng.next_below(s.size() + 1));
+      return s;
+    default: {  // line splices: duplicate, delete, or import a line
+      auto lines = lines_of(s);
+      const auto from = lines_of(donor);
+      const auto at = rng.next_below(lines.size() + 1);
+      const auto op = rng.next_below(3);
+      if (op == 0 && !lines.empty()) {
+        lines.insert(lines.begin() + static_cast<long>(at),
+                     lines[rng.next_below(lines.size())]);
+      } else if (op == 1 && !lines.empty()) {
+        lines.erase(lines.begin() +
+                    static_cast<long>(rng.next_below(lines.size())));
+      } else if (!from.empty()) {
+        lines.insert(lines.begin() + static_cast<long>(at),
+                     from[rng.next_below(from.size())]);
+      }
+      std::string out;
+      for (const auto& l : lines) out += l + "\n";
+      return out;
+    }
+  }
+}
 
 // ---- routing uploads ----------------------------------------------------
 

@@ -36,63 +36,10 @@
 namespace l2l {
 namespace {
 
-/// Mutants per corpus input; inputs above kMaxBytes are skipped (the
-/// quadratic-by-design engine paths would dominate the time budget).
-constexpr int kMutants = 160;
-constexpr std::size_t kMaxBytes = 16 * 1024;
+using parse_corpus::kMaxBytes;
+using parse_corpus::kMutants;
 /// Facade round trips only on small mutants: they solve and minimize.
 constexpr std::size_t kFacadeBytes = 1024;
-
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> out;
-  util::for_each_line(text, [&](int, std::string_view l) {
-    out.emplace_back(l);
-    return true;
-  });
-  return out;
-}
-
-/// One deterministic mutation of `text`; `donor` supplies spliced lines.
-std::string mutate(const std::string& text, const std::string& donor,
-                   util::Rng& rng) {
-  std::string s = text;
-  // Bytes that matter to the formats under test, so flips hit tokens.
-  static constexpr char kAlphabet[] = "012-~.#%pcnfe \t\n\\x";
-  switch (rng.next_below(6)) {
-    case 0:  // flip one bit
-      if (!s.empty())
-        s[rng.next_below(s.size())] ^=
-            static_cast<char>(1u << rng.next_below(8));
-      return s;
-    case 1:  // overwrite one byte with a format-relevant one
-      if (!s.empty())
-        s[rng.next_below(s.size())] =
-            kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
-      return s;
-    case 2:  // truncate
-      s.resize(rng.next_below(s.size() + 1));
-      return s;
-    default: {  // line splices: duplicate, delete, or import a line
-      auto lines = lines_of(s);
-      const auto from = lines_of(donor);
-      const auto at = rng.next_below(lines.size() + 1);
-      const auto op = rng.next_below(3);
-      if (op == 0 && !lines.empty()) {
-        lines.insert(lines.begin() + static_cast<long>(at),
-                     lines[rng.next_below(lines.size())]);
-      } else if (op == 1 && !lines.empty()) {
-        lines.erase(lines.begin() +
-                    static_cast<long>(rng.next_below(lines.size())));
-      } else if (!from.empty()) {
-        lines.insert(lines.begin() + static_cast<long>(at),
-                     from[rng.next_below(from.size())]);
-      }
-      std::string out;
-      for (const auto& l : lines) out += l + "\n";
-      return out;
-    }
-  }
-}
 
 bool accepts(const std::function<void()>& parse) {
   try {
@@ -169,7 +116,7 @@ TEST_F(ParseFuzz, MutantsKeepLintSemaAndEnginesInAgreement) {
     const auto& donor = files[(i + 1) % files.size()].text;
     const lint::Format format = lint::lint_text(name, text).format;
     for (int m = 0; m < kMutants; ++m) {
-      const std::string mutant = mutate(text, donor, rng);
+      const std::string mutant = parse_corpus::mutate(text, donor, rng);
       const std::string what = name + " mutant " + std::to_string(m) +
                                ":\n" + mutant;
       // The original's format is forced: a mutant may no longer sniff.
@@ -219,8 +166,8 @@ TEST_F(ParseFuzz, MutatedUploadsGradeLikeTheirLint) {
                                  pfx.grid.sites_per_row, pfx.grid.rows};
   for (std::size_t i = 0; i < uploads.size(); ++i) {
     for (int m = 0; m < kMutants; ++m) {
-      const std::string mutant =
-          mutate(uploads[i].text, uploads[(i + 1) % uploads.size()].text, rng);
+      const std::string mutant = parse_corpus::mutate(
+          uploads[i].text, uploads[(i + 1) % uploads.size()].text, rng);
       const std::string what = "place/" + uploads[i].name + " mutant " +
                                std::to_string(m) + ":\n" + mutant;
       std::vector<lint::Finding> lint;
@@ -248,8 +195,8 @@ TEST_F(ParseFuzz, MutatedUploadsGradeLikeTheirLint) {
   const auto routes = parse_corpus::route_uploads(rfx);
   for (std::size_t i = 0; i < routes.size(); ++i) {
     for (int m = 0; m < kMutants; ++m) {
-      const std::string mutant =
-          mutate(routes[i].text, routes[(i + 1) % routes.size()].text, rng);
+      const std::string mutant = parse_corpus::mutate(
+          routes[i].text, routes[(i + 1) % routes.size()].text, rng);
       const std::string what = "route/" + routes[i].name + " mutant " +
                                std::to_string(m) + ":\n" + mutant;
       ASSERT_NO_THROW(lint::lint_route_solution(mutant, &rfx.problem)) << what;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "gen/placement_gen.hpp"
 #include "place/annealing.hpp"
@@ -139,6 +141,53 @@ TEST(Legalize, ProducesLegalPlacement) {
   const Grid grid{12, 12, p.width, p.height};
   const auto gp = legalize(p, pl, grid);
   EXPECT_TRUE(is_legal(gp, grid));
+}
+
+// ---- is_legal -------------------------------------------------------------
+
+// A 4-site x 3-row grid; the physical size plays no part in legality.
+const Grid kLegalityGrid{3, 4, 8.0, 6.0};
+
+GridPlacement sites(std::vector<std::pair<int, int>> col_row) {
+  GridPlacement gp;
+  for (const auto& [col, row] : col_row) {
+    gp.col.push_back(col);
+    gp.row.push_back(row);
+  }
+  return gp;
+}
+
+TEST(IsLegal, DistinctInRangeSitesAreLegal) {
+  // Corners included: (0, 0) and (sites_per_row - 1, rows - 1).
+  EXPECT_TRUE(is_legal(sites({{0, 0}, {3, 2}, {1, 0}, {0, 1}, {3, 0}}),
+                       kLegalityGrid));
+  // Same column, different rows; same row, different columns.
+  EXPECT_TRUE(is_legal(sites({{2, 0}, {2, 1}, {2, 2}, {0, 2}, {1, 2}}),
+                       kLegalityGrid));
+}
+
+TEST(IsLegal, ACollisionOnTheFirstOrTheLastCellIsIllegal) {
+  // The first cell shares the site of a later one.
+  EXPECT_FALSE(is_legal(sites({{1, 1}, {0, 0}, {2, 2}, {1, 1}}),
+                        kLegalityGrid));
+  // The last cell lands on an earlier one's site.
+  EXPECT_FALSE(is_legal(sites({{0, 0}, {2, 2}, {3, 1}, {3, 1}}),
+                        kLegalityGrid));
+  // (1, 2) and (2, 1) are different sites: packing keeps col and row apart.
+  EXPECT_TRUE(is_legal(sites({{1, 2}, {2, 1}}), kLegalityGrid));
+}
+
+TEST(IsLegal, ASiteAtMinusOneOrAtTheBoundIsIllegal) {
+  EXPECT_FALSE(is_legal(sites({{0, 0}, {-1, 1}}), kLegalityGrid));
+  EXPECT_FALSE(is_legal(sites({{0, 0}, {1, -1}}), kLegalityGrid));
+  EXPECT_FALSE(is_legal(sites({{4, 0}, {0, 0}}), kLegalityGrid));
+  EXPECT_FALSE(is_legal(sites({{0, 3}, {1, 1}}), kLegalityGrid));
+  // One inside each bound is fine.
+  EXPECT_TRUE(is_legal(sites({{3, 2}, {0, 0}}), kLegalityGrid));
+}
+
+TEST(IsLegal, AnEmptyPlacementIsLegal) {
+  EXPECT_TRUE(is_legal(GridPlacement{}, kLegalityGrid));
 }
 
 TEST(Legalize, ThrowsWhenTooSmall) {

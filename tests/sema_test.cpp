@@ -242,6 +242,18 @@ TEST(SemaCnf, ExplicitEmptyClauseIsAnchoredAtItsLine) {
   }
 }
 
+TEST(SemaCnf, TopVariableIdWithATinyBodyIsOneExactFinding) {
+  // The header claims the variable cap; the body names only the top id.
+  // Dense ids keep the pass's tables at one variable, and the findings are
+  // exactly the pure-literal note for it.
+  const auto findings = analyze_cnf("p cnf 16777216 1\n16777216 0\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].to_string(),
+            "line 2, col 1: note: [L2L-C103] variable 16777216 occurs only "
+            "positively (pure literal) (hint: assigning it satisfies every "
+            "clause it touches)");
+}
+
 TEST(SemaDispatch, FormatsWithoutAPassProduceCleanReports) {
   EXPECT_TRUE(applies(Format::kBlif));
   EXPECT_TRUE(applies(Format::kCnf));

@@ -16,6 +16,10 @@
 #   4. no range-for over unordered containers
 #      (iteration order feeds reports/exports nondeterministically; use
 #      std::map/std::set or sort first)
+#   5. no node-based std::map/set/multimap/multiset in the checkers that
+#      run around every real grade (CNF sema, placement lint, the route
+#      and placement graders); they use flat arrays and sorts, so
+#      checking an upload costs less than grading it
 #
 # False positives go in check_invariants_allowlist.txt next to this
 # script: one literal substring per line ('#' comments); any violation
@@ -96,6 +100,11 @@ scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/moo
 # lint packs and sema passes read those records. A line reader here would
 # be a second tokenizer that can drift from the engine's.
 scan_in no-own-tokenizer 'std::getline|std::istringstream' '^src/(lint/rules_(pla|cnf|place|blif)|sema/(pla|cnf)_sema)[.]cpp$'
+# The checkers around every real grade keep flat layouts: CNF sema,
+# placement lint and the route/placement graders were dominated by
+# node-per-entry maps keyed on the upload's contents, so like the hot
+# engines above they may not go back to them.
+scan_in checker-no-node-maps 'std::(map|set|multimap|multiset)<' '^src/(sema/cnf_sema|lint/rules_place|grader/(route|place)_grader)[.]cpp$'
 
 # Apply the allowlist (literal substrings, comments stripped).
 if [ -f "$allow" ]; then
