@@ -8,7 +8,7 @@ namespace l2l::api {
 
 namespace {
 
-constexpr std::uint64_t kRouteFormatVersion = 1;
+constexpr std::uint64_t kRouteFormatVersion = 2;
 
 cache::Digest128 config_digest(const route::RouterOptions& opt) {
   cache::Hasher h;
@@ -19,11 +19,9 @@ cache::Digest128 config_digest(const route::RouterOptions& opt) {
       .f64(opt.costs.wrong_way)
       .boolean(opt.costs.preferred_directions)
       .boolean(opt.costs.use_astar)
-      .boolean(opt.negotiated)
       .i32(opt.max_negotiation_iterations)
       .f64(opt.present_factor)
-      .f64(opt.history_increment)
-      .i32(opt.max_ripup_iterations);
+      .f64(opt.history_increment);
   return h.finish();
 }
 

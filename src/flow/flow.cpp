@@ -238,7 +238,6 @@ void run_flow_impl(const Network& input, const FlowOptions& opt,
 
   // ---- Route -------------------------------------------------------------
   api::RouteRequest rreq;
-  rreq.options.max_ripup_iterations = opt.route_ripup_iterations;
   rreq.options.budget = opt.budget;
   res.routing = api::route_nets(rp, rreq).solution;
 

@@ -30,7 +30,6 @@ struct FlowOptions {
   techmap::MapObjective objective = techmap::MapObjective::kArea;
   int grid_margin_percent = 100;  ///< extra sites beyond cell count
   int route_grid_per_site = 5;   ///< routing-grid resolution per site
-  int route_ripup_iterations = 6;
   std::uint64_t seed = 1;
   /// Optional resource guard (not owned; must outlive run_flow), checked
   /// at every stage boundary and forwarded into the placer and router so

@@ -48,12 +48,8 @@ std::vector<Finding> lint_cnf(const std::string& text) {
       continue;
     }
     std::sort(key.begin(), key.end());
-    bool dup_lit = false, tautology = false;
-    for (std::size_t k = 0; k + 1 < key.size(); ++k) {
-      if (key[k] == key[k + 1]) dup_lit = true;
-      if (static_cast<long long>(key[k]) == -static_cast<long long>(key[k + 1]))
-        tautology = true;
-    }
+    const bool dup_lit = std::adjacent_find(key.begin(), key.end()) != key.end();
+    const bool tautology = sat::has_complementary_pair(key);
     for (const int lit : key) {
       const long long var = lit > 0 ? lit : -static_cast<long long>(lit);
       if (var <= kMaxTrackedVars) used_vars.insert(static_cast<int>(var));

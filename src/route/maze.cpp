@@ -163,11 +163,6 @@ std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
   const int w = occ.width(), h = occ.height(), layers = occ.layers();
   const std::size_t plane = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
   const std::size_t n_points = plane * static_cast<std::size_t>(layers);
-  auto point_index = [&](const GridPoint& g) {
-    return (static_cast<std::size_t>(g.layer) * static_cast<std::size_t>(h) +
-            static_cast<std::size_t>(g.y)) * static_cast<std::size_t>(w) +
-           static_cast<std::size_t>(g.x);
-  };
   // Packed states fit 32 bits (parents are int32), so unpack with 32-bit
   // division, which is cheaper than 64-bit on the expansion path.
   const auto w32 = static_cast<std::uint32_t>(w), h32 = static_cast<std::uint32_t>(h);
@@ -184,7 +179,7 @@ std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
   sc.begin(n_points);
   const std::uint32_t gen = sc.gen;
   for (const auto& t : targets)
-    if (occ.in_bounds(t)) sc.points[point_index(t)].target = gen;
+    if (occ.in_bounds(t)) sc.points[occ.index(t)].target = gen;
 
   // A* heuristic: cheapest possible remaining cost = manhattan distance to
   // the closest target times the unit wire cost (every step onto a cell
@@ -262,7 +257,7 @@ std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
 
   for (const auto& src : sources) {
     if (!occ.in_bounds(src) || !passable(occ.at(src))) continue;
-    relax(point_index(src) * kDirs + 5, 0.0, -1, heuristic(src.x, src.y));
+    relax(occ.index(src) * kDirs + 5, 0.0, -1, heuristic(src.x, src.y));
   }
 
   const std::ptrdiff_t kStep[4] = {1, -1, w, -w};

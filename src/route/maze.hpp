@@ -48,12 +48,15 @@ class Occupancy {
            g.layer >= 0 && g.layer < layers_;
   }
 
- private:
+  /// Point index of `g`: (layer * height + y) * width + x. Penalty fields
+  /// and per-point grids of the same problem share it.
   std::size_t index(const GridPoint& g) const {
     return (static_cast<std::size_t>(g.layer) * static_cast<std::size_t>(height_) +
             static_cast<std::size_t>(g.y)) * static_cast<std::size_t>(width_) +
            static_cast<std::size_t>(g.x);
   }
+
+ private:
   int width_, height_, layers_;
   std::vector<int> cells_;
 };

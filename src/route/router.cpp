@@ -18,8 +18,8 @@ namespace {
 // sol.stats; obs sees one batched update per routing call.
 class RouteMetricsFlusher {
  public:
-  RouteMetricsFlusher(const RouteStats& stats, std::string_view span_name)
-      : stats_(obs::enabled() ? &stats : nullptr), span_(span_name) {}
+  explicit RouteMetricsFlusher(const RouteStats& stats)
+      : stats_(obs::enabled() ? &stats : nullptr), span_("route.negotiated") {}
   ~RouteMetricsFlusher() {
     if (stats_ == nullptr) return;
     obs::count("route.calls");
@@ -92,6 +92,19 @@ bool grow_tree(SearchArena& arena, const gen::RoutingNet& net, Occupancy& occ,
   return true;
 }
 
+/// The routed form of a net: its pins plus its wires, sorted, each cell
+/// once.
+NetRoute routed_net(const gen::RoutingNet& net, const std::vector<GridPoint>& wires) {
+  NetRoute r;
+  r.net_id = net.id;
+  r.cells.assign(net.pins.begin(), net.pins.end());
+  r.cells.insert(r.cells.end(), wires.begin(), wires.end());
+  std::sort(r.cells.begin(), r.cells.end());
+  r.cells.erase(std::unique(r.cells.begin(), r.cells.end()), r.cells.end());
+  r.routed = true;
+  return r;
+}
+
 /// Route one net on the occupancy grid; returns nullopt on failure.
 /// Pins must already be owned by the net in `occ` (route_all reserves all
 /// pins up front so earlier nets cannot route through them). On success
@@ -105,334 +118,260 @@ std::optional<NetRoute> route_net(SearchArena& arena,
     for (const auto& c : claimed) occ.set(c, Occupancy::kFree);
     return std::nullopt;
   }
-  NetRoute r;
-  r.net_id = net.id;
-  r.cells.assign(net.pins.begin(), net.pins.end());
-  r.cells.insert(r.cells.end(), claimed.begin(), claimed.end());
-  std::sort(r.cells.begin(), r.cells.end());
-  r.cells.erase(std::unique(r.cells.begin(), r.cells.end()), r.cells.end());
-  r.routed = true;
-  return r;
+  return routed_net(net, claimed);
 }
 
-}  // namespace
+/// The negotiation state shared by every iteration: how many wires use
+/// each grid point, the history penalty each overused point has built up,
+/// the penalty field the searches price, and each net's current wires.
+/// rip() and commit() keep the field at history + present * usage on every
+/// point they touch; begin() rebuilds it whole.
+class Negotiation {
+ public:
+  Negotiation(const gen::RoutingProblem& p, const Occupancy& grid,
+              const RouterOptions& opt, RouteStats& stats)
+      : p_(p),
+        grid_(grid),
+        opt_(opt),
+        stats_(stats),
+        usage_(points(grid), 0),
+        history_(points(grid), 0.0),
+        field_(points(grid), 0.0),
+        wires_(p.nets.size()),
+        have_route_(p.nets.size(), false),
+        reachable_(p.nets.size(), true) {}
 
-namespace {
+  /// Starts iteration `iter`: the present-sharing penalty grows linearly,
+  /// and the field is repriced from everyone's current wires. Returns
+  /// whether the iteration is a stall sweep: on stall, and always in the
+  /// final two budget iterations, so a budget-limited run ends with the
+  /// same cleanup around its contested points. A sweep clears the stall.
+  bool begin(int iter) {
+    present_ = opt_.present_factor * (iter + 1);
+    for (std::size_t i = 0; i < field_.size(); ++i)
+      field_[i] = history_[i] + present_ * usage_[i];
+    const bool sweep =
+        stall_ >= kStallLimit || iter + 2 >= opt_.max_negotiation_iterations;
+    if (sweep) stall_ = 0;
+    return sweep;
+  }
 
-/// Negotiated-congestion routing (PathFinder-style). Pins are hard
-/// obstacles for other nets throughout; wires may transiently share cells,
-/// priced by growing present-sharing and history penalties until every
-/// cell has one owner (or the iteration budget runs out, after which the
-/// still-shared nets fall back to hard sequential routing).
-///
-/// Each iteration selects a rip-up set (unrouted nets plus the losing
-/// sharers of each overused cell; the first net in routing order holds)
-/// and routes it against a snapshot of the usage/history state taken at
-/// the iteration's start. Chunks of the set route concurrently on
-/// worker-local copies of the grids -- Gauss-Seidel within a chunk,
-/// Jacobi across chunks -- and commit in ascending net order. Chunk
-/// boundaries are fixed by the grain, never the lane count, so the
-/// solution is bit-identical at any L2L_THREADS value. Small rip-up sets
-/// and stall-escape sweeps (every net near an overused cell) run
-/// sequentially with live commits, which is what finally untangles the
-/// last contested cells.
-RouteSolution route_negotiated(const gen::RoutingProblem& p,
-                               const RouterOptions& opt) {
-  RouteSolution sol;
-  RouteMetricsFlusher metrics(sol.stats, "route.negotiated");
-  sol.nets.resize(p.nets.size());
-  for (std::size_t n = 0; n < p.nets.size(); ++n)
-    sol.nets[n].net_id = p.nets[n].id;
-
-  Occupancy occ(p);  // obstacles only, plus pin reservations below
-  for (const auto& net : p.nets)
-    for (const auto& pin : net.pins) occ.set(pin, net.id);
-  // Search scratch of the sequential tail, escalation and finalize loops;
-  // each parallel chunk below owns its own.
-  SearchArena arena;
-
-  const std::size_t n_points = static_cast<std::size_t>(p.width) *
-                               static_cast<std::size_t>(p.height) *
-                               static_cast<std::size_t>(p.num_layers);
-  auto idx = [&](const GridPoint& g) {
-    return (static_cast<std::size_t>(g.layer) * static_cast<std::size_t>(p.height) +
-            static_cast<std::size_t>(g.y)) * static_cast<std::size_t>(p.width) +
-           static_cast<std::size_t>(g.x);
-  };
-
-  std::vector<int> usage(n_points, 0);        // wires sharing each cell
-  std::vector<double> history(n_points, 0.0);
-  std::vector<std::vector<GridPoint>> wires(p.nets.size());
-  std::vector<bool> reachable(p.nets.size(), true);
-
-  std::vector<std::size_t> order(p.nets.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return net_span(p.nets[a]) < net_span(p.nets[b]);
-  });
-
-  std::vector<double> extra_base(n_points, 0.0);
-  std::vector<bool> have_route(p.nets.size(), false);
-  // Stall escape: if the overused-cell count stops shrinking, the frozen
-  // clean routes are boxing the contested nets in. One sequential sweep
-  // with live commits over every net near an overused cell (a pin or wire
-  // within kStallRadius in x and y, on either layer) lets the contested
-  // nets and their neighbours shift and make room; nets far from every
-  // contested cell keep their wires. The counter, the radius and the
-  // sweep's set depend only on the usage grid, so they are thread-count
-  // independent.
-  constexpr int kStallLimit = 2;
-  constexpr int kStallRadius = 3;
-  // Small rip-up sets (the negotiation tail, where a handful of nets
-  // contest a handful of cells) resolve with live Gauss-Seidel commits:
-  // each net sees the routes the previous nets just picked, which is
-  // what breaks the final stand-offs that snapshot routing can only
-  // escape through history build-up. The trigger depends only on the
-  // set size, so the schedule is identical at any thread count.
-  constexpr std::size_t kSequentialTail = 16;
-  std::size_t best_over = static_cast<std::size_t>(-1);
-  int stall = 0;
-  for (int iter = 0; iter < opt.max_negotiation_iterations; ++iter) {
-    // Resource guard: one step per negotiation iteration. On exhaustion
-    // break to finalization -- clean nets keep their wires, so a cut-short
-    // run still returns every net routed so far.
-    if (opt.budget && (!opt.budget->consume(1) || opt.budget->exhausted())) {
-      sol.status = opt.budget->status();
-      if (sol.status.ok())
-        sol.status = util::Status::budget("routing iteration budget exhausted");
-      break;
+  /// Removes net `n`'s wires from the sharing counts.
+  void rip(std::size_t n) {
+    for (const auto& c : wires_[n]) {
+      const std::size_t i = grid_.index(c);
+      --usage_[i];
+      field_[i] = history_[i] + present_ * usage_[i];
     }
-    sol.stats.negotiation_iterations = iter + 1;
-    const double present = opt.present_factor * (iter + 1);
-    // Snapshot penalty field for this iteration: everyone's current wires.
-    for (std::size_t i = 0; i < n_points; ++i)
-      extra_base[i] = history[i] + present * usage[i];
+    wires_[n].clear();
+  }
 
-    // Escalate on stall, and always spend the final budget iterations
-    // on stall sweeps so a budget-limited run ends with the same cleanup
-    // around its contested cells.
-    const bool escalate = stall >= kStallLimit ||
-                          iter + 2 >= opt.max_negotiation_iterations;
-    if (escalate) stall = 0;
-    std::vector<std::size_t> active;
-    active.reserve(p.nets.size());
-    if (escalate) {
-      // hot: the (x, y) cells within kStallRadius of an overused cell.
-      const std::size_t plane = static_cast<std::size_t>(p.width) *
-                                static_cast<std::size_t>(p.height);
-      std::vector<bool> hot(plane, false);
-      for (std::size_t i = 0; i < n_points; ++i) {
-        if (usage[i] <= 1) continue;
-        const int xy = static_cast<int>(i % plane);
-        const int x = xy % p.width, y = xy / p.width;
-        for (int yy = std::max(0, y - kStallRadius);
-             yy <= std::min(p.height - 1, y + kStallRadius); ++yy)
-          for (int xx = std::max(0, x - kStallRadius);
-               xx <= std::min(p.width - 1, x + kStallRadius); ++xx)
-            hot[static_cast<std::size_t>(yy * p.width + xx)] = true;
-      }
-      auto near = [&](const std::vector<GridPoint>& cells) {
-        return std::any_of(cells.begin(), cells.end(), [&](const GridPoint& c) {
-          return hot[static_cast<std::size_t>(c.y * p.width + c.x)];
-        });
-      };
-      for (const std::size_t n : order)
-        if (reachable[n] &&
-            (!have_route[n] || near(p.nets[n].pins) || near(wires[n])))
-          active.push_back(n);
-    } else {
-      // Rip-up set: nets not yet routed plus the *losing* sharers of each
-      // overused cell. The first net in routing order that uses a
-      // contested cell holds its route; everyone else on that cell rips
-      // up. The hold policy keeps the asymmetry that makes sequential
-      // negotiation converge — without it, all sharers would flee the same
-      // snapshot to the same alternative cell and oscillate. Clean nets
-      // keep their wires, which also bounds per-iteration work.
-      std::vector<std::int32_t> holder(n_points, -1);
-      for (const std::size_t n : order) {
-        if (!reachable[n]) continue;
-        for (const auto& c : wires[n]) {
-          const std::size_t i = idx(c);
-          if (usage[i] > 1 && holder[i] < 0)
-            holder[i] = static_cast<std::int32_t>(n);
-        }
-      }
-      for (const std::size_t n : order) {
-        if (!reachable[n]) continue;
-        bool rip = !have_route[n];
-        for (std::size_t w = 0; !rip && w < wires[n].size(); ++w) {
-          const std::size_t i = idx(wires[n][w]);
-          rip = usage[i] > 1 && holder[i] != static_cast<std::int32_t>(n);
-        }
-        if (rip) active.push_back(n);
-      }
+  /// Installs the outcome of re-routing net `n`. A net that fails even
+  /// with sharing allowed is walled in: it is never tried again.
+  void commit(std::size_t n, bool ok, std::vector<GridPoint> cells) {
+    have_route_[n] = ok;
+    if (!ok) {
+      reachable_[n] = false;
+      return;
     }
-
-    obs::observe("route.ripup_set_size", static_cast<std::int64_t>(active.size()));
-
-    if (escalate || (!active.empty() && active.size() <= kSequentialTail)) {
-      for (const std::size_t n : active) {
-        for (const auto& c : wires[n]) {
-          const std::size_t i = idx(c);
-          --usage[i];
-          extra_base[i] = history[i] + present * usage[i];
-        }
-        wires[n].clear();
-        // The claimed wires own their cells only while the net grows.
-        std::vector<GridPoint> claimed;
-        const bool ok = grow_tree(arena, p.nets[n], occ, opt.costs, &extra_base,
-                                  claimed, sol.stats.expansions);
-        for (const auto& c : claimed) occ.set(c, Occupancy::kFree);
-        have_route[n] = ok;
-        if (!ok) {
-          reachable[n] = false;
-          continue;
-        }
-        wires[n] = std::move(claimed);
-        for (const auto& c : wires[n]) {
-          const std::size_t i = idx(c);
-          ++usage[i];
-          extra_base[i] = history[i] + present * usage[i];
-        }
-      }
-      std::size_t over_tail = 0;
-      for (std::size_t i = 0; i < n_points; ++i) over_tail += usage[i] > 1;
-      obs::count("route.overflow", static_cast<std::int64_t>(over_tail));
-      if (over_tail == 0) break;
-      if (over_tail >= best_over) {
-        ++stall;
-      } else {
-        best_over = over_tail;
-        stall = 0;
-      }
-      for (std::size_t i = 0; i < n_points; ++i)
-        if (usage[i] > 1) history[i] += opt.history_increment;
-      ++sol.stats.ripups;
-      continue;
+    wires_[n] = std::move(cells);
+    for (const auto& c : wires_[n]) {
+      const std::size_t i = grid_.index(c);
+      ++usage_[i];
+      field_[i] = history_[i] + present_ * usage_[i];
     }
+  }
 
-    struct NetAttempt {
-      bool attempted = false;
-      bool ok = false;
-      std::vector<GridPoint> new_wires;
-      long long expansions = 0;
-    };
-    std::vector<NetAttempt> attempts(p.nets.size());
-
-    // Route the rip-up set concurrently. Each chunk works on private
-    // copies of the occupancy grid (for the transient self-marks that let
-    // a net reuse its growing tree) and the penalty field. Within a chunk
-    // the nets run Gauss-Seidel: each net's old wires are unpriced and its
-    // new wires priced into the chunk-private field before the next net
-    // routes, so chunk-mates never pile onto the same corridor. Chunk
-    // boundaries come from the grain, never the lane count, and the chunk
-    // state depends only on the snapshot plus the chunk's own nets -- so
-    // the result is identical no matter which worker routes which chunk.
-    constexpr std::int64_t kNetGrain = 8;
-    util::parallel_for_chunks(
-        0, static_cast<std::int64_t>(active.size()), kNetGrain,
-        [&](std::int64_t cb, std::int64_t ce) {
-          Occupancy socc = occ;
-          std::vector<double> sextra = extra_base;
-          SearchArena chunk_arena;
-          for (std::int64_t t = cb; t < ce; ++t) {
-            const std::size_t n = active[static_cast<std::size_t>(t)];
-            auto& at = attempts[n];
-            at.attempted = true;
-            for (const auto& c : wires[n]) sextra[idx(c)] -= present;
-            std::vector<GridPoint> claimed;
-            at.ok = grow_tree(chunk_arena, p.nets[n], socc, opt.costs, &sextra,
-                              claimed, at.expansions);
-            for (const auto& c : claimed) socc.set(c, Occupancy::kFree);
-            if (at.ok) {
-              // Chunk-local commit: the next chunk-mate prices these wires.
-              for (const auto& c : claimed) sextra[idx(c)] += present;
-              at.new_wires = std::move(claimed);
-            } else {
-              // Re-price the old wires we removed above.
-              for (const auto& c : wires[n]) sextra[idx(c)] += present;
-            }
-          }
-        });
-
-    // Commit in ascending net order: update the sharing counts from the
-    // attempts. Results are already fixed; this order pins the stats.
-    for (std::size_t n = 0; n < p.nets.size(); ++n) {
-      auto& at = attempts[n];
-      if (!at.attempted) continue;
-      sol.stats.expansions += at.expansions;
-      for (const auto& c : wires[n]) --usage[idx(c)];
-      wires[n].clear();
-      have_route[n] = at.ok;
-      if (!at.ok) {
-        reachable[n] = false;  // blocked even with sharing: truly unroutable
-        continue;
-      }
-      wires[n] = std::move(at.new_wires);
-      for (const auto& c : wires[n]) ++usage[idx(c)];
-    }
+  /// Closes an iteration. Returns true when no point is overused;
+  /// otherwise tracks the stall, raises the history of every overused
+  /// point and counts one rip-up round.
+  bool end_iteration() {
     std::size_t over = 0;
-    for (std::size_t i = 0; i < n_points; ++i) over += usage[i] > 1;
+    for (const int u : usage_) over += u > 1;
     obs::count("route.overflow", static_cast<std::int64_t>(over));
-    if (over == 0) break;
-    if (over >= best_over) {
-      ++stall;
+    if (over == 0) return true;
+    if (over >= best_over_) {
+      ++stall_;
     } else {
-      best_over = over;
-      stall = 0;
+      best_over_ = over;
+      stall_ = 0;
     }
-    for (std::size_t i = 0; i < n_points; ++i)
-      if (usage[i] > 1) history[i] += opt.history_increment;
-    ++sol.stats.ripups;
+    for (std::size_t i = 0; i < usage_.size(); ++i)
+      if (usage_[i] > 1) history_[i] += opt_.history_increment;
+    ++stats_.ripups;
+    return false;
   }
 
-  // Finalize with hard ownership. After convergence every wire is already
-  // exclusive; if negotiation stalled (a few genuinely contested cells),
-  // nets whose wires are clean keep them and the contested nets get one
-  // hard reroute attempt each.
-  {
-    Occupancy hard(p);
-    for (const auto& net : p.nets)
-      for (const auto& pin : net.pins) hard.set(pin, net.id);
+  /// The rip-up set of the next iteration, in routing order. A stall
+  /// sweep takes every net near an overused point; otherwise the set is
+  /// the nets without a route plus the losing sharers of each overused
+  /// point.
+  std::vector<std::size_t> rip_up_set(const std::vector<std::size_t>& order,
+                                      bool sweep) const;
 
-    std::vector<std::size_t> contested;
-    for (const std::size_t n : order) {
-      if (!reachable[n]) continue;
-      bool clean = true;
-      for (const auto& c : wires[n])
-        if (hard.at(c) != Occupancy::kFree && hard.at(c) != p.nets[n].id) {
-          clean = false;
-          break;
+  double present() const { return present_; }
+  const std::vector<double>& field() const { return field_; }
+  const std::vector<GridPoint>& wires(std::size_t n) const { return wires_[n]; }
+  bool reachable(std::size_t n) const { return reachable_[n]; }
+
+ private:
+  // Stall escape: if the overused-point count stops shrinking, the frozen
+  // clean routes are boxing the contested nets in. One sequential sweep
+  // with live commits over every net near an overused point (a pin or
+  // wire within kStallRadius in x and y, on either layer) lets the
+  // contested nets and their neighbours shift and make room; nets far
+  // from every contested point keep their wires. The counter, the radius
+  // and the sweep's set depend only on the usage grid, so they are
+  // thread-count independent.
+  static constexpr int kStallLimit = 2;
+  static constexpr int kStallRadius = 3;
+
+  static std::size_t points(const Occupancy& g) {
+    return static_cast<std::size_t>(g.width()) * static_cast<std::size_t>(g.height()) *
+           static_cast<std::size_t>(g.layers());
+  }
+
+  const gen::RoutingProblem& p_;
+  const Occupancy& grid_;  // for its point index
+  const RouterOptions& opt_;
+  RouteStats& stats_;
+  std::vector<int> usage_;  // wires sharing each point
+  std::vector<double> history_;
+  std::vector<double> field_;
+  std::vector<std::vector<GridPoint>> wires_;
+  std::vector<bool> have_route_;
+  std::vector<bool> reachable_;
+  double present_ = 0.0;
+  std::size_t best_over_ = static_cast<std::size_t>(-1);
+  int stall_ = 0;
+};
+
+std::vector<std::size_t> Negotiation::rip_up_set(
+    const std::vector<std::size_t>& order, bool sweep) const {
+  std::vector<std::size_t> active;
+  active.reserve(wires_.size());
+  if (sweep) {
+    // hot: the (x, y) cells within kStallRadius of an overused point.
+    const int w = grid_.width(), h = grid_.height();
+    const std::size_t plane = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+    std::vector<bool> hot(plane, false);
+    for (std::size_t i = 0; i < usage_.size(); ++i) {
+      if (usage_[i] <= 1) continue;
+      const int xy = static_cast<int>(i % plane);
+      const int x = xy % w, y = xy / w;
+      for (int yy = std::max(0, y - kStallRadius); yy <= std::min(h - 1, y + kStallRadius);
+           ++yy)
+        for (int xx = std::max(0, x - kStallRadius);
+             xx <= std::min(w - 1, x + kStallRadius); ++xx)
+          hot[static_cast<std::size_t>(yy * w + xx)] = true;
+    }
+    auto near = [&](const std::vector<GridPoint>& cells) {
+      return std::any_of(cells.begin(), cells.end(), [&](const GridPoint& c) {
+        return hot[static_cast<std::size_t>(c.y * w + c.x)];
+      });
+    };
+    for (const std::size_t n : order)
+      if (reachable_[n] && (!have_route_[n] || near(p_.nets[n].pins) || near(wires_[n])))
+        active.push_back(n);
+    return active;
+  }
+  // The first net in routing order that uses a contested point holds its
+  // route; everyone else on that point rips up. The hold policy keeps the
+  // asymmetry that makes sequential negotiation converge -- without it,
+  // all sharers would flee the same snapshot to the same alternative
+  // point and oscillate. Clean nets keep their wires, which also bounds
+  // per-iteration work.
+  std::vector<std::int32_t> holder(usage_.size(), -1);
+  for (const std::size_t n : order) {
+    if (!reachable_[n]) continue;
+    for (const auto& c : wires_[n]) {
+      const std::size_t i = grid_.index(c);
+      if (usage_[i] > 1 && holder[i] < 0) holder[i] = static_cast<std::int32_t>(n);
+    }
+  }
+  for (const std::size_t n : order) {
+    if (!reachable_[n]) continue;
+    bool rip = !have_route_[n];
+    for (std::size_t w = 0; !rip && w < wires_[n].size(); ++w) {
+      const std::size_t i = grid_.index(wires_[n][w]);
+      rip = usage_[i] > 1 && holder[i] != static_cast<std::int32_t>(n);
+    }
+    if (rip) active.push_back(n);
+  }
+  return active;
+}
+
+// Small rip-up sets (the negotiation tail, where a handful of nets
+// contest a handful of cells) resolve with live Gauss-Seidel commits:
+// each net sees the routes the previous nets just picked, which is
+// what breaks the final stand-offs that snapshot routing can only
+// escape through history build-up. The trigger depends only on the
+// set size, so the schedule is identical at any thread count.
+constexpr std::size_t kSequentialTail = 16;
+
+/// Routes a rip-up set of more than kSequentialTail nets against the
+/// penalty field taken at the iteration's start, then commits the
+/// attempts to `neg`.
+void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
+                    const Occupancy& occ, const std::vector<std::size_t>& active,
+                    Negotiation& neg, RouteStats& stats) {
+  struct NetAttempt {
+    bool attempted = false;
+    bool ok = false;
+    std::vector<GridPoint> new_wires;
+    long long expansions = 0;
+  };
+  std::vector<NetAttempt> attempts(p.nets.size());
+
+  // Route the rip-up set concurrently. Each chunk works on private
+  // copies of the occupancy grid (for the transient self-marks that let
+  // a net reuse its growing tree) and the penalty field. Within a chunk
+  // the nets run Gauss-Seidel: each net's old wires are unpriced and its
+  // new wires priced into the chunk-private field before the next net
+  // routes, so chunk-mates never pile onto the same corridor. Chunk
+  // boundaries come from the grain, never the lane count, and the chunk
+  // state depends only on the snapshot plus the chunk's own nets -- so
+  // the result is identical no matter which worker routes which chunk.
+  // The chunk pricing adds and subtracts `present` in place instead of
+  // recomputing history + present * usage as rip() and commit() do; the
+  // two round differently, so they are not interchangeable.
+  const double present = neg.present();
+  constexpr std::int64_t kNetGrain = 8;
+  util::parallel_for_chunks(
+      0, static_cast<std::int64_t>(active.size()), kNetGrain,
+      [&](std::int64_t cb, std::int64_t ce) {
+        Occupancy socc = occ;
+        std::vector<double> sextra = neg.field();
+        SearchArena chunk_arena;
+        for (std::int64_t t = cb; t < ce; ++t) {
+          const std::size_t n = active[static_cast<std::size_t>(t)];
+          auto& at = attempts[n];
+          at.attempted = true;
+          for (const auto& c : neg.wires(n)) sextra[occ.index(c)] -= present;
+          std::vector<GridPoint> claimed;
+          at.ok = grow_tree(chunk_arena, p.nets[n], socc, opt.costs, &sextra,
+                            claimed, at.expansions);
+          for (const auto& c : claimed) socc.set(c, Occupancy::kFree);
+          if (at.ok) {
+            // Chunk-local commit: the next chunk-mate prices these wires.
+            for (const auto& c : claimed) sextra[occ.index(c)] += present;
+            at.new_wires = std::move(claimed);
+          } else {
+            // Re-price the old wires we removed above.
+            for (const auto& c : neg.wires(n)) sextra[occ.index(c)] += present;
+          }
         }
-      if (!clean) {
-        contested.push_back(n);
-        continue;
-      }
-      for (const auto& c : wires[n]) hard.set(c, p.nets[n].id);
-      auto& out = sol.nets[n];
-      out.cells.assign(p.nets[n].pins.begin(), p.nets[n].pins.end());
-      out.cells.insert(out.cells.end(), wires[n].begin(), wires[n].end());
-      std::sort(out.cells.begin(), out.cells.end());
-      out.cells.erase(std::unique(out.cells.begin(), out.cells.end()),
-                      out.cells.end());
-      out.routed = true;
-    }
-    for (const std::size_t n : contested) {
-      auto r = route_net(arena, p.nets[n], hard, opt.costs, sol.stats);
-      if (r) sol.nets[n] = std::move(*r);
-    }
-  }
+      });
 
-  for (const auto& net : sol.nets) {
-    if (net.routed) {
-      ++sol.stats.routed;
-      sol.stats.total_wire += static_cast<double>(net.cells.size());
-      sol.stats.total_vias += count_vias(net);
-    } else {
-      ++sol.stats.failed;
-    }
+  // Commit in ascending net order. Results are already fixed; this
+  // order pins the stats.
+  for (std::size_t n = 0; n < p.nets.size(); ++n) {
+    auto& at = attempts[n];
+    if (!at.attempted) continue;
+    stats.expansions += at.expansions;
+    neg.rip(n);
+    neg.commit(n, at.ok, std::move(at.new_wires));
   }
-  return sol;
 }
 
 }  // namespace
@@ -447,22 +386,35 @@ int count_vias(const NetRoute& net) {
   return vias;
 }
 
+/// Negotiated-congestion routing (PathFinder-style). Pins are hard
+/// obstacles for other nets throughout; wires may transiently share cells,
+/// priced by growing present-sharing and history penalties until every
+/// cell has one owner or the iteration budget runs out. A final pass then
+/// gives each cell one owner: nets with clean wires keep them, and each
+/// still-contested net gets one hard reroute.
+///
+/// Each iteration selects a rip-up set and routes it against the penalty
+/// field taken at the iteration's start. Chunks of the set route
+/// concurrently on worker-local copies of the grids -- Gauss-Seidel within
+/// a chunk, Jacobi across chunks -- and commit in ascending net order.
+/// Chunk boundaries are fixed by the grain, never the lane count, so the
+/// solution is bit-identical at any L2L_THREADS value. Small rip-up sets
+/// and stall sweeps run sequentially with live commits, which is what
+/// finally untangles the last contested cells.
 RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) {
-  if (opt.negotiated) return route_negotiated(p, opt);
   RouteSolution sol;
-  RouteMetricsFlusher metrics(sol.stats, "route.route_all");
+  RouteMetricsFlusher metrics(sol.stats);
   sol.nets.resize(p.nets.size());
   for (std::size_t n = 0; n < p.nets.size(); ++n)
     sol.nets[n].net_id = p.nets[n].id;
 
-  Occupancy occ(p);
-  // Reserve every pin up front so no net can route over another's pins.
-  std::set<GridPoint> pin_cells;
+  Occupancy occ(p);  // obstacles only, plus pin reservations below
   for (const auto& net : p.nets)
-    for (const auto& pin : net.pins) {
-      occ.set(pin, net.id);
-      pin_cells.insert(pin);
-    }
+    for (const auto& pin : net.pins) occ.set(pin, net.id);
+  // Search scratch of the live loop and finalize; each parallel chunk
+  // below owns its own.
+  SearchArena arena;
+  Negotiation neg(p, occ, opt, sol.stats);
 
   // Route shortest-span nets first.
   std::vector<std::size_t> order(p.nets.size());
@@ -471,46 +423,61 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
     return net_span(p.nets[a]) < net_span(p.nets[b]);
   });
 
-  SearchArena arena;
-  std::vector<std::size_t> pending = order;
-  for (int iter = 0; iter <= opt.max_ripup_iterations && !pending.empty();
-       ++iter) {
-    // Resource guard: one step per rip-up iteration (mirrors the
-    // negotiated path). Nets already committed stay routed.
+  for (int iter = 0; iter < opt.max_negotiation_iterations; ++iter) {
+    // Resource guard: one step per negotiation iteration. On exhaustion
+    // break to finalization -- clean nets keep their wires, so a cut-short
+    // run still returns every net routed so far.
     if (opt.budget && (!opt.budget->consume(1) || opt.budget->exhausted())) {
       sol.status = opt.budget->status();
       if (sol.status.ok())
         sol.status = util::Status::budget("routing iteration budget exhausted");
       break;
     }
-    std::vector<std::size_t> failed;
-    for (const std::size_t n : pending) {
-      auto r = route_net(arena, p.nets[n], occ, opt.costs, sol.stats);
-      if (r) {
-        sol.nets[n] = std::move(*r);
-      } else {
-        failed.push_back(n);
+    sol.stats.negotiation_iterations = iter + 1;
+    const bool sweep = neg.begin(iter);
+    const auto active = neg.rip_up_set(order, sweep);
+    obs::observe("route.ripup_set_size", static_cast<std::int64_t>(active.size()));
+
+    if (sweep || (!active.empty() && active.size() <= kSequentialTail)) {
+      for (const std::size_t n : active) {
+        neg.rip(n);
+        // The claimed wires own their cells only while the net grows.
+        std::vector<GridPoint> claimed;
+        const bool ok = grow_tree(arena, p.nets[n], occ, opt.costs, &neg.field(),
+                                  claimed, sol.stats.expansions);
+        for (const auto& c : claimed) occ.set(c, Occupancy::kFree);
+        neg.commit(n, ok, std::move(claimed));
       }
+    } else {
+      route_snapshot(p, opt, occ, active, neg, sol.stats);
     }
-    if (failed.empty() || iter == opt.max_ripup_iterations) {
-      pending = std::move(failed);
-      break;
+    if (neg.end_iteration()) break;
+  }
+
+  // Finalize with hard ownership. After convergence every wire is already
+  // exclusive; if negotiation stalled (a few genuinely contested cells),
+  // nets whose wires are clean keep them and the contested nets get one
+  // hard reroute attempt each.
+  Occupancy hard(p);
+  for (const auto& net : p.nets)
+    for (const auto& pin : net.pins) hard.set(pin, net.id);
+  std::vector<std::size_t> contested;
+  for (const std::size_t n : order) {
+    if (!neg.reachable(n)) continue;
+    const auto& wires = neg.wires(n);
+    const bool clean = std::all_of(wires.begin(), wires.end(), [&](const GridPoint& c) {
+      return hard.at(c) == Occupancy::kFree || hard.at(c) == p.nets[n].id;
+    });
+    if (!clean) {
+      contested.push_back(n);
+      continue;
     }
-    // Rip-up: free all wires (pins stay reserved) and retry with the
-    // failed nets first. (A simple, effective course-scale scheme.)
-    for (auto& net : sol.nets) {
-      if (!net.routed) continue;
-      for (const auto& c : net.cells)
-        if (!pin_cells.count(c)) occ.set(c, Occupancy::kFree);
-      net.routed = false;
-      net.cells.clear();
-      ++sol.stats.ripups;
-    }
-    std::vector<std::size_t> next = failed;
-    for (const std::size_t n : order)
-      if (std::find(failed.begin(), failed.end(), n) == failed.end())
-        next.push_back(n);
-    pending = std::move(next);
+    for (const auto& c : wires) hard.set(c, p.nets[n].id);
+    sol.nets[n] = routed_net(p.nets[n], wires);
+  }
+  for (const std::size_t n : contested) {
+    auto r = route_net(arena, p.nets[n], hard, opt.costs, sol.stats);
+    if (r) sol.nets[n] = std::move(*r);
   }
 
   for (const auto& net : sol.nets) {

@@ -1,15 +1,11 @@
 #pragma once
-// Multi-net routing on the 2-layer grid, shortest pin span first, in one
-// of two modes (RouterOptions::negotiated):
-//  - negotiated congestion (the default, PathFinder-style): wires may
-//    share cells, priced by growing present and history penalties. Each
-//    iteration re-routes a rip-up set: the unrouted nets and the losing
-//    sharers of each overused cell or, when the overflow stalls, every
-//    net near an overused cell. A final pass gives each cell one owner.
-//  - sequential: nets route one at a time on exclusive cells; when some
-//    fail, every wire is ripped up and the failed nets retry first,
-//    bounded by max_ripup_iterations.
-// Both return bit-identical solutions at any L2L_THREADS value.
+// Multi-net routing on the 2-layer grid by negotiated congestion
+// (PathFinder-style). Wires may share cells, priced by growing present and
+// history penalties. Each iteration re-routes a rip-up set, shortest pin
+// span first: the unrouted nets and the losing sharers of each overused
+// cell or, when the overflow stalls, every net near an overused cell. A
+// final pass gives each cell one owner. The solution is bit-identical at
+// any L2L_THREADS value.
 
 #include <vector>
 
@@ -39,20 +35,14 @@ struct RouteStats {
 
 struct RouterOptions {
   RouteCosts costs;
-  /// Negotiated congestion (PathFinder-style): nets may initially share
-  /// cells; sharing is priced with growing present + history penalties
-  /// until every cell has a single owner. Converges to far higher
-  /// completion than sequential routing on congested problems.
-  bool negotiated = true;
+  /// Negotiation iterations before the final ownership pass; the last
+  /// two are always stall sweeps.
   int max_negotiation_iterations = 40;
   double present_factor = 0.6;     ///< per-iteration sharing penalty growth
   double history_increment = 3.0;  ///< added to each overused cell per iter
-  /// Sequential-mode (negotiated = false) rip-up budget; also the budget
-  /// of the hard fallback pass when negotiation fails to converge.
-  int max_ripup_iterations = 3;
   /// Optional resource guard (not owned; must outlive route_all). Each
-  /// negotiation / rip-up iteration consumes one budget step; the deadline
-  /// and cancellation token are polled at the same boundary. On exhaustion
+  /// negotiation iteration consumes one budget step; the deadline and
+  /// cancellation token are polled at the same boundary. On exhaustion
   /// the router breaks to finalization and returns a partial solution
   /// (clean nets keep their routes) with RouteSolution::status explaining
   /// why. Step-limited runs stop at a deterministic iteration.

@@ -126,6 +126,21 @@ CnfFormula parse_dimacs(const std::string& text) {
   return f;
 }
 
+bool has_complementary_pair(std::span<const int> sorted) {
+  if (sorted.empty()) return false;
+  std::size_t lo = 0, hi = sorted.size() - 1;
+  while (lo < hi && sorted[lo] < 0 && sorted[hi] > 0) {
+    const long long neg = -static_cast<long long>(sorted[lo]);
+    if (neg == sorted[hi]) return true;
+    if (neg > sorted[hi]) {
+      ++lo;
+    } else {
+      --hi;
+    }
+  }
+  return false;
+}
+
 std::string write_dimacs(const CnfFormula& f) {
   std::string out = util::format("p cnf %d %d\n", f.num_vars,
                                  static_cast<int>(f.clauses.size()));

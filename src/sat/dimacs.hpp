@@ -64,6 +64,12 @@ struct ParsedDimacs {
 
 ParsedDimacs parse_dimacs_lenient(std::string_view text);
 
+/// Whether a clause whose literals are sorted ascending holds some
+/// variable in both signs (a tautology). One walk: the negative literals
+/// from the front, the positive ones from the back, both in falling
+/// magnitude, so the pair is found wherever it sits in the clause.
+bool has_complementary_pair(std::span<const int> sorted);
+
 /// Parse DIMACS text ("p cnf V C" header, clauses of nonzero ints ending in
 /// 0, 'c' comment lines): the lenient parse when it found no defect.
 /// Throws std::invalid_argument naming the first defect otherwise.

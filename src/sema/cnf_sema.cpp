@@ -50,7 +50,7 @@ std::vector<Finding> analyze_cnf(const std::string& text) {
   const auto& clauses = parsed.clauses;
   const std::size_t n = clauses.size();
   std::vector<std::size_t> start(n + 1, 0);
-  std::vector<char> tautology(n, 0);  ///< an adjacent v, -v pair
+  std::vector<char> tautology(n, 0);  ///< some v, -v pair
   std::size_t packed = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto raw = parsed.lits_of(clauses[i]);
@@ -58,8 +58,8 @@ std::vector<Finding> analyze_cnf(const std::string& text) {
     start[i] = packed;
     for (std::size_t k = 0; k < raw.size(); ++k)
       if (k == 0 || raw[k] != raw[k - 1]) lits[packed++] = raw[k];
-    for (std::size_t k = start[i]; k + 1 < packed; ++k)
-      if (lits[k] == -lits[k + 1]) tautology[i] = 1;
+    tautology[i] = sat::has_complementary_pair(
+        std::span<const int>(lits.data() + start[i], packed - start[i]));
   }
   start[n] = packed;
   lits.resize(packed);

@@ -16,7 +16,7 @@
 // The engine-by-engine step units:
 //   sat::Solver        1 step per propagation (checked at conflicts)
 //   bdd::Manager       1 step per freshly allocated node
-//   route::route_all   1 step per negotiation / rip-up iteration
+//   route::route_all   1 step per negotiation iteration
 //   place_quadratic    1 step per region solved
 //   flow::run_flow     passes the budget through to the stages above
 

@@ -109,8 +109,9 @@ std::vector<Finding> reference_analyze_cnf(const std::string& text) {
     c.canon.assign(lits.begin(), lits.end());
     std::sort(c.canon.begin(), c.canon.end());
     c.canon.erase(std::unique(c.canon.begin(), c.canon.end()), c.canon.end());
-    for (std::size_t k = 0; k + 1 < c.canon.size(); ++k)
-      if (c.canon[k] == -c.canon[k + 1]) c.tautology = true;
+    const std::set<int> present(c.canon.begin(), c.canon.end());
+    for (const int lit : c.canon)
+      if (present.count(-lit)) c.tautology = true;
     clauses.push_back(std::move(c));
   }
   auto add = [&](const char* rule, Severity sev, int line, std::string msg,

@@ -139,6 +139,7 @@ const RuleCase kRuleCases[] = {
     {"L2L-C004", Format::kCnf, "p cnf 2 2\n1 0\n0\n"},
     {"L2L-C005", Format::kCnf, "p cnf 2 2\n1 2 0\n1 2 0\n"},
     {"L2L-C006", Format::kCnf, "p cnf 2 1\n1 -1 0\n"},
+    {"L2L-C006", Format::kCnf, "p cnf 3 1\n-3 -1 2 3 0\n"},  // pair not adjacent
     {"L2L-C007", Format::kCnf, "p cnf 2 1\n1 1 2 0\n"},
     {"L2L-C008", Format::kCnf, "p cnf 3 1\n1 2 0\n"},
     // placement text (checked against spec: 2 cells on a 2x2 grid)

@@ -2,14 +2,20 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <set>
 
+#include "cache/digest.hpp"
 #include "grader/route_grader.hpp"
 #include "obs/metrics.hpp"
 #include "route/maze.hpp"
 #include "route/router.hpp"
 #include "route/solution.hpp"
+#include "util/budget.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace l2l::route {
 namespace {
@@ -347,7 +353,7 @@ TEST(Router, MultiPinNetsFormTrees) {
 }
 
 TEST(Router, RipUpRecoversCongestion) {
-  // Dense crossing pattern that sequential routing may fail without rip-up.
+  // Dense crossing pattern: each net crosses six others in the centre.
   auto p = empty_grid(16, 16);
   // Nets crossing through the center from all sides.
   int id = 0;
@@ -355,16 +361,13 @@ TEST(Router, RipUpRecoversCongestion) {
     p.nets.push_back({id++, {{0, k, 0}, {15, k, 0}}});
     p.nets.push_back({id++, {{k, 0, 0}, {k, 15, 0}}});
   }
-  RouterOptions opt;
-  opt.max_ripup_iterations = 5;
-  const auto sol = route_all(p, opt);
+  const auto sol = route_all(p);
   EXPECT_EQ(sol.stats.failed, 0) << "failed " << sol.stats.failed;
 }
 
-TEST(Router, NegotiationBeatsSequentialOnCongestion) {
-  // A deliberately congested die: PathFinder-style negotiation must route
-  // at least as many nets as plain sequential rip-up (in practice more),
-  // and both answers must be legal (checked by the overlap sweep below).
+TEST(Router, NegotiationRoutesCongestedDieLegally) {
+  // A deliberately congested die: negotiation must route some nets, each
+  // connected, and no two nets may share a cell.
   util::Rng rng(99);
   gen::RoutingGenOptions gopt;
   gopt.width = gopt.height = 32;
@@ -373,19 +376,13 @@ TEST(Router, NegotiationBeatsSequentialOnCongestion) {
   const auto p = gen::generate_routing(gopt, rng);
   RouterOptions nego;
   nego.max_negotiation_iterations = 15;
-  RouterOptions seq;
-  seq.negotiated = false;
-  const auto s1 = route_all(p, nego);
-  const auto s2 = route_all(p, seq);
-  EXPECT_GE(s1.stats.routed, s2.stats.routed);
-  EXPECT_GT(s1.stats.routed, 0);
-  for (const auto* sol : {&s1, &s2}) {
-    std::set<GridPoint> all;
-    for (const auto& net : sol->nets) {
-      if (!net.routed) continue;
-      EXPECT_TRUE(connected(net));
-      for (const auto& c : net.cells) EXPECT_TRUE(all.insert(c).second);
-    }
+  const auto sol = route_all(p, nego);
+  EXPECT_GT(sol.stats.routed, 0);
+  std::set<GridPoint> all;
+  for (const auto& net : sol.nets) {
+    if (!net.routed) continue;
+    EXPECT_TRUE(connected(net));
+    for (const auto& c : net.cells) EXPECT_TRUE(all.insert(c).second);
   }
 }
 
@@ -479,6 +476,94 @@ TEST(Router, StallSweepRipsUpOnlyNetsNearOverusedCells) {
   EXPECT_EQ(sol.nets[2].cells, first.nets[2].cells);
   // The gap admits one net, so one of the pocket nets ends unrouted.
   EXPECT_EQ(sol.stats.routed, 2);
+}
+
+// Router digest golden: per instance and thread count, the digest of the
+// solution text a grader reads, every RouteStats field and the status code
+// (tests/data/golden/router_digests.txt; L2L_UPDATE_GOLDEN=1 regenerates).
+// The instances reach every path of the negotiation: rip-up sets over 16
+// nets (parallel chunks), the live tail of 16 or fewer, stall sweeps,
+// 1-, 2- and 12-iteration budgets, a step-limited budget cut, dies that end
+// unconverged (finalize re-routes the contested nets) and a net walled in
+// by obstacles, which no iteration can reach.
+TEST(Router, RoutesMatchGolden) {
+  auto problem = [](int size, int nets, int pins, std::uint64_t seed) {
+    util::Rng rng(seed);
+    gen::RoutingGenOptions gopt;
+    gopt.width = gopt.height = size;
+    gopt.num_nets = nets;
+    gopt.max_pins_per_net = pins;
+    return gen::generate_routing(gopt, rng);
+  };
+  // Wall in net 0's first pin: every free neighbour on its layer and the
+  // cell above it become obstacles.
+  auto walled = [](gen::RoutingProblem p) {
+    const GridPoint pin = p.nets[0].pins[0];
+    std::set<GridPoint> pins;
+    for (const auto& net : p.nets) pins.insert(net.pins.begin(), net.pins.end());
+    const GridPoint around[5] = {{pin.x + 1, pin.y, pin.layer},
+                                 {pin.x - 1, pin.y, pin.layer},
+                                 {pin.x, pin.y + 1, pin.layer},
+                                 {pin.x, pin.y - 1, pin.layer},
+                                 {pin.x, pin.y, 1 - pin.layer}};
+    for (const auto& c : around)
+      if (p.in_bounds(c) && !pins.count(c))
+        p.blocked[static_cast<std::size_t>(c.layer)]
+                 [static_cast<std::size_t>(c.y * p.width + c.x)] = true;
+    return p;
+  };
+  struct Case {
+    const char* name;
+    gen::RoutingProblem p;
+    int iterations;
+    std::int64_t step_limit;  // < 0: no budget
+  };
+  const Case cases[] = {
+      {"clean32_i40", problem(32, 16, 2, 122), 40, -1},
+      {"sparse64_i40", problem(64, 30, 2, 5), 40, -1},
+      {"dense48_i40", problem(48, 40, 3, 25), 40, -1},
+      {"fig07_32_i12", problem(32, 32, 3, 169), 12, -1},
+      {"fig07_64_i12", problem(64, 64, 3, 201), 12, -1},
+      {"congested32_i1", problem(32, 40, 3, 99), 1, -1},
+      {"congested32_i2", problem(32, 40, 3, 99), 2, -1},
+      {"congested32_i12", problem(32, 40, 3, 99), 12, -1},
+      {"crowded24_i3", problem(24, 40, 3, 11), 3, -1},
+      {"multipin40_steps3", problem(40, 36, 4, 2026), 40, 3},
+      {"walled32_i12", walled(problem(32, 24, 3, 7)), 12, -1},
+      {"walled24_i12", walled(problem(24, 12, 2, 3)), 12, -1},
+  };
+  std::string got;
+  for (const auto& c : cases) {
+    for (const int threads : {1, 8}) {
+      util::set_num_threads(threads);
+      RouterOptions opt;
+      opt.max_negotiation_iterations = c.iterations;
+      auto budget = util::Budget::with_step_limit(c.step_limit);
+      if (c.step_limit >= 0) opt.budget = &budget;
+      const auto sol = route_all(c.p, opt);
+      const auto& s = sol.stats;
+      got += util::format(
+          "%s t%d %s routed=%d failed=%d ripups=%d iterations=%d wire=%.17g "
+          "vias=%d expansions=%lld status=%s\n",
+          c.name, threads, cache::digest_bytes(write_solution(sol)).hex().c_str(),
+          s.routed, s.failed, s.ripups, s.negotiation_iterations, s.total_wire,
+          s.total_vias, s.expansions, util::status_code_name(sol.status.code));
+    }
+  }
+  util::set_num_threads(0);
+
+  const std::string golden_path = L2L_TEST_DATA_DIR "/golden/router_digests.txt";
+  if (std::getenv("L2L_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated";
+  }
+  std::ifstream in(golden_path);
+  const std::string want((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(want.empty()) << "missing golden file " << golden_path;
+  EXPECT_EQ(got, want) << "actual:\n" << got;
 }
 
 TEST(Solution, WriteParseRoundTrip) {

@@ -97,6 +97,7 @@ const RuleCase kRuleCases[] = {
     // C-pack: DIMACS CNF semantics.
     {"L2L-C101", Format::kCnf, "p cnf 2 3\n1 2 0\n2 1 0\n-1 -2 0\n"},
     {"L2L-C102", Format::kCnf, "p cnf 1 1\n1 -1 0\n"},
+    {"L2L-C102", Format::kCnf, "p cnf 3 1\n-3 -1 2 3 0\n"},  // pair not adjacent
     {"L2L-C103", Format::kCnf, "p cnf 2 2\n1 2 0\n1 -2 0\n"},
     {"L2L-C104", Format::kCnf, "p cnf 1 2\n1 0\n-1 0\n"},
     // P-pack: PLA semantics.
