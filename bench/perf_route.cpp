@@ -1,8 +1,12 @@
-// Router benchmarks + ablations: A* vs Dijkstra search effort, the
-// preferred-direction penalty's effect on vias/quality, via-cost sweeps,
-// and multi-thread scaling of the negotiated-congestion router.
+// Router benchmarks + ablations: the maze kernel's cost per expansion, A*
+// vs Dijkstra search effort, the preferred-direction penalty's effect on
+// vias/quality, via-cost sweeps, and multi-thread scaling of the
+// negotiated-congestion router.
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <vector>
 
 #include "gen/routing_gen.hpp"
 #include "route/maze.hpp"
@@ -22,6 +26,50 @@ gen::RoutingProblem problem(int size, int nets, std::uint64_t seed) {
   opt.max_pins_per_net = 3;
   return gen::generate_routing(opt, rng);
 }
+
+void BM_FindPath(benchmark::State& state) {
+  // The maze kernel alone: one single-target A* search per net of a
+  // flow-sized 60x60x2 die, through a seeded penalty field like the one a
+  // negotiation iteration prices (most points free, the rest history in
+  // steps of 3 plus a present-sharing term), on one reused arena, with
+  // every pin reserved for its net as route_all does.
+  // ns_per_expansion divides the searches' wall time by their expansions,
+  // so it reads the cost of one expansion with the search effort factored
+  // out.
+  const auto p = problem(60, 60, 28);
+  route::Occupancy occ(p);
+  for (const auto& net : p.nets)
+    for (const auto& pin : net.pins) occ.set(pin, net.id);
+  util::Rng rng(29);
+  std::vector<double> field(60 * 60 * 2);
+  for (auto& f : field)
+    f = rng.next_bool(0.6) ? 0.0
+                           : 3.0 * static_cast<double>(rng.next_below(4)) +
+                                 0.6 * static_cast<double>(rng.next_in(1, 8));
+  const route::RouteCosts costs;
+  route::SearchArena arena;
+  long long expansions = 0;
+  auto search_all = [&] {
+    for (const auto& net : p.nets) {
+      const auto path = route::find_path(arena, occ, {net.pins[0]}, {net.pins[1]},
+                                         net.id, costs, &field);
+      if (path) expansions += path->expansions;
+      benchmark::DoNotOptimize(path);
+    }
+  };
+  search_all();  // grows the arena outside the timed passes
+  expansions = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    search_all();
+    seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+  state.counters["expansions"] =
+      static_cast<double>(expansions) / static_cast<double>(state.iterations());
+  state.counters["ns_per_expansion"] = seconds * 1e9 / static_cast<double>(expansions);
+}
+BENCHMARK(BM_FindPath);
 
 void BM_AStarVsDijkstra(benchmark::State& state) {
   const bool astar = state.range(0) != 0;

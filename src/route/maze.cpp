@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <queue>
 
 namespace l2l::route {
 
@@ -26,7 +25,8 @@ Occupancy::Occupancy(const gen::RoutingProblem& p)
 
 namespace {
 
-// Directions: 0=+x, 1=-x, 2=+y, 3=-y, 4=via, 5=start.
+// Directions: 0=+x, 1=-x, 2=+y, 3=-y, 4=via, 5=start. A state packs
+// point * kDirs + direction.
 constexpr int kDirs = 6;
 constexpr int kDx[4] = {1, -1, 0, 0};
 constexpr int kDy[4] = {0, 0, 1, -1};
@@ -54,12 +54,14 @@ class RadixHeap {
     std::uint64_t key;
     double g;
     std::uint32_t state;
+    std::uint32_t pos;  // the state's packed (y, layer); the entry stays 24 bytes
     bool operator>(const Entry& o) const { return key > o.key; }
   };
 
+  /// Empties the heap; every buffer keeps its storage for the next search.
   void reset() {
     for (auto& b : buckets_) b.clear();
-    low_ = {};
+    low_.clear();
     occupied_ = 0;
     last_ = 0;
   }
@@ -67,19 +69,23 @@ class RadixHeap {
     return low_.empty() && occupied_ == 0 && buckets_[0].empty();
   }
 
-  void push(double f, double g, std::uint32_t state) {
-    const Entry e{std::bit_cast<std::uint64_t>(f), g, state};
+  // push, pop and put are forced into the search loop; left to itself,
+  // GCC calls push out of line.
+  [[gnu::always_inline]] void push(double f, double g, std::uint32_t state, std::uint32_t pos) {
+    const Entry e{std::bit_cast<std::uint64_t>(f), g, state, pos};
     if (e.key < last_) {
-      low_.push(e);
+      low_.push_back(e);
+      std::push_heap(low_.begin(), low_.end(), std::greater<Entry>());
     } else {
       put(e);
     }
   }
 
-  Entry pop() {
+  [[gnu::always_inline]] Entry pop() {
     if (!low_.empty()) {
-      const Entry e = low_.top();
-      low_.pop();
+      std::pop_heap(low_.begin(), low_.end(), std::greater<Entry>());
+      const Entry e = low_.back();
+      low_.pop_back();
       return e;
     }
     if (buckets_[0].empty()) {
@@ -98,7 +104,7 @@ class RadixHeap {
   }
 
  private:
-  void put(const Entry& e) {
+  [[gnu::always_inline]] void put(const Entry& e) {
     const int b = e.key == last_ ? 0 : 64 - std::countl_zero(e.key ^ last_);
     buckets_[static_cast<std::size_t>(b)].push_back(e);
     if (b > 0) occupied_ |= std::uint64_t{1} << (b - 1);
@@ -107,7 +113,7 @@ class RadixHeap {
   std::array<std::vector<Entry>, 65> buckets_;
   std::uint64_t occupied_ = 0;  // bit b-1 set: bucket b (1..64) non-empty
   std::uint64_t last_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> low_;
+  std::vector<Entry> low_;  // binary min-heap on key (std::push_heap)
 };
 
 }  // namespace
@@ -155,38 +161,184 @@ std::optional<PathResult> find_path(const Occupancy& occ,
   return find_path(arena, occ, sources, targets, net_id, costs, extra_cost);
 }
 
+namespace {
+
+/// The A* bound a search prices its pushes with.
+enum class Bound {
+  kNone,           ///< plain Dijkstra
+  kOneTarget,      ///< Manhattan distance to the one target
+  kNearestTarget,  ///< precomputed distance to the nearest of several
+};
+
+/// What one search reads and does not change.
+struct SearchInput {
+  const Occupancy& occ;
+  const std::vector<GridPoint>& sources;
+  GridPoint target;  ///< the first target (kOneTarget's)
+  int net_id;
+  const RouteCosts& costs;
+  const double* field;  ///< per-point penalty, or null
+};
+
+/// The search loop, compiled once per bound and with or without a penalty
+/// field, so no step branches on either. Returns the goal state, or -1
+/// when no target is reachable; counts expansions into `expansions`.
+template <Bound kBound, bool kField>
+std::int64_t search(SearchArena::Scratch& sc, const SearchInput& in, int& expansions) {
+  const Occupancy& occ = in.occ;
+  const int w = occ.width(), h = occ.height(), layers = occ.layers();
+  const auto plane = static_cast<std::uint32_t>(w) * static_cast<std::uint32_t>(h);
+  const auto w32 = static_cast<std::uint32_t>(w);
+  // A heap entry carries its state's y above the low layer_bits bits and
+  // its layer in them. That is below 2 * h * layers, so it fits 32 bits
+  // wherever a state (point * kDirs + dir, an int32 parent) does.
+  const int layer_bits = std::bit_width(static_cast<std::uint32_t>(layers - 1));
+  const std::uint32_t layer_mask = (1u << layer_bits) - 1;
+  const int net_id = in.net_id;
+  const std::uint32_t gen = sc.gen;
+  // The loop reads everything through locals: a store to a node's or a
+  // point's double could alias a field of `costs` or a vector object, and
+  // would make the compiler reload them after every store.
+  const double wire = in.costs.wire, via = in.costs.via, bend = in.costs.bend,
+               wrong_way = in.costs.wrong_way;
+  const bool preferred = in.costs.preferred_directions;
+  const int tx = in.target.x, ty = in.target.y;
+  const int* const cell = occ.data();
+  const double* const field = in.field;
+  const int* const target_dist = sc.target_dist.data();
+  auto* const nodes = sc.nodes.data();
+  auto* const points = sc.points.data();
+  auto& heap = sc.heap;
+
+  // A* heuristic: cheapest possible remaining cost = Manhattan distance to
+  // the closest target times the unit wire cost (every step onto a cell
+  // the net does not own costs at least `wire`; vias only add).
+  auto heuristic = [&](int x, int y) -> double {
+    if constexpr (kBound == Bound::kNone) {
+      return 0.0;
+    } else if constexpr (kBound == Bound::kNearestTarget) {
+      return target_dist[static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+                         static_cast<std::size_t>(x)] *
+             wire;
+    } else {
+      return (std::abs(x - tx) + std::abs(y - ty)) * wire;
+    }
+  };
+  // Only the next move's bend penalty depends on a state's direction, so
+  // two states of one point differ in cost-to-go by at most `bend`: a
+  // state at least `bend` dearer than its point's best is never on a
+  // cheaper path. It is not queued, nor expanded if it became so while
+  // queued.
+  auto relax = [&](std::size_t pi, int dir, double g, std::int32_t from, double h_next,
+                   std::uint32_t pos) __attribute__((always_inline)) {
+    auto& pt = points[pi];
+    if (pt.seen == gen) {
+      if (g >= pt.best + bend) return;
+      pt.best = std::min(pt.best, g);
+    } else {
+      pt.best = g;
+      pt.seen = gen;
+    }
+    const std::size_t s = pi * kDirs + static_cast<std::size_t>(dir);
+    auto& n = nodes[s];
+    if (n.stamp != gen || g < n.g) {
+      n = {g, from, gen};
+      heap.push(g + h_next, g, static_cast<std::uint32_t>(s), pos);
+    }
+  };
+  auto passable = [&](int v) { return v == Occupancy::kFree || v == net_id; };
+
+  for (const auto& src : in.sources) {
+    if (!occ.in_bounds(src) || !passable(occ.at(src))) continue;
+    relax(occ.index(src), 5, 0.0, -1, heuristic(src.x, src.y),
+          static_cast<std::uint32_t>(src.y) << layer_bits | static_cast<std::uint32_t>(src.layer));
+  }
+
+  const std::ptrdiff_t kStep[4] = {1, -1, w, -w};
+  while (!heap.empty()) {
+    const auto top = heap.pop();
+    const double g = top.g;
+    const std::uint32_t state = top.state;
+    const auto s = static_cast<std::size_t>(state);
+    if (g > nodes[s].g) continue;  // stale entry
+    const std::uint32_t pi = state / kDirs;
+    const auto& pt = points[pi];
+    if (g > pt.best && g >= pt.best + bend) continue;  // dominated
+    ++expansions;
+    const int dir = static_cast<int>(state - pi * kDirs);
+    if (pt.target == gen) return state;
+    // The entry carries (y, layer), so x costs no division.
+    const std::uint32_t pos = top.pos;
+    const std::uint32_t layer = pos & layer_mask, y = pos >> layer_bits;
+    const GridPoint here{static_cast<int>(pi - layer * plane - y * w32),
+                         static_cast<int>(y), static_cast<int>(layer)};
+    const std::uint32_t pos_step[4] = {0, 0, 1u << layer_bits, 0u - (1u << layer_bits)};
+
+    // Planar moves.
+    for (int d = 0; d < 4; ++d) {
+      const int nx = here.x + kDx[d], ny = here.y + kDy[d];
+      if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+      const std::size_t npi = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(pi) + kStep[d]);
+      const int v = cell[npi];
+      if (!passable(v)) continue;
+      double step = 0.0;
+      if (v != net_id) {
+        step = wire;
+        if constexpr (kField) step += field[npi];
+        // Layer 0 prefers horizontal (d 0/1); layer 1 vertical (d 2/3).
+        if (preferred && (here.layer == 0 ? d >= 2 : d < 2)) step += wrong_way;
+      }
+      if (dir < 4 && dir != d) step += bend;
+      relax(npi, d, g + step, static_cast<std::int32_t>(state), heuristic(nx, ny),
+            pos + pos_step[d]);
+    }
+    // Via move.
+    const double h_here = heuristic(here.x, here.y);
+    for (int dl = -1; dl <= 1; dl += 2) {
+      const int nl = here.layer + dl;
+      if (nl < 0 || nl >= layers) continue;
+      const std::size_t npi = dl > 0 ? pi + plane : pi - plane;
+      const int v = cell[npi];
+      if (!passable(v)) continue;
+      double step = 0.0;
+      if (v != net_id) {
+        step = via;
+        if constexpr (kField) step += field[npi];
+      }
+      relax(npi, 4, g + step, static_cast<std::int32_t>(state), h_here,
+            pos + static_cast<std::uint32_t>(dl));
+    }
+  }
+  return -1;
+}
+
+template <Bound kBound>
+std::int64_t search(SearchArena::Scratch& sc, const SearchInput& in, int& expansions) {
+  return in.field ? search<kBound, true>(sc, in, expansions)
+                  : search<kBound, false>(sc, in, expansions);
+}
+
+}  // namespace
+
 std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
                                     const std::vector<GridPoint>& sources,
                                     const std::vector<GridPoint>& targets,
                                     int net_id, const RouteCosts& costs,
                                     const std::vector<double>* extra_cost) {
+  if (targets.empty()) return std::nullopt;
   const int w = occ.width(), h = occ.height(), layers = occ.layers();
   const std::size_t plane = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
   const std::size_t n_points = plane * static_cast<std::size_t>(layers);
-  // Packed states fit 32 bits (parents are int32), so unpack with 32-bit
-  // division, which is cheaper than 64-bit on the expansion path.
-  const auto w32 = static_cast<std::uint32_t>(w), h32 = static_cast<std::uint32_t>(h);
-  auto unpack = [&](std::size_t pi) {
-    const auto p = static_cast<std::uint32_t>(pi);
-    const std::uint32_t row = p / w32;
-    return GridPoint{static_cast<int>(p % w32), static_cast<int>(row % h32),
-                     static_cast<int>(row / h32)};
-  };
-
-  if (targets.empty()) return std::nullopt;
 
   auto& sc = arena.scratch();
   sc.begin(n_points);
-  const std::uint32_t gen = sc.gen;
   for (const auto& t : targets)
-    if (occ.in_bounds(t)) sc.points[occ.index(t)].target = gen;
+    if (occ.in_bounds(t)) sc.points[occ.index(t)].target = sc.gen;
 
-  // A* heuristic: cheapest possible remaining cost = manhattan distance to
-  // the closest target times the unit wire cost (every step onto a cell
-  // the net does not own costs at least `wire`; vias only add). A single
-  // target is a closed form; for multi-target calls the per-(x,y)
-  // nearest-target distance is precomputed once by multi-source BFS on the
-  // (unobstructed) plane instead of scanning every target on every push.
+  // A single target's bound is a closed form; for multi-target calls the
+  // per-(x,y) nearest-target distance is precomputed once by multi-source
+  // BFS on the (unobstructed) plane instead of scanning every target on
+  // every push.
   const bool multi_target = costs.use_astar && targets.size() > 1;
   if (multi_target) {
     auto& target_dist = sc.target_dist;
@@ -220,108 +372,28 @@ std::optional<PathResult> find_path(SearchArena& arena, const Occupancy& occ,
       frontier = std::move(next);
     }
   }
-  const GridPoint& t0 = targets.front();
-  auto heuristic = [&](int x, int y) -> double {
-    if (!costs.use_astar) return 0.0;
-    if (multi_target)
-      return sc.target_dist[static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
-                            static_cast<std::size_t>(x)] *
-             costs.wire;
-    return (std::abs(x - t0.x) + std::abs(y - t0.y)) * costs.wire;
-  };
 
-  auto& nodes = sc.nodes;
-  auto& points = sc.points;
-  auto& heap = sc.heap;
-  // Only the next move's bend penalty depends on a state's direction, so
-  // two states of one point differ in cost-to-go by at most `bend`: a
-  // state at least `bend` dearer than its point's best is never on a
-  // cheaper path. It is not queued, nor expanded if it became so while
-  // queued.
-  auto relax = [&](std::size_t s, double g, std::int32_t from, double h_next) {
-    auto& pt = points[s / kDirs];
-    if (pt.seen == gen) {
-      if (g >= pt.best + costs.bend) return;
-      pt.best = std::min(pt.best, g);
-    } else {
-      pt.best = g;
-      pt.seen = gen;
-    }
-    auto& n = nodes[s];
-    if (n.stamp != gen || g < n.g) {
-      n = {g, from, gen};
-      heap.push(g + h_next, g, static_cast<std::uint32_t>(s));
-    }
-  };
-  auto passable = [&](int v) { return v == Occupancy::kFree || v == net_id; };
-
-  for (const auto& src : sources) {
-    if (!occ.in_bounds(src) || !passable(occ.at(src))) continue;
-    relax(occ.index(src) * kDirs + 5, 0.0, -1, heuristic(src.x, src.y));
-  }
-
-  const std::ptrdiff_t kStep[4] = {1, -1, w, -w};
+  const SearchInput in{occ, sources, targets.front(), net_id, costs,
+                       extra_cost ? extra_cost->data() : nullptr};
   int expansions = 0;
-  std::int64_t goal_state = -1;
-  while (!heap.empty()) {
-    const auto top = heap.pop();
-    const double g = top.g;
-    const std::uint32_t state = top.state;
-    const auto s = static_cast<std::size_t>(state);
-    if (g > nodes[s].g) continue;  // stale entry
-    const std::size_t pi = s / kDirs;
-    const auto& pt = points[pi];
-    if (g > pt.best && g >= pt.best + costs.bend) continue;  // dominated
-    ++expansions;
-    const int dir = static_cast<int>(s % kDirs);
-    if (pt.target == gen) {
-      goal_state = state;
-      break;
-    }
-    const GridPoint here = unpack(pi);
-
-    // Planar moves.
-    for (int d = 0; d < 4; ++d) {
-      const int nx = here.x + kDx[d], ny = here.y + kDy[d];
-      if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
-      const std::size_t npi = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(pi) + kStep[d]);
-      const int v = occ.at(npi);
-      if (!passable(v)) continue;
-      double step = 0.0;
-      if (v != net_id) {
-        step = costs.wire;
-        if (extra_cost) step += (*extra_cost)[npi];
-        // Layer 0 prefers horizontal (d 0/1); layer 1 vertical (d 2/3).
-        if (costs.preferred_directions && (here.layer == 0 ? d >= 2 : d < 2))
-          step += costs.wrong_way;
-      }
-      if (dir < 4 && dir != d) step += costs.bend;
-      relax(npi * kDirs + static_cast<std::size_t>(d), g + step,
-            static_cast<std::int32_t>(state), heuristic(nx, ny));
-    }
-    // Via move.
-    const double h_here = heuristic(here.x, here.y);
-    for (int dl = -1; dl <= 1; dl += 2) {
-      const int nl = here.layer + dl;
-      if (nl < 0 || nl >= layers) continue;
-      const std::size_t npi = dl > 0 ? pi + plane : pi - plane;
-      const int v = occ.at(npi);
-      if (!passable(v)) continue;
-      double step = 0.0;
-      if (v != net_id) {
-        step = costs.via;
-        if (extra_cost) step += (*extra_cost)[npi];
-      }
-      relax(npi * kDirs + 4, g + step, static_cast<std::int32_t>(state), h_here);
-    }
-  }
+  const std::int64_t goal_state =
+      !costs.use_astar ? search<Bound::kNone>(sc, in, expansions)
+      : multi_target   ? search<Bound::kNearestTarget>(sc, in, expansions)
+                       : search<Bound::kOneTarget>(sc, in, expansions);
   if (goal_state < 0) return std::nullopt;
 
   PathResult res;
-  res.cost = nodes[static_cast<std::size_t>(goal_state)].g;
+  res.cost = sc.nodes[static_cast<std::size_t>(goal_state)].g;
   res.expansions = expansions;
-  for (std::int64_t s = goal_state; s >= 0; s = nodes[static_cast<std::size_t>(s)].parent)
-    res.cells.push_back(unpack(static_cast<std::size_t>(s) / kDirs));
+  // Packed states fit 32 bits (parents are int32), so unpack with 32-bit
+  // division.
+  const auto w32 = static_cast<std::uint32_t>(w), h32 = static_cast<std::uint32_t>(h);
+  for (std::int64_t s = goal_state; s >= 0; s = sc.nodes[static_cast<std::size_t>(s)].parent) {
+    const auto p = static_cast<std::uint32_t>(s / kDirs);
+    const std::uint32_t row = p / w32;
+    res.cells.push_back(GridPoint{static_cast<int>(p % w32), static_cast<int>(row % h32),
+                                  static_cast<int>(row / h32)});
+  }
   std::reverse(res.cells.begin(), res.cells.end());
   // Source cells reached at zero cost may duplicate when the path touches
   // the net's own tree; dedupe consecutive repeats.

@@ -37,6 +37,8 @@ class Occupancy {
   }
   /// Cell by point index ((layer * height + y) * width + x).
   int at(std::size_t i) const { return cells_[i]; }
+  /// Every cell, by point index.
+  const int* data() const { return cells_.data(); }
   void set(const GridPoint& g, int v) { cells_[index(g)] = v; }
 
   int width() const { return width_; }
@@ -69,9 +71,10 @@ struct PathResult {
 
 /// Reusable scratch for find_path: the search queue, the per-state cost
 /// and parent records, and the target marks, all generation-stamped so a
-/// search only touches the states it reaches. route_all owns one per
-/// worker chunk and one for its sequential loops, so the grid-sized
-/// buffers are allocated once per call instead of once per search. An
+/// search only touches the states it reaches. route_all keeps a pool that
+/// its parallel chunks take from and give back to, and one for its
+/// sequential loops, so the grid-sized buffers are allocated at most once
+/// per lane per call instead of once per search. An
 /// arena carries nothing from one search to the next: results never depend
 /// on what it searched before. Not thread-safe; use one per thread.
 class SearchArena {

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <numeric>
-#include <set>
+#include <span>
+#include <tuple>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -301,6 +305,32 @@ std::vector<std::size_t> Negotiation::rip_up_set(
   return active;
 }
 
+/// The search arenas of route_snapshot's chunks, kept for the whole
+/// route_all call: a chunk takes one and gives it back when done, so a
+/// call allocates at most one per lane instead of one per chunk. On small
+/// dies, allocating and zeroing a grid-sized arena per chunk of eight
+/// nets was ~8% of routing time (EXPERIMENTS.md "Cost per expansion").
+/// An arena carries nothing from one search to the next, so which one a
+/// chunk gets never shows in a result.
+class ArenaPool {
+ public:
+  std::unique_ptr<SearchArena> take() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return std::make_unique<SearchArena>();
+    auto arena = std::move(free_.back());
+    free_.pop_back();
+    return arena;
+  }
+  void give(std::unique_ptr<SearchArena> arena) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(arena));
+  }
+
+ private:
+  std::mutex mu_;  // guards free_
+  std::vector<std::unique_ptr<SearchArena>> free_;
+};
+
 // Small rip-up sets (the negotiation tail, where a handful of nets
 // contest a handful of cells) resolve with live Gauss-Seidel commits:
 // each net sees the routes the previous nets just picked, which is
@@ -314,7 +344,7 @@ constexpr std::size_t kSequentialTail = 16;
 /// attempts to `neg`.
 void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
                     const Occupancy& occ, const std::vector<std::size_t>& active,
-                    Negotiation& neg, RouteStats& stats) {
+                    Negotiation& neg, ArenaPool& arenas, RouteStats& stats) {
   struct NetAttempt {
     bool attempted = false;
     bool ok = false;
@@ -342,14 +372,14 @@ void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
       [&](std::int64_t cb, std::int64_t ce) {
         Occupancy socc = occ;
         std::vector<double> sextra = neg.field();
-        SearchArena chunk_arena;
+        auto chunk_arena = arenas.take();
         for (std::int64_t t = cb; t < ce; ++t) {
           const std::size_t n = active[static_cast<std::size_t>(t)];
           auto& at = attempts[n];
           at.attempted = true;
           for (const auto& c : neg.wires(n)) sextra[occ.index(c)] -= present;
           std::vector<GridPoint> claimed;
-          at.ok = grow_tree(chunk_arena, p.nets[n], socc, opt.costs, &sextra,
+          at.ok = grow_tree(*chunk_arena, p.nets[n], socc, opt.costs, &sextra,
                             claimed, at.expansions);
           for (const auto& c : claimed) socc.set(c, Occupancy::kFree);
           if (at.ok) {
@@ -361,6 +391,7 @@ void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
             for (const auto& c : neg.wires(n)) sextra[occ.index(c)] += present;
           }
         }
+        arenas.give(std::move(chunk_arena));
       });
 
   // Commit in ascending net order. Results are already fixed; this
@@ -377,12 +408,35 @@ void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
 }  // namespace
 
 int count_vias(const NetRoute& net) {
-  std::set<std::pair<int, int>> layer0, layer1;
-  for (const auto& c : net.cells)
-    (c.layer == 0 ? layer0 : layer1).insert({c.x, c.y});
+  // Ordered by (off layer 0, y, x) -- routed_net's (layer, y, x) order on
+  // a 2-layer die -- the cells are a layer-0 run and an upper run, each
+  // sorted by (y, x), and one merge walk counts the positions both hold.
+  // Cells in any other order are sorted into this one first.
+  auto key = [](const GridPoint& c) { return std::tuple(c.layer != 0, c.y, c.x); };
+  auto before = [&](const GridPoint& a, const GridPoint& b) { return key(a) < key(b); };
+  std::vector<GridPoint> sorted;
+  std::span<const GridPoint> cells = net.cells;
+  if (!std::is_sorted(cells.begin(), cells.end(), before)) {
+    sorted.assign(cells.begin(), cells.end());
+    std::sort(sorted.begin(), sorted.end(), before);
+    cells = sorted;
+  }
+  const auto upper = std::partition_point(cells.begin(), cells.end(),
+                                          [](const GridPoint& c) { return c.layer == 0; });
+  auto xy = [](const GridPoint& c) { return std::pair(c.y, c.x); };
   int vias = 0;
-  for (const auto& xy : layer0)
-    if (layer1.count(xy)) ++vias;
+  for (auto a = cells.begin(), b = upper; a != upper && b != cells.end();) {
+    if (xy(*a) < xy(*b)) {
+      ++a;
+    } else if (xy(*b) < xy(*a)) {
+      ++b;
+    } else {
+      ++vias;
+      const auto at = xy(*a);
+      while (a != upper && xy(*a) == at) ++a;
+      while (b != cells.end() && xy(*b) == at) ++b;
+    }
+  }
   return vias;
 }
 
@@ -411,9 +465,10 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
   Occupancy occ(p);  // obstacles only, plus pin reservations below
   for (const auto& net : p.nets)
     for (const auto& pin : net.pins) occ.set(pin, net.id);
-  // Search scratch of the live loop and finalize; each parallel chunk
-  // below owns its own.
+  // Search scratch of the live loop and finalize, and of the parallel
+  // chunks.
   SearchArena arena;
+  ArenaPool chunk_arenas;
   Negotiation neg(p, occ, opt, sol.stats);
 
   // Route shortest-span nets first.
@@ -449,7 +504,7 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
         neg.commit(n, ok, std::move(claimed));
       }
     } else {
-      route_snapshot(p, opt, occ, active, neg, sol.stats);
+      route_snapshot(p, opt, occ, active, neg, chunk_arenas, sol.stats);
     }
     if (neg.end_iteration()) break;
   }

@@ -1,5 +1,6 @@
 // Differential oracle for the flat checkers. sema::analyze_cnf,
-// lint::lint_placement, place::is_legal and the route solution's cell
+// lint::lint_cnf, lint::lint_placement, place::is_legal and the route
+// solution's cell
 // scanner are checked against test-local reference versions written the
 // plain way -- node-based std::map/std::set and a tokenize-then-parse_int
 // cell reader -- on seeded generated uploads and on the parse fuzzer's
@@ -194,6 +195,70 @@ std::vector<Finding> reference_analyze_cnf(const std::string& text) {
         "unit propagation alone falsifies this clause (instance is "
         "unsatisfiable)",
         "the contradiction needs no search; recheck the encoding");
+  lint::sort_findings(out);
+  return out;
+}
+
+/// lint::lint_cnf over a std::map of sorted clauses and a std::set of
+/// used variables.
+std::vector<Finding> reference_lint_cnf(const std::string& text) {
+  std::vector<Finding> out;
+  auto emit = [&](const char* rule, Severity sev, int line, std::string msg,
+                  std::string hint = {}) {
+    out.push_back(
+        {rule, sev, line, line > 0 ? 1 : 0, std::move(msg), std::move(hint)});
+  };
+  const sat::ParsedDimacs parsed = sat::parse_dimacs_lenient(text);
+  for (const auto& d : parsed.defects) {
+    using Kind = sat::DimacsDefect::Kind;
+    emit(d.kind == Kind::kHeader    ? "L2L-C001"
+         : d.kind == Kind::kLiteral ? "L2L-C002"
+                                    : "L2L-C003",
+         Severity::kError, d.line, d.message, d.hint);
+  }
+  constexpr int kMaxTrackedVars = 1 << 20;
+  std::map<std::vector<int>, int> seen;  // sorted clause -> first line
+  std::set<int> used_vars;
+  for (const auto& clause : parsed.clauses) {
+    const auto lits = parsed.lits_of(clause);
+    std::vector<int> key(lits.begin(), lits.end());
+    if (key.empty()) {
+      emit("L2L-C004", Severity::kWarning, clause.line,
+           "empty clause: the formula is trivially unsatisfiable");
+      continue;
+    }
+    std::sort(key.begin(), key.end());
+    for (const int lit : key) {
+      const long long var = lit > 0 ? lit : -static_cast<long long>(lit);
+      if (var <= kMaxTrackedVars) used_vars.insert(static_cast<int>(var));
+    }
+    if (std::adjacent_find(key.begin(), key.end()) != key.end())
+      emit("L2L-C007", Severity::kWarning, clause.line,
+           "duplicate literal inside the clause");
+    if (sat::has_complementary_pair(key))
+      emit("L2L-C006", Severity::kWarning, clause.line,
+           "tautological clause (contains v and -v)",
+           "the clause is always true; drop it");
+    const auto [it, fresh] = seen.try_emplace(key, clause.line);
+    if (!fresh)
+      emit("L2L-C005", Severity::kWarning, clause.line,
+           "duplicate clause (first on line " + std::to_string(it->second) +
+               ")");
+  }
+  const int num_vars = parsed.num_vars;
+  if (num_vars >= 0 && num_vars <= kMaxTrackedVars) {
+    int unused = 0, first_unused = 0;
+    for (int v = 1; v <= num_vars; ++v)
+      if (!used_vars.count(v)) {
+        ++unused;
+        if (first_unused == 0) first_unused = v;
+      }
+    if (unused > 0)
+      emit("L2L-C008", Severity::kWarning, 0,
+           util::format("%d declared variable(s) never appear (first: %d)",
+                        unused, first_unused),
+           "shrink the variable count or reference them");
+  }
   lint::sort_findings(out);
   return out;
 }
@@ -413,6 +478,21 @@ TEST(CheckerOracle, AnalyzeCnfMatchesTheMapReference) {
   EXPECT_GE(top_id_uploads, 40);
 }
 
+TEST(CheckerOracle, LintCnfMatchesTheMapReference) {
+  util::Rng rng(0x11c7);
+  std::map<std::string, int> seen;
+  for (int round = 0; round < 600; ++round) {
+    const std::string text = random_cnf(rng);
+    const auto got = lint::lint_cnf(text);
+    ASSERT_EQ(render(got), render(reference_lint_cnf(text)))
+        << "upload " << round << ":\n" << text;
+    tally(seen, got);
+  }
+  for (const char* rule :
+       {"L2L-C004", "L2L-C005", "L2L-C006", "L2L-C007", "L2L-C008"})
+    EXPECT_GE(seen[rule], 20) << rule;
+}
+
 // ---- generated placement uploads ----------------------------------------
 
 /// One coordinate: usually inside [0, bound), else -1 or the bound itself.
@@ -591,6 +671,12 @@ TEST(CheckerOracle, HostileCountsAllocateByTheBytesNotTheValues) {
   const std::size_t cnf_bytes =
       bytes_allocated_by([&] { EXPECT_EQ(sema::analyze_cnf(cnf).size(), 1u); });
   EXPECT_LT(cnf_bytes, kBudget);
+  // lint_cnf tracks variables up to a cap; at the cap, its tables are
+  // sized by the upload too.
+  const std::string capped = "p cnf 1048576 1\n1048576 0\n";
+  const std::size_t lint_bytes =
+      bytes_allocated_by([&] { EXPECT_EQ(lint::lint_cnf(capped).size(), 1u); });
+  EXPECT_LT(lint_bytes, kBudget);
 
   const std::string line = "cell 2147483647 2147483647 2147483647\n";
   const std::string placement = line + line;
@@ -741,6 +827,9 @@ TEST(CheckerOracle, FuzzerMutantsMatchTheReferences) {
         ++cnf_mutants;
         ASSERT_EQ(render(sema::analyze_cnf(mutant)),
                   render(reference_analyze_cnf(mutant)))
+            << name << " mutant " << m << ":\n" << mutant;
+        ASSERT_EQ(render(lint::lint_cnf(mutant)),
+                  render(reference_lint_cnf(mutant)))
             << name << " mutant " << m << ":\n" << mutant;
       }
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -20,12 +21,12 @@
 namespace l2l::route {
 namespace {
 
-gen::RoutingProblem empty_grid(int w, int h) {
+gen::RoutingProblem empty_grid(int w, int h, int layers = 2) {
   gen::RoutingProblem p;
   p.width = w;
   p.height = h;
-  p.num_layers = 2;
-  p.blocked.assign(2, std::vector<bool>(static_cast<std::size_t>(w) *
+  p.num_layers = layers;
+  p.blocked.assign(static_cast<std::size_t>(layers), std::vector<bool>(static_cast<std::size_t>(w) *
                                             static_cast<std::size_t>(h),
                                         false));
   return p;
@@ -165,7 +166,25 @@ TEST(Maze, OtherNetsBlock) {
   EXPECT_FALSE(find_path(occ, {{0, 0, 0}}, {{9, 0, 0}}, 0, {}).has_value());
 }
 
-// A seeded maze-search instance on a small 2-layer grid: random
+// Compares `got` with tests/data/golden/`name`; with L2L_UPDATE_GOLDEN
+// set, rewrites the file instead and skips the test.
+void expect_golden(const std::string& name, const std::string& got) {
+  const std::string golden_path = L2L_TEST_DATA_DIR "/golden/" + name;
+  if (std::getenv("L2L_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated";
+  }
+  std::ifstream in(golden_path);
+  const std::string want((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(want.empty()) << "missing golden file " << golden_path;
+  EXPECT_EQ(got, want) << "actual:\n" << got;
+}
+
+// A seeded maze-search instance on a small grid (2 layers unless told
+// otherwise): random
 // obstacles and foreign-net cells, a non-negative penalty field, 1-3
 // sources owned by the searching net and 1-3 free targets. Targets are
 // never the net's own cells, so the Manhattan bound stays admissible and
@@ -179,15 +198,15 @@ struct SearchCase {
   RouteCosts costs;
 };
 
-SearchCase random_search_case(util::Rng& rng, int w, int h) {
-  auto p = empty_grid(w, h);
+SearchCase random_search_case(util::Rng& rng, int w, int h, int layers = 2) {
+  auto p = empty_grid(w, h, layers);
   for (auto& layer : p.blocked)
     for (std::size_t i = 0; i < layer.size(); ++i) layer[i] = rng.next_bool(0.2);
   SearchCase c{Occupancy(p), {}, {}, {}, {}};
   auto random_point = [&] {
     return GridPoint{static_cast<int>(rng.next_below(static_cast<std::uint64_t>(w))),
                      static_cast<int>(rng.next_below(static_cast<std::uint64_t>(h))),
-                     static_cast<int>(rng.next_below(2))};
+                     static_cast<int>(rng.next_below(static_cast<std::uint64_t>(layers)))};
   };
   for (int k = 0; k < w * h / 8; ++k) {
     const auto g = random_point();
@@ -206,7 +225,7 @@ SearchCase random_search_case(util::Rng& rng, int w, int h) {
     c.occ.set(g, Occupancy::kFree);
     c.targets.push_back(g);
   }
-  c.extra.resize(static_cast<std::size_t>(2 * w * h));
+  c.extra.resize(static_cast<std::size_t>(layers * w * h));
   for (auto& e : c.extra) e = rng.next_bool(0.3) ? 0.0 : 4.0 * rng.next_double();
   c.costs.via = static_cast<double>(rng.next_in(1, 12));
   c.costs.bend = static_cast<double>(rng.next_in(0, 2));
@@ -310,6 +329,60 @@ TEST(Maze, ArenaReuseAcrossGridSizes) {
   expect_same(l1, search(large, true));
   expect_same(s1, search(small, true));
   expect_same(l1, l2);
+}
+
+// Maze kernel golden: per seeded search, the path cells (as a digest),
+// the cost's bit pattern and the expansion count
+// (tests/data/golden/maze_digests.txt; L2L_UPDATE_GOLDEN=1 regenerates).
+// The searches cover 1-, 2- and 3-layer grids, A* and Dijkstra, one
+// target and several, a penalty field and none, and trees of the net's
+// own cells beyond its sources (zero-cost steps, the side heap's keys),
+// all on one reused arena. With RoutesMatchGolden it pins find_path byte
+// for byte: the pop order decides every tie between equal-cost paths.
+TEST(Maze, SearchesMatchGolden) {
+  util::Rng rng(1396);
+  SearchArena arena;
+  std::string got;
+  for (int t = 0; t < 80; ++t) {
+    // Half the grids have 3 layers: only a middle layer pushes both vias.
+    const int layers = t % 4 == 0 ? 1 : t % 4 == 1 ? 2 : 3;
+    const int w = static_cast<int>(rng.next_in(2, 20));
+    const int h = static_cast<int>(rng.next_in(2, 20));
+    auto c = random_search_case(rng, w, h, layers);
+    if (t % 2 == 1) {  // some free cells join the net's tree
+      for (int k = 0; k < w * h * layers / 12; ++k) {
+        const GridPoint g{static_cast<int>(rng.next_below(static_cast<std::uint64_t>(w))),
+                          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(h))),
+                          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(layers)))};
+        if (c.occ.at(g) == Occupancy::kFree &&
+            std::find(c.targets.begin(), c.targets.end(), g) == c.targets.end())
+          c.occ.set(g, kSearchNet);
+      }
+    }
+    for (const bool astar : {true, false}) {
+      for (const bool field : {true, false}) {
+        RouteCosts costs = c.costs;
+        costs.use_astar = astar;
+        const auto r = find_path(arena, c.occ, c.sources, c.targets, kSearchNet, costs,
+                                 field ? &c.extra : nullptr);
+        got += util::format("%02d %dx%dx%d %s %s targets=%zu ", t, w, h, layers,
+                            astar ? "astar" : "dijkstra", field ? "field" : "plain",
+                            c.targets.size());
+        if (!r) {
+          got += "none\n";
+          continue;
+        }
+        std::string cells;
+        for (const auto& g : r->cells) cells += util::format("%d,%d,%d;", g.x, g.y, g.layer);
+        got += util::format("cost=%016llx expansions=%d cells=%zu %s\n",
+                            static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(r->cost)),
+                            r->expansions, r->cells.size(),
+                            cache::digest_bytes(cells).hex().c_str());
+      }
+    }
+  }
+
+  expect_golden("maze_digests.txt", got);
 }
 
 TEST(Router, RoutesCleanProblemCompletely) {
@@ -478,6 +551,47 @@ TEST(Router, StallSweepRipsUpOnlyNetsNearOverusedCells) {
   EXPECT_EQ(sol.stats.routed, 2);
 }
 
+// count_vias against the plain set count it replaced: (x, y) positions on
+// layer 0 that any other layer also holds, each counted once. The merge
+// walk must agree on routed_net's sorted cells, on shuffled ones, on
+// repeated cells and on dies with more than two layers.
+TEST(Router, CountViasMatchesTheSetCount) {
+  auto set_count = [](const NetRoute& net) {
+    std::set<std::pair<int, int>> layer0, upper;
+    for (const auto& c : net.cells) (c.layer == 0 ? layer0 : upper).insert({c.x, c.y});
+    int vias = 0;
+    for (const auto& xy : layer0) vias += static_cast<int>(upper.count(xy));
+    return vias;
+  };
+  util::Rng rng(2026);
+  int with_vias = 0;
+  for (int t = 0; t < 400; ++t) {
+    SCOPED_TRACE(testing::Message() << "case " << t);
+    const int layers = 2 + t / 3 % 2;  // each cell order on 2 and on 3 layers
+    const int side = static_cast<int>(rng.next_in(1, 6));
+    NetRoute net;
+    for (auto k = rng.next_below(30); k > 0; --k)
+      net.cells.push_back({static_cast<int>(rng.next_below(static_cast<std::uint64_t>(side))),
+                           static_cast<int>(rng.next_below(static_cast<std::uint64_t>(side))),
+                           static_cast<int>(rng.next_below(static_cast<std::uint64_t>(layers)))});
+    switch (t % 3) {
+      case 0:  // routed_net's form: sorted, each cell once
+        std::sort(net.cells.begin(), net.cells.end());
+        net.cells.erase(std::unique(net.cells.begin(), net.cells.end()), net.cells.end());
+        break;
+      case 1:  // sorted, repeats kept
+        std::sort(net.cells.begin(), net.cells.end());
+        break;
+      default:  // as drawn: unsorted, repeats kept
+        break;
+    }
+    const int want = set_count(net);
+    EXPECT_EQ(count_vias(net), want);
+    with_vias += want > 0;
+  }
+  EXPECT_GT(with_vias, 100);  // the walk's match path is exercised
+}
+
 // Router digest golden: per instance and thread count, the digest of the
 // solution text a grader reads, every RouteStats field and the status code
 // (tests/data/golden/router_digests.txt; L2L_UPDATE_GOLDEN=1 regenerates).
@@ -552,18 +666,7 @@ TEST(Router, RoutesMatchGolden) {
   }
   util::set_num_threads(0);
 
-  const std::string golden_path = L2L_TEST_DATA_DIR "/golden/router_digests.txt";
-  if (std::getenv("L2L_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << got;
-    GTEST_SKIP() << "golden file regenerated";
-  }
-  std::ifstream in(golden_path);
-  const std::string want((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  ASSERT_FALSE(want.empty()) << "missing golden file " << golden_path;
-  EXPECT_EQ(got, want) << "actual:\n" << got;
+  expect_golden("router_digests.txt", got);
 }
 
 TEST(Solution, WriteParseRoundTrip) {

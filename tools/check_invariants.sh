@@ -100,11 +100,12 @@ scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/moo
 # lint packs and sema passes read those records. A line reader here would
 # be a second tokenizer that can drift from the engine's.
 scan_in no-own-tokenizer 'std::getline|std::istringstream' '^src/(lint/rules_(pla|cnf|place|blif)|sema/(pla|cnf)_sema)[.]cpp$'
-# The checkers around every real grade keep flat layouts: CNF sema,
-# placement lint and the route/placement graders were dominated by
+# The checkers around every real grade keep flat layouts: CNF sema and
+# lint, placement lint and the route/placement graders were dominated by
 # node-per-entry maps keyed on the upload's contents, so like the hot
-# engines above they may not go back to them.
-scan_in checker-no-node-maps 'std::(map|set|multimap|multiset)<' '^src/(sema/cnf_sema|lint/rules_place|grader/(route|place)_grader)[.]cpp$'
+# engines above they may not go back to them. Nor may the maze search and
+# the router around it (count_vias merge-walks sorted cells).
+scan_in checker-no-node-maps 'std::(map|set|multimap|multiset)<' '^src/(sema/cnf_sema|lint/rules_(cnf|place)|grader/(route|place)_grader|route/(maze|router))[.]cpp$'
 
 # Apply the allowlist (literal substrings, comments stripped).
 if [ -f "$allow" ]; then
