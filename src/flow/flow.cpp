@@ -6,12 +6,18 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "api/mls.hpp"
 #include "api/place.hpp"
 #include "api/route.hpp"
+#include "geom/drc.hpp"
+#include "geom/extract.hpp"
+#include "grader/route_grader.hpp"
 #include "mls/script.hpp"
 #include "network/blif.hpp"
+#include "network/equivalence.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "timing/elmore.hpp"
@@ -287,6 +293,34 @@ FlowResult run_flow(const Network& input, const FlowOptions& opt) {
     if (res.stopped_stage.empty()) res.stopped_stage = "(mid-stage)";
   }
   return res;
+}
+
+util::Status verify(const Network& input, const FlowResult& res) {
+  if (!res.status.ok())
+    return util::Status::invalid("flow stopped at " + res.stopped_stage + ": " +
+                                 res.status.message);
+  try {
+    const auto eq = network::check_equivalence(input, res.mapped.netlist,
+                                               network::EquivalenceMethod::kSat);
+    if (!eq.equivalent)
+      return util::Status::invalid("mapped netlist differs from the input on output " +
+                                   eq.failing_output);
+  } catch (const std::invalid_argument& e) {
+    return util::Status::invalid(std::string("mapped netlist interface: ") + e.what());
+  }
+  if (!place::is_legal(res.placement, res.grid))
+    return util::Status::invalid("placement is not legal");
+  const auto grade = grader::grade_routing(res.routing_problem, res.routing);
+  const int nets = static_cast<int>(res.routing_problem.nets.size());
+  if (grade.legal_nets != res.routing.stats.routed || res.routing.stats.routed != nets)
+    return util::Status::invalid(
+        util::format("routing: %d of %d nets legal, %d claimed routed", grade.legal_nets,
+                     nets, res.routing.stats.routed));
+  const auto drc = geom::check_drc(res.routing);
+  if (!drc.clean()) return util::Status::invalid("routing " + drc.report());
+  const auto lvs = geom::lvs(res.routing_problem, res.routing);
+  if (!lvs.clean) return util::Status::invalid("routing " + lvs.report());
+  return util::Status::okay();
 }
 
 }  // namespace l2l::flow

@@ -72,4 +72,13 @@ struct FlowResult {
 /// completed stages' results intact.
 FlowResult run_flow(const network::Network& input, const FlowOptions& opt = {});
 
+/// Certifies a completed flow result with the engines that check each
+/// hand-off independently of the stage that produced it:
+///   - the mapped netlist computes `input`'s function (SAT miter);
+///   - the placement is legal on its grid;
+///   - the route grader finds every problem net routed and legal;
+///   - the routes are DRC clean and LVS matches the problem's nets.
+/// Returns ok, or kInvalidInput naming the first check that failed.
+util::Status verify(const network::Network& input, const FlowResult& res);
+
 }  // namespace l2l::flow
