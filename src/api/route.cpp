@@ -8,7 +8,7 @@ namespace l2l::api {
 
 namespace {
 
-constexpr std::uint64_t kRouteFormatVersion = 2;
+constexpr std::uint64_t kRouteFormatVersion = 3;
 
 cache::Digest128 config_digest(const route::RouterOptions& opt) {
   cache::Hasher h;
@@ -46,6 +46,8 @@ std::string serialize(const RouteResult& res) {
   cache::append_f64(out, sol.stats.total_wire);
   cache::append_i64(out, sol.stats.total_vias);
   cache::append_i64(out, sol.stats.expansions);
+  cache::append_i64(out, sol.stats.repairs);
+  cache::append_i64(out, sol.stats.repair_expansions);
   detail::append_status(out, sol.status);
   return out;
 }
@@ -76,10 +78,11 @@ bool deserialize(std::string_view bytes, RouteResult& res) {
     sol.nets.push_back(std::move(net));
   }
   std::int64_t routed = 0, failed = 0, ripups = 0, iters = 0, vias = 0,
-               expansions = 0;
+               expansions = 0, repairs = 0, repair_expansions = 0;
   if (!in.next_i64(routed) || !in.next_i64(failed) || !in.next_i64(ripups) ||
       !in.next_i64(iters) || !in.next_f64(sol.stats.total_wire) ||
-      !in.next_i64(vias) || !in.next_i64(expansions) ||
+      !in.next_i64(vias) || !in.next_i64(expansions) || !in.next_i64(repairs) ||
+      !in.next_i64(repair_expansions) ||
       !detail::read_status(in, sol.status) || !in.complete())
     return false;
   sol.stats.routed = static_cast<int>(routed);
@@ -88,6 +91,8 @@ bool deserialize(std::string_view bytes, RouteResult& res) {
   sol.stats.negotiation_iterations = static_cast<int>(iters);
   sol.stats.total_vias = static_cast<int>(vias);
   sol.stats.expansions = expansions;
+  sol.stats.repairs = static_cast<int>(repairs);
+  sol.stats.repair_expansions = repair_expansions;
   return true;
 }
 

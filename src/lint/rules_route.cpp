@@ -268,6 +268,13 @@ std::vector<Finding> lint_route_solution(const route::ParsedSolution& parsed,
     if (ids[k].first == ids[k - 1].first &&
         (k == 1 || ids[k - 2].first != ids[k].first))
       second_block[ids[k].second] = 1;
+  // S005 looks each block's id up in the problem's sorted net ids.
+  std::vector<int> known_ids;
+  if (problem) {
+    known_ids.reserve(problem->nets.size());
+    for (const auto& pnet : problem->nets) known_ids.push_back(pnet.id);
+    std::sort(known_ids.begin(), known_ids.end());
+  }
   for (std::size_t b = 0; b < nets.size(); ++b) {
     const auto& net = nets[b];
     if (second_block[b])
@@ -275,9 +282,7 @@ std::vector<Finding> lint_route_solution(const route::ParsedSolution& parsed,
            util::format("net id %d appears more than once", net.net_id),
            "one block per net; merge the cell lists");
     if (!problem) continue;
-    bool known = false;
-    for (const auto& pnet : problem->nets) known = known || pnet.id == net.net_id;
-    if (!known)
+    if (!std::binary_search(known_ids.begin(), known_ids.end(), net.net_id))
       emit("L2L-S005", util::Severity::kWarning, 0,
            util::format("net id %d is not part of the problem", net.net_id));
     int off_grid = 0, on_obstacle = 0;

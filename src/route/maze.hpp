@@ -4,6 +4,8 @@
 // and preferred-direction ("wrong-way") penalty. Layer 0 prefers
 // horizontal wires, layer 1 vertical, like the project's 2-layer scheme.
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -67,6 +69,32 @@ struct PathResult {
   std::vector<GridPoint> cells;  ///< contiguous path, source to target
   double cost = 0.0;
   int expansions = 0;            ///< search effort (wavefront size)
+};
+
+/// The A* bound of a search toward several targets: the Manhattan (x, y)
+/// distance from any plane position to the nearest in-bounds target, as a
+/// breadth-first search of the unobstructed plane from every target would
+/// find it. Only the targets' bounding box is stored, filled by a
+/// forward and a backward raster pass (the city-block distance transform,
+/// exact on an unobstructed grid). Any shortest path between two points of
+/// the box stays in the box, and a point outside it reaches every target
+/// through its clamped point, so at() adds the L1 step to that point.
+class NearestTargetBound {
+ public:
+  /// Rebuilds the bound for the targets that lie on `occ`'s grid (the
+  /// others are ignored). Returns false when none does.
+  bool build(const std::vector<GridPoint>& targets, const Occupancy& occ);
+
+  int at(int x, int y) const {
+    const int cx = std::clamp(x, x0_, x1_), cy = std::clamp(y, y0_, y1_);
+    return std::abs(x - cx) + std::abs(y - cy) +
+           dist_[static_cast<std::size_t>(cy - y0_) * static_cast<std::size_t>(x1_ - x0_ + 1) +
+                 static_cast<std::size_t>(cx - x0_)];
+  }
+
+ private:
+  int x0_ = 0, y0_ = 0, x1_ = 0, y1_ = 0;  // the targets' box, inclusive
+  std::vector<int> dist_;                   // per box cell, row-major
 };
 
 /// Reusable scratch for find_path: the search queue, the per-state cost
