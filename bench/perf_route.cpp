@@ -126,7 +126,8 @@ BENCHMARK(BM_ViaCostSweep)->Arg(1)->Arg(5)->Arg(20)->Iterations(1);
 void BM_NegotiatedVsSequential(benchmark::State& state) {
   // Negotiated congestion on the congested 48x48/40-net die. The name and
   // the /1 argument stay so the row lines up across the BENCH_route.json
-  // trajectory.
+  // trajectory. repairs and repair_expansions show how much of the
+  // search the negotiation tail's branch repairs took.
   const auto p = problem(48, 40, 25);
   int routed = 0, iterations = 0;
   for (auto _ : state) {
@@ -135,6 +136,9 @@ void BM_NegotiatedVsSequential(benchmark::State& state) {
     iterations = sol.stats.negotiation_iterations;
     state.counters["routed_of_40"] = routed;
     state.counters["iterations"] = iterations;
+    state.counters["expansions"] = static_cast<double>(sol.stats.expansions);
+    state.counters["repairs"] = sol.stats.repairs;
+    state.counters["repair_expansions"] = static_cast<double>(sol.stats.repair_expansions);
   }
   (void)routed;
   (void)iterations;
@@ -150,17 +154,14 @@ void BM_RouteThreadScaling(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto p = problem(128, 160, 27);
   util::set_num_threads(threads);
-  int routed = 0;
-  double wire = 0;
-  for (auto _ : state) {
-    const auto sol = route::route_all(p);
-    routed = sol.stats.routed;
-    wire = sol.stats.total_wire;
-  }
+  route::RouteStats stats;
+  for (auto _ : state) stats = route::route_all(p).stats;
   util::set_num_threads(0);
   state.counters["threads"] = threads;
-  state.counters["routed"] = routed;
-  state.counters["wire"] = wire;
+  state.counters["routed"] = stats.routed;
+  state.counters["wire"] = stats.total_wire;
+  state.counters["repairs"] = stats.repairs;
+  state.counters["repair_expansions"] = static_cast<double>(stats.repair_expansions);
 }
 BENCHMARK(BM_RouteThreadScaling)
     ->Arg(1)
