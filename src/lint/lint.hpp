@@ -33,7 +33,7 @@
 #include "util/status.hpp"
 
 namespace l2l::place { struct ParsedPlacement; }
-namespace l2l::route { struct ParsedSolution; }
+namespace l2l::route { struct ParsedProblem; struct ParsedSolution; }
 
 namespace l2l::lint {
 
@@ -138,6 +138,10 @@ std::vector<Finding> lint_placement(const place::ParsedPlacement& parsed,
                                     const PlacementSpec& spec = {});
 
 std::vector<Finding> lint_route_problem(const std::string& text);
+
+/// The same pack over route::parse_problem_lenient's result, for callers
+/// (l2l-lint --problem) that keep the parsed problem.
+std::vector<Finding> lint_route_problem(const route::ParsedProblem& parsed);
 
 /// Solution lint; with a problem the geometric rules (bounds, obstacles,
 /// net-ID membership) run too.

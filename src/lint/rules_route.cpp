@@ -1,228 +1,65 @@
 // Routing rule packs: the problem file (L2L-Rxxx) and the solution file
-// (L2L-Sxxx). The problem scanner is its own lenient pass (the strict
-// parser throws on the first defect; lint wants all of them with line
-// anchors). The solution pack reuses route::parse_solution_lenient for
-// structure and layers the geometric rules on top when the problem is
-// available.
+// (L2L-Sxxx). Both read the route module's lenient parses:
+// route::parse_problem_lenient's defects are R001-R005, and the R006
+// warnings come from its records; the solution pack reclassifies
+// route::parse_solution_lenient's diagnostics and layers the geometric
+// rules on top when the problem is available.
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <sstream>
+#include <utility>
 
 #include "lint/lint.hpp"
 #include "route/solution.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::lint {
-namespace {
-
-/// "(x y l)" -> point; nullopt on any defect.
-std::optional<gen::GridPoint> parse_point(const std::string& t) {
-  const auto tok = util::split(t, "() \t");
-  if (tok.size() != 3) return std::nullopt;
-  const auto x = util::parse_int(tok[0]);
-  const auto y = util::parse_int(tok[1]);
-  const auto l = util::parse_int(tok[2]);
-  if (!x || !y || !l) return std::nullopt;
-  return gen::GridPoint{*x, *y, *l};
-}
-
-}  // namespace
 
 std::vector<Finding> lint_route_problem(const std::string& text) {
+  return lint_route_problem(route::parse_problem_lenient(text));
+}
+
+std::vector<Finding> lint_route_problem(const route::ParsedProblem& parsed) {
   std::vector<Finding> out;
   auto emit = [&](const char* rule, util::Severity sev, int line,
                   std::string msg, std::string hint = {}) {
     out.push_back({rule, sev, line, line > 0 ? 1 : 0, std::move(msg),
                    std::move(hint)});
   };
+  // Indexed by route::ProblemDefect::Kind.
+  static constexpr const char* kRule[] = {"L2L-R001", "L2L-R002", "L2L-R003",
+                                          "L2L-R004", "L2L-R005"};
+  for (const auto& d : parsed.defects)
+    emit(kRule[static_cast<int>(d.kind)], util::Severity::kError, d.line,
+         d.message, d.hint);
 
-  std::istringstream in(text);
-  std::string raw;
-  int lineno = 0;
-  auto next_line = [&]() -> std::optional<std::string> {
-    while (std::getline(in, raw)) {
-      ++lineno;
-      const auto t = util::trim(raw);
-      if (!t.empty()) return std::string(t);
+  // R006 over each net's pins that are on the grid (all of them without
+  // one). Sorted (pin, line) pairs put each point's lines in one run,
+  // first line first; every later line of a run repeats the pin.
+  const auto& p = parsed.problem;
+  std::vector<std::pair<gen::GridPoint, int>> pins;
+  for (std::size_t k = 0; k < p.nets.size(); ++k) {
+    const auto& net = p.nets[k];
+    pins.clear();
+    for (std::size_t q = 0; q < net.pins.size(); ++q)
+      if (!parsed.has_grid() || p.in_bounds(net.pins[q]))
+        pins.emplace_back(net.pins[q], parsed.pin_lines[k][q]);
+    std::sort(pins.begin(), pins.end());
+    int distinct = 0;
+    for (std::size_t q = 0; q < pins.size(); ++q) {
+      const auto& [g, line] = pins[q];
+      if (q == 0 || g != pins[q - 1].first)
+        ++distinct;
+      else
+        emit("L2L-R006", util::Severity::kWarning, line,
+             util::format("net %d repeats pin (%d %d %d)", net.id, g.x, g.y,
+                          g.layer));
     }
-    return std::nullopt;
-  };
-
-  // Header + caps (mirrors route::parse_problem's hostile-header guards).
-  constexpr int kMaxSide = 1 << 16;
-  constexpr int kMaxLayers = 64;
-  constexpr long long kMaxCells = 1LL << 26;
-  gen::RoutingProblem p;
-  bool grid_ok = false;
-  {
-    const auto l = next_line();
-    if (!l) {
-      emit("L2L-R001", util::Severity::kError, 0, "empty problem file");
-      return out;
-    }
-    const auto tok = util::split(*l);
-    std::optional<int> w, h, nl;
-    if (tok.size() == 4 && tok[0] == "grid") {
-      w = util::parse_int(tok[1]);
-      h = util::parse_int(tok[2]);
-      nl = util::parse_int(tok[3]);
-    }
-    if (!w || !h || !nl) {
-      emit("L2L-R001", util::Severity::kError, lineno,
-           "missing or malformed grid header '" + util::excerpt(*l) + "'",
-           "write 'grid <width> <height> <layers>'");
-      sort_findings(out);
-      return out;  // everything below needs the grid
-    }
-    if (*w < 1 || *h < 1 || *w > kMaxSide || *h > kMaxSide ||
-        *nl < 1 || *nl > kMaxLayers ||
-        static_cast<long long>(*w) * *h * *nl > kMaxCells) {
-      emit("L2L-R002", util::Severity::kError, lineno,
-           util::format("grid %d x %d x %d outside the sane range",
-                        *w, *h, *nl),
-           util::format("sides <= %d, layers <= %d, cells <= %lld",
-                        kMaxSide, kMaxLayers, kMaxCells));
-    } else {
-      p.width = *w;
-      p.height = *h;
-      p.num_layers = *nl;
-      p.blocked.assign(
-          static_cast<std::size_t>(p.num_layers),
-          std::vector<bool>(static_cast<std::size_t>(p.width) *
-                                static_cast<std::size_t>(p.height),
-                            false));
-      grid_ok = true;
-    }
+    if (!net.pins.empty() && distinct < 2)
+      emit("L2L-R006", util::Severity::kWarning, parsed.net_lines[k],
+           util::format("net %d has %d distinct pin(s); routing needs 2+",
+                        net.id, distinct));
   }
-
-  // Obstacles: off-grid ones are R003-adjacent but structural -- report
-  // as R001 (the strict parser rejects them); in-bounds ones fill the
-  // blocked map the pin rules check against.
-  {
-    const auto l = next_line();
-    const auto tok = l ? util::split(*l) : std::vector<std::string>{};
-    std::optional<int> count;
-    if (tok.size() == 2 && tok[0] == "obstacles")
-      count = util::parse_int(tok[1]);
-    if (!count || *count < 0) {
-      emit("L2L-R001", util::Severity::kError, l ? lineno : 0,
-           "missing or malformed obstacles header",
-           "write 'obstacles <count>' after the grid line");
-      sort_findings(out);
-      return out;
-    }
-    for (int k = 0; k < *count; ++k) {
-      const auto pl = next_line();
-      if (!pl) {
-        emit("L2L-R001", util::Severity::kError, lineno,
-             util::format("file ends after %d of %d obstacle(s)", k,
-                          *count));
-        sort_findings(out);
-        return out;
-      }
-      const auto g = parse_point(*pl);
-      if (!g) {
-        emit("L2L-R001", util::Severity::kError, lineno,
-             "bad obstacle point '" + util::excerpt(*pl) + "'",
-             "write '(x y layer)'");
-        continue;
-      }
-      if (!grid_ok) continue;
-      if (!p.in_bounds(*g)) {
-        emit("L2L-R001", util::Severity::kError, lineno,
-             util::format("obstacle (%d %d %d) off-grid", g->x, g->y,
-                          g->layer));
-        continue;
-      }
-      p.blocked[static_cast<std::size_t>(g->layer)]
-               [static_cast<std::size_t>(g->y) *
-                    static_cast<std::size_t>(p.width) +
-                static_cast<std::size_t>(g->x)] = true;
-    }
-  }
-
-  // Nets.
-  {
-    const auto l = next_line();
-    const auto tok = l ? util::split(*l) : std::vector<std::string>{};
-    std::optional<int> count;
-    if (tok.size() == 2 && tok[0] == "nets") count = util::parse_int(tok[1]);
-    if (!count || *count < 0) {
-      emit("L2L-R001", util::Severity::kError, l ? lineno : 0,
-           "missing or malformed nets header",
-           "write 'nets <count>' after the obstacle list");
-      sort_findings(out);
-      return out;
-    }
-    std::map<int, int> net_line;  // id -> first line
-    for (int k = 0; k < *count; ++k) {
-      const auto hl = next_line();
-      if (!hl) {
-        emit("L2L-R001", util::Severity::kError, lineno,
-             util::format("file ends after %d of %d net(s)", k, *count));
-        break;
-      }
-      const auto htok = util::split(*hl);
-      std::optional<int> id, pins;
-      if (htok.size() == 3 && htok[0] == "net") {
-        id = util::parse_int(htok[1]);
-        pins = util::parse_int(htok[2]);
-      }
-      if (!id || !pins || *pins < 0) {
-        emit("L2L-R001", util::Severity::kError, lineno,
-             "bad net header '" + util::excerpt(*hl) + "'",
-             "write 'net <id> <pin-count>'");
-        break;  // pin lines are now unanchored; stop instead of cascading
-      }
-      const int net_header_line = lineno;
-      const auto [it, fresh] = net_line.try_emplace(*id, net_header_line);
-      if (!fresh)
-        emit("L2L-R005", util::Severity::kError, net_header_line,
-             util::format("duplicate net id %d (first on line %d)", *id,
-                          it->second));
-      std::set<gen::GridPoint> distinct;
-      int parsed_pins = 0;
-      for (int q = 0; q < *pins; ++q) {
-        const auto pl = next_line();
-        if (!pl) {
-          emit("L2L-R001", util::Severity::kError, lineno,
-               util::format("file ends after %d of %d pin(s) of net %d", q,
-                            *pins, *id));
-          break;
-        }
-        const auto g = parse_point(*pl);
-        if (!g) {
-          emit("L2L-R001", util::Severity::kError, lineno,
-               "bad pin point '" + util::excerpt(*pl) + "'");
-          continue;
-        }
-        ++parsed_pins;
-        if (grid_ok && !p.in_bounds(*g)) {
-          emit("L2L-R003", util::Severity::kError, lineno,
-               util::format("pin (%d %d %d) of net %d off-grid", g->x, g->y,
-                            g->layer, *id));
-          continue;
-        }
-        if (grid_ok && p.is_blocked(*g))
-          emit("L2L-R004", util::Severity::kError, lineno,
-               util::format("pin (%d %d %d) of net %d on a blocked cell",
-                            g->x, g->y, g->layer, *id),
-               "a pin under an obstacle can never be reached");
-        if (!distinct.insert(*g).second)
-          emit("L2L-R006", util::Severity::kWarning, lineno,
-               util::format("net %d repeats pin (%d %d %d)", *id, g->x,
-                            g->y, g->layer));
-      }
-      if (parsed_pins > 0 && distinct.size() < 2)
-        emit("L2L-R006", util::Severity::kWarning, net_header_line,
-             util::format("net %d has %d distinct pin(s); routing needs 2+",
-                          *id, static_cast<int>(distinct.size())));
-    }
-  }
-
   sort_findings(out);
   return out;
 }

@@ -1,10 +1,12 @@
 #include "route/solution.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -196,104 +198,209 @@ std::string write_problem(const gen::RoutingProblem& p) {
   return out;
 }
 
-gen::RoutingProblem parse_problem(const std::string& text) {
-  gen::RoutingProblem p;
-  std::istringstream in(text);
-  std::string line;
-
-  auto next_line = [&]() {
-    while (std::getline(in, line)) {
-      const auto t = util::trim(line);
-      if (!t.empty()) return std::string(t);
-    }
-    throw std::invalid_argument("problem: unexpected end of file");
-  };
-  auto parse_count = [](const std::vector<std::string>& tok, std::size_t i) {
-    const auto v = util::parse_int(tok[i]);
-    if (!v || *v < 0)
-      throw std::invalid_argument("problem: bad count '" + tok[i] + "'");
-    return *v;
-  };
-  auto parse_point = [&](const std::string& t) {
-    const auto tok = util::split(t, "() \t");
-    std::optional<int> x, y, l;
-    if (tok.size() == 3) {
-      x = util::parse_int(tok[0]);
-      y = util::parse_int(tok[1]);
-      l = util::parse_int(tok[2]);
-    }
-    if (!x || !y || !l)
-      throw std::invalid_argument("problem: bad point '" + util::excerpt(t) + "'");
-    return gen::GridPoint{*x, *y, *l};
+ParsedProblem parse_problem_lenient(std::string_view text) {
+  // Sanity caps: a hostile header must not be able to trigger a
+  // multi-gigabyte allocation (or a negative->huge size_t wrap) before
+  // any real validation happens.
+  constexpr int kMaxSide = 1 << 16;
+  constexpr int kMaxLayers = 64;
+  constexpr long long kMaxCells = 1LL << 26;  // 64M points across layers
+  ParsedProblem out;
+  auto& p = out.problem;
+  using Kind = ProblemDefect::Kind;
+  auto defect = [&](Kind kind, int line, std::string msg,
+                    std::string hint = {}) {
+    if (out.defects.size() < util::kMaxDefects)
+      out.defects.push_back({kind, line, std::move(msg), std::move(hint)});
   };
 
-  {
-    const auto tok = util::split(next_line());
-    if (tok.size() != 4 || tok[0] != "grid")
-      throw std::invalid_argument("problem: missing grid header");
-    const auto w = util::parse_int(tok[1]);
-    const auto h = util::parse_int(tok[2]);
-    const auto nl = util::parse_int(tok[3]);
-    if (!w || !h || !nl)
-      throw std::invalid_argument("problem: bad grid header");
-    // Sanity caps: a hostile header must not be able to trigger a
-    // multi-gigabyte allocation (or a negative->huge size_t wrap) before
-    // any real validation happens.
-    constexpr int kMaxSide = 1 << 16;
-    constexpr int kMaxLayers = 64;
-    constexpr long long kMaxCells = 1LL << 26;  // 64M points across layers
-    if (*w < 1 || *h < 1 || *w > kMaxSide || *h > kMaxSide)
-      throw std::invalid_argument("problem: grid dimensions out of range");
-    if (*nl < 1 || *nl > kMaxLayers)
-      throw std::invalid_argument("problem: layer count out of range");
-    if (static_cast<long long>(*w) * *h * *nl > kMaxCells)
-      throw std::invalid_argument("problem: grid too large");
-    p.width = *w;
-    p.height = *h;
-    p.num_layers = *nl;
-    p.blocked.assign(static_cast<std::size_t>(p.num_layers),
-                     std::vector<bool>(static_cast<std::size_t>(p.width) *
-                                           static_cast<std::size_t>(p.height),
-                                       false));
+  // The non-blank lines, trimmed, with their numbers; a defect at the end
+  // of the file points at its last line.
+  std::vector<std::pair<int, std::string_view>> lines;
+  int last_line = 0;
+  util::for_each_line(text, [&](int n, std::string_view raw) {
+    last_line = n;
+    if (const auto t = util::trim(raw); !t.empty()) lines.emplace_back(n, t);
+    return true;
+  });
+  std::size_t at = 0;
+  const auto ended = [&] { return at == lines.size(); };
+
+  if (ended()) {
+    defect(Kind::kStructure, 0, "empty problem file");
+    return out;
   }
   {
-    const auto tok = util::split(next_line());
-    if (tok.size() != 2 || tok[0] != "obstacles")
-      throw std::invalid_argument("problem: missing obstacles header");
-    const int count = parse_count(tok, 1);
-    for (int k = 0; k < count; ++k) {
-      const auto g = parse_point(next_line());
-      if (!p.in_bounds(g))
-        throw std::invalid_argument("problem: obstacle out of bounds");
-      p.blocked[static_cast<std::size_t>(g.layer)]
-               [static_cast<std::size_t>(g.y) * static_cast<std::size_t>(p.width) +
-                static_cast<std::size_t>(g.x)] = true;
+    const auto [n, t] = lines[at++];
+    const auto tok = util::split_views(t);
+    std::optional<int> w, h, nl;
+    if (tok.size() == 4 && tok[0] == "grid") {
+      w = util::parse_int(tok[1]);
+      h = util::parse_int(tok[2]);
+      nl = util::parse_int(tok[3]);
+    }
+    if (!w || !h || !nl) {
+      defect(Kind::kStructure, n,
+             "missing or malformed grid header '" + util::excerpt(t) + "'",
+             "write 'grid <width> <height> <layers>'");
+      return out;  // everything below needs the grid
+    }
+    if (*w < 1 || *h < 1 || *w > kMaxSide || *h > kMaxSide || *nl < 1 ||
+        *nl > kMaxLayers ||
+        static_cast<long long>(*w) * *h * *nl > kMaxCells) {
+      defect(Kind::kRange, n,
+             util::format("grid %d x %d x %d outside the sane range", *w, *h,
+                          *nl),
+             util::format("sides <= %d, layers <= %d, cells <= %lld",
+                          kMaxSide, kMaxLayers, kMaxCells));
+    } else {
+      p.width = *w;
+      p.height = *h;
+      p.num_layers = *nl;
+      p.blocked.assign(static_cast<std::size_t>(p.num_layers),
+                       std::vector<bool>(static_cast<std::size_t>(p.width) *
+                                             static_cast<std::size_t>(p.height),
+                                         false));
     }
   }
-  {
-    const auto tok = util::split(next_line());
-    if (tok.size() != 2 || tok[0] != "nets")
-      throw std::invalid_argument("problem: missing nets header");
-    const int count = parse_count(tok, 1);
-    for (int k = 0; k < count; ++k) {
-      const auto head = util::split(next_line());
-      if (head.size() != 3 || head[0] != "net")
-        throw std::invalid_argument("problem: bad net header");
-      gen::RoutingNet net;
-      const auto id = util::parse_int(head[1]);
-      if (!id) throw std::invalid_argument("problem: bad net id");
-      net.id = *id;
-      const int pins = parse_count(head, 2);
-      for (int q = 0; q < pins; ++q) {
-        const auto g = parse_point(next_line());
-        if (!p.in_bounds(g))
-          throw std::invalid_argument("problem: pin out of bounds");
-        net.pins.push_back(g);
+  // "<word> <count>" with a count >= 0, else a defect and nullopt.
+  const auto header = [&](const char* word, const char* hint) {
+    std::optional<int> count;
+    if (!ended()) {
+      const auto tok = util::split_views(lines[at].second);
+      if (tok.size() == 2 && tok[0] == word) count = util::parse_int(tok[1]);
+    }
+    if (count && *count >= 0) {
+      ++at;
+      return count;
+    }
+    defect(Kind::kStructure, ended() ? 0 : lines[at].first,
+           util::format("missing or malformed %s header", word), hint);
+    return std::optional<int>{};
+  };
+
+  const auto obstacles =
+      header("obstacles", "write 'obstacles <count>' after the grid line");
+  if (!obstacles) return out;
+  for (int k = 0; k < *obstacles; ++k) {
+    if (ended()) {
+      defect(Kind::kStructure, last_line,
+             util::format("file ends after %d of %d obstacle(s)", k,
+                          *obstacles));
+      return out;
+    }
+    const auto [n, t] = lines[at++];
+    const auto g = scan_cell(t);
+    if (!g) {
+      defect(Kind::kStructure, n,
+             "bad obstacle point '" + util::excerpt(t) + "'",
+             "write '(x y layer)'");
+    } else if (out.has_grid() && !p.in_bounds(*g)) {
+      defect(Kind::kStructure, n,
+             util::format("obstacle (%d %d %d) off-grid", g->x, g->y,
+                          g->layer));
+    } else if (out.has_grid()) {
+      p.blocked[static_cast<std::size_t>(g->layer)]
+               [static_cast<std::size_t>(g->y) *
+                    static_cast<std::size_t>(p.width) +
+                static_cast<std::size_t>(g->x)] = true;
+    }
+  }
+
+  const auto nets =
+      header("nets", "write 'nets <count>' after the obstacle list");
+  if (!nets) return out;
+  for (int k = 0; k < *nets; ++k) {
+    if (ended()) {
+      defect(Kind::kStructure, last_line,
+             util::format("file ends after %d of %d net(s)", k, *nets));
+      break;
+    }
+    const auto [n, t] = lines[at++];
+    const auto tok = util::split_views(t);
+    std::optional<int> id, pins;
+    if (tok.size() == 3 && tok[0] == "net") {
+      id = util::parse_int(tok[1]);
+      pins = util::parse_int(tok[2]);
+    }
+    if (!id || !pins || *pins < 0) {
+      defect(Kind::kStructure, n, "bad net header '" + util::excerpt(t) + "'",
+             "write 'net <id> <pin-count>'");
+      break;  // pin lines are now unanchored; stop instead of cascading
+    }
+    auto& net = p.nets.emplace_back(gen::RoutingNet{*id, {}});
+    out.net_lines.push_back(n);
+    auto& pin_lines = out.pin_lines.emplace_back();
+    for (int q = 0; q < *pins; ++q) {
+      if (ended()) {
+        defect(Kind::kStructure, last_line,
+               util::format("file ends after %d of %d pin(s) of net %d", q,
+                            *pins, *id));
+        break;
       }
-      p.nets.push_back(std::move(net));
+      const auto [pn, pt] = lines[at++];
+      const auto g = scan_cell(pt);
+      if (!g) {
+        defect(Kind::kStructure, pn,
+               "bad pin point '" + util::excerpt(pt) + "'");
+        continue;
+      }
+      net.pins.push_back(*g);
+      pin_lines.push_back(pn);
+      if (out.has_grid() && !p.in_bounds(*g))
+        defect(Kind::kOffGridPin, pn,
+               util::format("pin (%d %d %d) of net %d off-grid", g->x, g->y,
+                            g->layer, *id));
+      else if (out.has_grid() && p.is_blocked(*g))
+        defect(Kind::kPinOnObstacle, pn,
+               util::format("pin (%d %d %d) of net %d on a blocked cell",
+                            g->x, g->y, g->layer, *id),
+               "a pin under an obstacle can never be reached");
     }
   }
-  return p;
+
+  // A net id used twice. Sorting (id, line) pairs puts each id's headers
+  // in one run, first header first, in O(N log N) whatever ids the upload
+  // picks. The first util::kMaxDefects repeats join the defects, which go
+  // back to file order (a file with nets has no line-0 defect) and to the
+  // cap.
+  std::vector<std::pair<int, int>> ids(p.nets.size());
+  for (std::size_t k = 0; k < ids.size(); ++k)
+    ids[k] = {p.nets[k].id, out.net_lines[k]};
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::array<int, 3>> repeats;  // (line, id, first line)
+  for (std::size_t k = 1, first = 0; k < ids.size(); ++k) {
+    if (ids[k].first != ids[first].first)
+      first = k;
+    else
+      repeats.push_back({ids[k].second, ids[k].first, ids[first].second});
+  }
+  if (repeats.empty()) return out;
+  std::sort(repeats.begin(), repeats.end());
+  repeats.resize(std::min(repeats.size(), util::kMaxDefects));
+  for (const auto& [line, id, first] : repeats)
+    out.defects.push_back(
+        {Kind::kDuplicateId, line,
+         util::format("duplicate net id %d (first on line %d)", id, first),
+         ""});
+  std::stable_sort(out.defects.begin(), out.defects.end(),
+                   [](const ProblemDefect& a, const ProblemDefect& b) {
+                     return a.line < b.line;
+                   });
+  out.defects.resize(std::min(out.defects.size(), util::kMaxDefects));
+  return out;
+}
+
+gen::RoutingProblem parse_problem(const std::string& text) {
+  ParsedProblem parsed = parse_problem_lenient(text);
+  if (!parsed.clean()) {
+    const auto& d = parsed.defects.front();
+    throw std::invalid_argument(
+        (d.line > 0 ? util::format("problem line %d: ", d.line)
+                    : std::string("problem: ")) +
+        d.message);
+  }
+  return std::move(parsed.problem);
 }
 
 std::string render_ascii(const gen::RoutingProblem& p, const RouteSolution& sol,

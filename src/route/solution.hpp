@@ -8,9 +8,11 @@
 //   ...
 //   !
 //
-// plus a problem writer so tools can round-trip benchmarks.
+// plus the routing-problem writer and its one located reader, so tools
+// can round-trip benchmarks.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "route/router.hpp"
@@ -45,7 +47,40 @@ RouteSolution parse_solution(const std::string& text);
 /// Serialize a routing problem (grid, obstacles, nets) as ASCII text.
 std::string write_problem(const gen::RoutingProblem& p);
 
-/// Parse a routing problem.
+/// Why a text is not a routable problem, worded for the learner. `line`
+/// is 1-based; 0 means the file as a whole. kRange is a grid header past
+/// the allocation caps; kStructure is anything else that does not parse.
+struct ProblemDefect {
+  enum class Kind {
+    kStructure, kRange, kOffGridPin, kPinOnObstacle, kDuplicateId
+  };
+  Kind kind;
+  int line = 0;
+  std::string message;
+  std::string hint;  ///< a fix-it suggestion, or empty
+};
+
+/// The one located routing-problem parse, shared by parse_problem and the
+/// L2L-Rxxx lint pack. Lenient: it never throws and records the first
+/// util::kMaxDefects defects in file order. It salvages what it can: a
+/// bad obstacle or pin line is skipped, a bad header ends the reading,
+/// and after a grid outside the caps the rest is read without a grid.
+struct ParsedProblem {
+  /// The grid (none after a range defect), its in-grid obstacles, and
+  /// every net read with every pin that scanned, off-grid ones included.
+  gen::RoutingProblem problem;
+  std::vector<int> net_lines;               ///< header line of each net
+  std::vector<std::vector<int>> pin_lines;  ///< line of each pin, per net
+  std::vector<ProblemDefect> defects;
+
+  bool has_grid() const { return problem.width > 0; }
+  bool clean() const { return defects.empty(); }
+};
+
+ParsedProblem parse_problem_lenient(std::string_view text);
+
+/// Parse a routing problem: the lenient parse when it found no defect.
+/// Throws std::invalid_argument naming the first defect otherwise.
 gen::RoutingProblem parse_problem(const std::string& text);
 
 /// Render layer maps as ASCII art (debug/teaching aid): '.' free,

@@ -16,6 +16,7 @@
 #include "lint/lint.hpp"
 #include "network/blif.hpp"
 #include "parse_corpus.hpp"
+#include "route/solution.hpp"
 #include "sat/dimacs.hpp"
 #include "sema/sema.hpp"
 
@@ -165,6 +166,47 @@ TEST(ParseCases, PastedJunkKeepsABoundedDefectList) {
   EXPECT_EQ(lint::lint_text("x.cnf", cnf).errors(),
             static_cast<int>(util::kMaxDefects));
   EXPECT_TRUE(sema::analyze_text("x.pla", pla).findings.empty());
+  // Every obstacle line of this one is junk.
+  std::string problem = "grid 4 4 1\nobstacles 3000\n";
+  for (int k = 0; k < 3000; ++k) problem += "junk\n";
+  EXPECT_EQ(route::parse_problem_lenient(problem).defects.size(),
+            util::kMaxDefects);
+  EXPECT_EQ(lint::lint_text("x.problem", problem).errors(),
+            static_cast<int>(util::kMaxDefects));
+}
+
+// ---- routing problems ---------------------------------------------------
+// Lint has always called these errors, but the engine accepted them: the
+// router then reported a net under an obstacle routed, and the grader
+// failed legal routes of a net whose id another net shared.
+
+TEST(ParseCases, PinOnAnObstacleIsRejectedLikeLintSays) {
+  const std::string text =
+      "grid 4 4 1\nobstacles 1\n(1 1 0)\nnets 1\nnet 0 2\n(1 1 0)\n"
+      "(3 3 0)\n";
+  EXPECT_THROW(route::parse_problem(text), std::invalid_argument);
+  const auto fr = lint::lint_text("x.problem", text);
+  EXPECT_TRUE(has_finding(fr, "L2L-R004", 6));
+  EXPECT_EQ(fr.errors(), 1);
+}
+
+TEST(ParseCases, DuplicateNetIdIsRejectedLikeLintSays) {
+  const std::string text =
+      "grid 4 4 1\nobstacles 0\nnets 2\nnet 0 2\n(0 0 0)\n(3 0 0)\n"
+      "net 0 2\n(0 3 0)\n(3 3 0)\n";
+  EXPECT_THROW(route::parse_problem(text), std::invalid_argument);
+  const auto fr = lint::lint_text("x.problem", text);
+  EXPECT_TRUE(has_finding(fr, "L2L-R005", 7));
+  EXPECT_EQ(fr.errors(), 1);
+  // Repeats are found after the walk, yet take their place in file
+  // order: the engine names this one before the off-grid pin on line 9.
+  std::string off_grid = text;
+  off_grid.replace(off_grid.rfind("(3 3 0)"), 7, "(4 3 0)");
+  const auto parsed = route::parse_problem_lenient(off_grid);
+  ASSERT_EQ(parsed.defects.size(), 2u);
+  EXPECT_EQ(parsed.defects[0].kind,
+            route::ProblemDefect::Kind::kDuplicateId);
+  EXPECT_EQ(parsed.defects[1].line, 9);
 }
 
 // ---- fuzzer finds -------------------------------------------------------

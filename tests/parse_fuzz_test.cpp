@@ -4,9 +4,9 @@
 // must satisfy:
 //
 //   1. nothing throws out of lint or sema;
-//   2. lint reports no error iff the engine accepts (DIMACS, PLA and BLIF
-//      against their parsers, placement uploads against the grader's
-//      legality verdict);
+//   2. lint reports no error iff the engine accepts (DIMACS, PLA, BLIF
+//      and routing problems against their parsers, placement uploads
+//      against the grader's legality verdict);
 //   3. sema is empty whenever the DIMACS or PLA engine rejects (the BLIF
 //      pass reads the name graph on purpose and explains rejected
 //      netlists);
@@ -30,6 +30,7 @@
 #include "lint/lint.hpp"
 #include "network/blif.hpp"
 #include "parse_corpus.hpp"
+#include "route/solution.hpp"
 #include "sat/dimacs.hpp"
 #include "sema/sema.hpp"
 
@@ -152,10 +153,39 @@ TEST_F(ParseFuzz, MutantsKeepLintSemaAndEnginesInAgreement) {
       } else if (format == lint::Format::kBlif) {
         const bool ok = accepts([&] { network::parse_blif(mutant); });
         EXPECT_EQ(lr.errors() == 0, ok) << what;
+      } else if (format == lint::Format::kRouteProblem) {
+        const bool ok = accepts([&] { route::parse_problem(mutant); });
+        EXPECT_EQ(lr.errors() == 0, ok) << what;
       }
     }
   }
   EXPECT_GT(checked, 1000);
+}
+
+TEST_F(ParseFuzz, MutatedProblemsParseLikeTheirLint) {
+  // A stream of its own, so the corpus mutants above stay the ones the
+  // checker oracle replays.
+  util::Rng rng(0x9b0b);
+  std::vector<std::string> problems;
+  for (const std::uint64_t seed : {1u, 2u, 3u})
+    problems.push_back(
+        route::write_problem(parse_corpus::route_fixture(seed).problem));
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    for (int m = 0; m < kMutants; ++m) {
+      const std::string mutant = parse_corpus::mutate(
+          problems[i], problems[(i + 1) % problems.size()], rng);
+      const std::string what = "problem" + std::to_string(i + 1) +
+                               " mutant " + std::to_string(m) + ":\n" +
+                               mutant;
+      std::vector<lint::Finding> lint;
+      ASSERT_NO_THROW(lint = lint::lint_route_problem(mutant)) << what;
+      int errors = 0;
+      for (const auto& f : lint)
+        errors += f.severity == util::Severity::kError ? 1 : 0;
+      EXPECT_EQ(errors == 0, accepts([&] { route::parse_problem(mutant); }))
+          << what;
+    }
+  }
 }
 
 TEST_F(ParseFuzz, MutatedUploadsGradeLikeTheirLint) {

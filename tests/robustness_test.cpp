@@ -208,6 +208,10 @@ TEST(HostileParsers, LenientParsersNeverThrow) {
     EXPECT_NO_THROW(grader::placement_diagnostics(
         place::parse_placement_lenient(text, 16)))
         << name;
+    EXPECT_NO_THROW({
+      const auto parsed = route::parse_problem_lenient(text);
+      for (const auto& d : parsed.defects) EXPECT_GE(d.line, 0);
+    }) << name;
   }
 }
 

@@ -94,12 +94,14 @@ scan_in sema-no-wall-clock 'system_clock|gettimeofday|[^_[:alnum:]]time[[:space:
 scan_in journal-no-clock 'system_clock|steady_clock|gettimeofday|[^_[:alnum:]]time[[:space:]]*\(' '^src/mooc/journal'
 scan_in journal-no-unordered 'std::unordered_' '^src/mooc/journal'
 scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/mooc/journal'
-# One located parse per input format: PLA, DIMACS, placement and BLIF are
-# tokenized once (espresso::parse_pla_lenient, sat::parse_dimacs_lenient,
-# place::parse_placement_lenient, network::parse_blif_structure), and the
+# One located parse per input format: PLA, DIMACS, placement, BLIF and
+# the routing problem and solution are tokenized once
+# (espresso::parse_pla_lenient, sat::parse_dimacs_lenient,
+# place::parse_placement_lenient, network::parse_blif_structure,
+# route::parse_problem_lenient, route::parse_solution_lenient), and the
 # lint packs and sema passes read those records. A line reader here would
 # be a second tokenizer that can drift from the engine's.
-scan_in no-own-tokenizer 'std::getline|std::istringstream' '^src/(lint/rules_(pla|cnf|place|blif)|sema/(pla|cnf)_sema)[.]cpp$'
+scan_in no-own-tokenizer 'std::getline|std::istringstream' '^src/(lint/rules_(pla|cnf|place|blif|route)|sema/(pla|cnf)_sema|route/solution)[.]cpp$'
 # The checkers around every real grade keep flat layouts: CNF sema and
 # lint, placement lint and the route/placement graders were dominated by
 # node-per-entry maps keyed on the upload's contents, so like the hot

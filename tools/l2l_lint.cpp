@@ -127,24 +127,21 @@ int main(int argc, char** argv) try {
   }
 
   // The routing problem gates the solution pack's geometric rules; a
-  // malformed problem file is itself a lintable artifact, so report it
-  // through the same machinery instead of dying on the parse.
-  l2l::gen::RoutingProblem problem;
+  // malformed problem file is itself a lintable artifact, so its one
+  // parse is reported through the same machinery instead of dying.
+  l2l::route::ParsedProblem problem;
   if (!problem_path.empty()) {
     std::ifstream in(problem_path);
     if (!in) return usage("cannot open " + problem_path);
-    const auto text = read_stream(in);
-    try {
-      problem = l2l::route::parse_problem(text);
-      opt.route_problem = &problem;
-    } catch (const std::exception&) {
-      l2l::lint::LintOptions popt;
-      popt.format = l2l::lint::Format::kRouteProblem;
+    problem = l2l::route::parse_problem_lenient(read_stream(in));
+    if (!problem.clean()) {
       l2l::lint::Report rep;
-      rep.files.push_back(l2l::lint::lint_text(problem_path, text, popt));
+      rep.files.push_back({problem_path, l2l::lint::Format::kRouteProblem,
+                           l2l::lint::lint_route_problem(problem)});
       std::cout << (json ? rep.to_json() : rep.to_text());
       return l2l::util::kExitParse;
     }
+    opt.route_problem = &problem.problem;
   }
 
   std::vector<std::pair<std::string, std::string>> inputs;
