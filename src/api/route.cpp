@@ -8,7 +8,7 @@ namespace l2l::api {
 
 namespace {
 
-constexpr std::uint64_t kRouteFormatVersion = 3;
+constexpr std::uint64_t kRouteFormatVersion = 4;
 
 cache::Digest128 config_digest(const route::RouterOptions& opt) {
   cache::Hasher h;

@@ -77,7 +77,7 @@ FlowResult run_flow(const network::Network& input, const FlowOptions& opt = {});
 ///   - the mapped netlist computes `input`'s function (SAT miter);
 ///   - the placement is legal on its grid;
 ///   - the route grader finds every problem net routed and legal;
-///   - the routes are DRC clean and LVS matches the problem's nets.
+///   - the routes are DRC clean, so no two nets short.
 /// Returns ok, or kInvalidInput naming the first check that failed.
 util::Status verify(const network::Network& input, const FlowResult& res);
 

@@ -134,6 +134,7 @@ const std::vector<RuleInfo>& all_rules() {
       {"L2L-R004", S::kError, "pin on a blocked cell"},
       {"L2L-R005", S::kError, "duplicate net id"},
       {"L2L-R006", S::kWarning, "degenerate net (duplicate pins or < 2 distinct pins)"},
+      {"L2L-R007", S::kError, "pin on a point another net has a pin on"},
       // routing solution
       {"L2L-S001", S::kError, "malformed routing-solution line"},
       {"L2L-S002", S::kError, "duplicate net id in solution"},

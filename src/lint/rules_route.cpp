@@ -1,7 +1,7 @@
 // Routing rule packs: the problem file (L2L-Rxxx) and the solution file
 // (L2L-Sxxx). Both read the route module's lenient parses:
-// route::parse_problem_lenient's defects are R001-R005, and the R006
-// warnings come from its records; the solution pack reclassifies
+// route::parse_problem_lenient's defects are R001-R005 and R007, and the
+// R006 warnings come from its records; the solution pack reclassifies
 // route::parse_solution_lenient's diagnostics and layers the geometric
 // rules on top when the problem is available.
 
@@ -28,7 +28,7 @@ std::vector<Finding> lint_route_problem(const route::ParsedProblem& parsed) {
   };
   // Indexed by route::ProblemDefect::Kind.
   static constexpr const char* kRule[] = {"L2L-R001", "L2L-R002", "L2L-R003",
-                                          "L2L-R004", "L2L-R005"};
+                                          "L2L-R004", "L2L-R005", "L2L-R007"};
   for (const auto& d : parsed.defects)
     emit(kRule[static_cast<int>(d.kind)], util::Severity::kError, d.line,
          d.message, d.hint);

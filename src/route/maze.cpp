@@ -137,15 +137,24 @@ struct SearchArena::Scratch {
   std::uint32_t gen = 0;
 
   /// Starts a search over `n_points` grid points: a new generation makes
-  /// every stamp stale at once, and the buffers only ever grow.
+  /// every stamp stale at once, and the buffers only ever grow. A buffer
+  /// that must grow is freed before its replacement is allocated, since
+  /// nothing in it outlives the search: an arena kept across route_all
+  /// calls then never holds two copies at once.
   void begin(std::size_t n_points) {
     if (++gen == 0) {  // wrapped: clear the stamps a new search could match
       for (auto& n : nodes) n.stamp = 0;
       for (auto& p : points) p.seen = p.target = 0;
       gen = 1;
     }
-    if (nodes.size() < n_points * kDirs) nodes.resize(n_points * kDirs, Node{0.0, -1, 0});
-    if (points.size() < n_points) points.resize(n_points, Point{0.0, 0, 0});
+    if (nodes.size() < n_points * kDirs) {
+      nodes = std::vector<Node>();
+      nodes.resize(n_points * kDirs, Node{0.0, -1, 0});
+    }
+    if (points.size() < n_points) {
+      points = std::vector<Point>();
+      points.resize(n_points, Point{0.0, 0, 0});
+    }
     heap.reset();
   }
 };

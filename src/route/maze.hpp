@@ -99,12 +99,13 @@ class NearestTargetBound {
 
 /// Reusable scratch for find_path: the search queue, the per-state cost
 /// and parent records, and the target marks, all generation-stamped so a
-/// search only touches the states it reaches. route_all keeps a pool that
-/// its parallel chunks take from and give back to, and one for its
-/// sequential loops, so the grid-sized buffers are allocated at most once
-/// per lane per call instead of once per search. An
-/// arena carries nothing from one search to the next: results never depend
-/// on what it searched before. Not thread-safe; use one per thread.
+/// search only touches the states it reaches. route_all keeps one for
+/// its sequential loops and its calling thread's parallel chunks, and a
+/// pool its worker lanes' chunks take from and give back to, all held per
+/// calling thread across calls, so the grid-sized buffers are allocated
+/// and filled once per lane, not once per search or per call. An arena carries nothing from one search to
+/// the next: results never depend on what it searched before. Not
+/// thread-safe; use one per thread.
 class SearchArena {
  public:
   SearchArena();

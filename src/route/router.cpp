@@ -1,12 +1,14 @@
 #include "route/router.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -148,13 +150,16 @@ class Negotiation {
         have_route_(p.nets.size(), false),
         reachable_(p.nets.size(), true) {}
 
-  /// Starts iteration `iter`: the present-sharing penalty grows linearly,
-  /// and the field is repriced from everyone's current wires. Returns
+  /// Starts iteration `iter`: the present-sharing penalty is
+  /// present_factor * max(iter + 1, kPresentGrowth^iter) -- linear for
+  /// iterations 0-2, then geometric as in PathFinder -- and the field is
+  /// repriced from everyone's current wires. Returns
   /// whether the iteration is a stall sweep: on stall, and always in the
   /// final two budget iterations, so a budget-limited run ends with the
   /// same cleanup around its contested points. A sweep clears the stall.
   bool begin(int iter) {
-    present_ = opt_.present_factor * (iter + 1);
+    present_ = opt_.present_factor *
+               std::max<double>(iter + 1, std::pow(kPresentGrowth, iter));
     for (std::size_t i = 0; i < field_.size(); ++i)
       field_[i] = history_[i] + present_ * usage_[i];
     const bool sweep =
@@ -235,6 +240,10 @@ class Negotiation {
   // thread-count independent.
   static constexpr int kStallLimit = 2;
   static constexpr int kStallRadius = 3;
+  // Growth per iteration of the present-sharing penalty once it overtakes
+  // the linear schedule. A knife edge: 1.5, 1.65, 1.7 and 1.75 each lose
+  // a routing gate (EXPERIMENTS.md "Geometric present penalty").
+  static constexpr double kPresentGrowth = 1.6;
 
   static std::size_t points(const Occupancy& g) {
     return static_cast<std::size_t>(g.width()) * static_cast<std::size_t>(g.height()) *
@@ -311,13 +320,13 @@ std::vector<std::size_t> Negotiation::rip_up_set(
   return active;
 }
 
-/// The search arenas of route_snapshot's chunks, kept for the whole
-/// route_all call: a chunk takes one and gives it back when done, so a
-/// call allocates at most one per lane instead of one per chunk. On small
-/// dies, allocating and zeroing a grid-sized arena per chunk of eight
-/// nets was ~8% of routing time (EXPERIMENTS.md "Cost per expansion").
-/// An arena carries nothing from one search to the next, so which one a
-/// chunk gets never shows in a result.
+/// The search arenas of route_snapshot's chunks on worker lanes: a chunk
+/// takes one and gives it back when done, so at most one per worker lane
+/// is ever allocated instead of one per chunk. On small dies, allocating
+/// and zeroing a grid-sized arena per chunk of eight nets was ~8% of
+/// routing time (EXPERIMENTS.md "Cost per expansion"). An arena carries
+/// nothing from one search to the next, so which one a chunk gets never
+/// shows in a result.
 class ArenaPool {
  public:
   std::unique_ptr<SearchArena> take() {
@@ -337,6 +346,38 @@ class ArenaPool {
   std::vector<std::unique_ptr<SearchArena>> free_;
 };
 
+/// The arenas a route_all call searches with: the live loop's, which the
+/// calling thread's snapshot chunks also use, and the worker lanes' pool.
+/// Each thread keeps one set across calls, so a design's routes do not
+/// each allocate and fill grid-sized buffers: the arenas only grow, and a
+/// search's generation stamp makes what an earlier call left behind
+/// stale, so no result moves. A call takes the set from its thread and
+/// puts it back when it returns; a nested call on the same thread finds
+/// none held and makes its own.
+class HeldArenas {
+ public:
+  HeldArenas() : arenas_(std::move(held())) {
+    if (!arenas_) arenas_ = std::make_unique<Arenas>();
+  }
+  ~HeldArenas() { held() = std::move(arenas_); }
+  HeldArenas(const HeldArenas&) = delete;
+  HeldArenas& operator=(const HeldArenas&) = delete;
+
+  SearchArena& live() { return arenas_->live; }
+  ArenaPool& chunks() { return arenas_->chunks; }
+
+ private:
+  struct Arenas {
+    SearchArena live;
+    ArenaPool chunks;
+  };
+  static std::unique_ptr<Arenas>& held() {
+    thread_local std::unique_ptr<Arenas> arenas;
+    return arenas;
+  }
+  std::unique_ptr<Arenas> arenas_;
+};
+
 // Small rip-up sets (the negotiation tail, where a handful of nets
 // contest a handful of cells) resolve with live Gauss-Seidel commits:
 // each net sees the routes the previous nets just picked, which is
@@ -352,7 +393,7 @@ constexpr std::size_t kSequentialTail = 16;
 /// attempts to `neg`.
 void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
                     const Occupancy& occ, const std::vector<std::size_t>& active,
-                    Negotiation& neg, ArenaPool& arenas, RouteStats& stats) {
+                    Negotiation& neg, HeldArenas& arenas, RouteStats& stats) {
   struct NetAttempt {
     bool attempted = false;
     bool ok = false;
@@ -374,20 +415,26 @@ void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
   // recomputing history + present * usage as rip() and commit() do; the
   // two round differently, so they are not interchangeable.
   const double present = neg.present();
+  // A chunk on the calling thread searches in the live loop's arena, idle
+  // while the snapshot routes; a chunk on a worker lane borrows one from
+  // the pool.
+  const auto caller = std::this_thread::get_id();
   constexpr std::int64_t kNetGrain = 8;
   util::parallel_for_chunks(
       0, static_cast<std::int64_t>(active.size()), kNetGrain,
       [&](std::int64_t cb, std::int64_t ce) {
         Occupancy socc = occ;
         std::vector<double> sextra = neg.field();
-        auto chunk_arena = arenas.take();
+        std::unique_ptr<SearchArena> lent;
+        if (std::this_thread::get_id() != caller) lent = arenas.chunks().take();
+        SearchArena& chunk_arena = lent ? *lent : arenas.live();
         for (std::int64_t t = cb; t < ce; ++t) {
           const std::size_t n = active[static_cast<std::size_t>(t)];
           auto& at = attempts[n];
           at.attempted = true;
           for (const auto& c : neg.wires(n)) sextra[occ.index(c)] -= present;
           std::vector<GridPoint> claimed;
-          at.ok = grow_tree(*chunk_arena, p.nets[n], socc, opt.costs, &sextra,
+          at.ok = grow_tree(chunk_arena, p.nets[n], socc, opt.costs, &sextra,
                             claimed, at.expansions);
           for (const auto& c : claimed) socc.set(c, Occupancy::kFree);
           if (at.ok) {
@@ -399,7 +446,7 @@ void route_snapshot(const gen::RoutingProblem& p, const RouterOptions& opt,
             for (const auto& c : neg.wires(n)) sextra[occ.index(c)] += present;
           }
         }
-        arenas.give(std::move(chunk_arena));
+        if (lent) arenas.chunks().give(std::move(lent));
       });
 
   // Commit in ascending net order. Results are already fixed; this
@@ -477,8 +524,8 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
     for (const auto& pin : net.pins) occ.set(pin, net.id);
   // Search scratch of the live loop and finalize, and of the parallel
   // chunks.
-  SearchArena arena;
-  ArenaPool chunk_arenas;
+  HeldArenas arenas;
+  SearchArena& arena = arenas.live();
   Negotiation neg(p, occ, opt, sol.stats);
   // repair_tree's per-point slot map.
   std::vector<std::int32_t> slot(
@@ -530,7 +577,7 @@ RouteSolution route_all(const gen::RoutingProblem& p, const RouterOptions& opt) 
         neg.commit(n, ok, std::move(claimed));
       }
     } else {
-      route_snapshot(p, opt, occ, active, neg, chunk_arenas, sol.stats);
+      route_snapshot(p, opt, occ, active, neg, arenas, sol.stats);
     }
     if (neg.end_iteration()) break;
   }

@@ -43,7 +43,9 @@ struct RouterOptions {
   /// Negotiation iterations before the final ownership pass; the last
   /// two are always stall sweeps.
   int max_negotiation_iterations = 40;
-  double present_factor = 0.6;     ///< per-iteration sharing penalty growth
+  /// Scale of the sharing penalty: iteration i prices each extra wire on
+  /// a point at present_factor * max(i + 1, 1.6^i).
+  double present_factor = 0.6;
   double history_increment = 3.0;  ///< added to each overused cell per iter
   /// Optional resource guard (not owned; must outlive route_all). Each
   /// negotiation iteration consumes one budget step; the deadline and

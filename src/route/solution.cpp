@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "util/strings.hpp"
@@ -359,11 +360,15 @@ ParsedProblem parse_problem_lenient(std::string_view text) {
     }
   }
 
-  // A net id used twice. Sorting (id, line) pairs puts each id's headers
-  // in one run, first header first, in O(N log N) whatever ids the upload
-  // picks. The first util::kMaxDefects repeats join the defects, which go
-  // back to file order (a file with nets has no line-0 defect) and to the
-  // cap.
+  // Defects found after the walk, by sorting rather than by a table keyed
+  // on upload-chosen values: O(N log N) whatever ids and points the
+  // upload picks. Each kind keeps its first util::kMaxDefects in file
+  // order; then all defects go back to file order (a file with nets has
+  // no line-0 defect) and to the cap.
+  const std::size_t walked = out.defects.size();
+
+  // A net id used twice. Sorted (id, line) pairs put each id's headers in
+  // one run, first header first.
   std::vector<std::pair<int, int>> ids(p.nets.size());
   for (std::size_t k = 0; k < ids.size(); ++k)
     ids[k] = {p.nets[k].id, out.net_lines[k]};
@@ -375,7 +380,6 @@ ParsedProblem parse_problem_lenient(std::string_view text) {
     else
       repeats.push_back({ids[k].second, ids[k].first, ids[first].second});
   }
-  if (repeats.empty()) return out;
   std::sort(repeats.begin(), repeats.end());
   repeats.resize(std::min(repeats.size(), util::kMaxDefects));
   for (const auto& [line, id, first] : repeats)
@@ -383,6 +387,43 @@ ParsedProblem parse_problem_lenient(std::string_view text) {
         {Kind::kDuplicateId, line,
          util::format("duplicate net id %d (first on line %d)", id, first),
          ""});
+
+  // A free grid point two nets have a pin on. Sorted (point, net, line)
+  // tuples put each point's pins in one run, in file order; each pin of
+  // the run from another net than the run's first shares its point.
+  if (out.has_grid()) {
+    std::vector<std::tuple<GridPoint, std::uint32_t, int>> pins;
+    for (std::size_t k = 0; k < p.nets.size(); ++k)
+      for (std::size_t q = 0; q < p.nets[k].pins.size(); ++q) {
+        const auto& g = p.nets[k].pins[q];
+        if (p.in_bounds(g) && !p.is_blocked(g))
+          pins.emplace_back(g, static_cast<std::uint32_t>(k), out.pin_lines[k][q]);
+      }
+    std::sort(pins.begin(), pins.end());
+    // (line, pin index, index of the run's first pin)
+    std::vector<std::array<std::size_t, 3>> shared;
+    for (std::size_t k = 1, first = 0; k < pins.size(); ++k) {
+      if (std::get<0>(pins[k]) != std::get<0>(pins[first]))
+        first = k;
+      else if (std::get<1>(pins[k]) != std::get<1>(pins[first]))
+        shared.push_back({static_cast<std::size_t>(std::get<2>(pins[k])), k, first});
+    }
+    std::sort(shared.begin(), shared.end());
+    shared.resize(std::min(shared.size(), util::kMaxDefects));
+    for (const auto& [line, k, first] : shared) {
+      const auto& [g, net, pin_line] = pins[k];
+      const auto& [g0, net0, line0] = pins[first];
+      out.defects.push_back(
+          {Kind::kSharedPin, pin_line,
+           util::format("pin (%d %d %d) of net %d is also a pin of net %d "
+                        "(line %d)",
+                        g.x, g.y, g.layer, p.nets[net].id, p.nets[net0].id,
+                        line0),
+           "a point belongs to one net; move one of the pins"});
+    }
+  }
+
+  if (out.defects.size() == walked) return out;
   std::stable_sort(out.defects.begin(), out.defects.end(),
                    [](const ProblemDefect& a, const ProblemDefect& b) {
                      return a.line < b.line;

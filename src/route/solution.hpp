@@ -50,9 +50,11 @@ std::string write_problem(const gen::RoutingProblem& p);
 /// Why a text is not a routable problem, worded for the learner. `line`
 /// is 1-based; 0 means the file as a whole. kRange is a grid header past
 /// the allocation caps; kStructure is anything else that does not parse.
+/// kSharedPin is a pin on a point an earlier net already has a pin on:
+/// no route can give that point to both nets.
 struct ProblemDefect {
   enum class Kind {
-    kStructure, kRange, kOffGridPin, kPinOnObstacle, kDuplicateId
+    kStructure, kRange, kOffGridPin, kPinOnObstacle, kDuplicateId, kSharedPin
   };
   Kind kind;
   int line = 0;

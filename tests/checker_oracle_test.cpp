@@ -730,7 +730,8 @@ std::optional<gen::GridPoint> reference_parse_point(const std::string& t) {
 }
 
 /// The R-pack as a scanner of its own: a std::getline pull reader, a
-/// std::map of net ids and a std::set of pins per net.
+/// std::map of net ids, a std::set of pins per net and a std::map of the
+/// first pin on each free grid point.
 std::vector<Finding> reference_lint_route_problem(const std::string& text) {
   std::vector<Finding> out;
   auto emit = [&](const char* rule, Severity sev, int line, std::string msg,
@@ -844,6 +845,10 @@ std::vector<Finding> reference_lint_route_problem(const std::string& text) {
   const auto nets = header_count("nets");
   if (!nets) return done();
   std::map<int, int> net_line;
+  struct FirstPin {
+    int net_index, id, line;
+  };
+  std::map<gen::GridPoint, FirstPin> first_pin;
   for (int k = 0; k < *nets; ++k) {
     const auto hl = next_line();
     if (!hl) {
@@ -897,6 +902,16 @@ std::vector<Finding> reference_lint_route_problem(const std::string& text) {
              util::format("pin (%d %d %d) of net %d on a blocked cell", g->x,
                           g->y, g->layer, *id),
              "a pin under an obstacle can never be reached");
+      else if (grid_ok) {
+        const auto [at, fresh] = first_pin.try_emplace(*g, FirstPin{k, *id, lineno});
+        if (!fresh && at->second.net_index != k)
+          emit("L2L-R007", Severity::kError, lineno,
+               util::format("pin (%d %d %d) of net %d is also a pin of net %d "
+                            "(line %d)",
+                            g->x, g->y, g->layer, *id, at->second.id,
+                            at->second.line),
+               "a point belongs to one net; move one of the pins");
+      }
       if (!distinct.insert(*g).second)
         emit("L2L-R006", Severity::kWarning, lineno,
              util::format("net %d repeats pin (%d %d %d)", *id, g->x, g->y,
@@ -993,7 +1008,8 @@ std::string render_fields(const std::vector<Finding>& findings) {
 }
 
 /// A seeded problem text: a generated problem, sometimes with a pin moved
-/// onto an obstacle or a net id copied from another net, written out and
+/// onto an obstacle, a net id copied from another net or a pin copied
+/// from another net's pins, written out and
 /// then edited line by line -- a grid header past the caps; lines dropped,
 /// duplicated, swapped, copied over others or junk inserted; the text cut
 /// after a line; digits flipped; points given two or four coordinates;
@@ -1022,6 +1038,12 @@ std::string random_problem_text(util::Rng& rng) {
   if (problem.nets.size() > 1 && rng.next_below(4) == 0)
     problem.nets[rng.next_below(problem.nets.size())].id =
         problem.nets[rng.next_below(problem.nets.size())].id;
+  if (problem.nets.size() > 1 && rng.next_below(8) == 0) {
+    const auto& from = problem.nets[rng.next_below(problem.nets.size())].pins;
+    const auto pin = from[rng.next_below(from.size())];
+    auto& to = problem.nets[rng.next_below(problem.nets.size())].pins;
+    to[rng.next_below(to.size())] = pin;
+  }
 
   auto lines = parse_corpus::lines_of(route::write_problem(problem));
   static constexpr const char* kInsaneGrid[] = {
@@ -1124,10 +1146,12 @@ TEST(CheckerOracle, RouteProblemMatchesTheReferences) {
               render_fields(want))
         << text;
     // The strict reader also rejects what no route can satisfy: a pin on
-    // an obstacle (R004) and a repeated net id (R005).
+    // an obstacle (R004), a repeated net id (R005) and a point two nets
+    // have a pin on (R007).
     const bool unroutable =
         std::any_of(want.begin(), want.end(), [](const Finding& f) {
-          return f.rule == "L2L-R004" || f.rule == "L2L-R005";
+          return f.rule == "L2L-R004" || f.rule == "L2L-R005" ||
+                 f.rule == "L2L-R007";
         });
     gen::RoutingProblem got, ref;
     const bool ok = accepts([&] { got = route::parse_problem(text); });
@@ -1141,7 +1165,7 @@ TEST(CheckerOracle, RouteProblemMatchesTheReferences) {
     ASSERT_EQ(route::write_problem(got), route::write_problem(ref)) << text;
   }
   for (const char* rule : {"L2L-R001", "L2L-R002", "L2L-R003", "L2L-R004",
-                           "L2L-R005", "L2L-R006"})
+                           "L2L-R005", "L2L-R006", "L2L-R007"})
     EXPECT_GE(seen[rule], 20) << rule;
   EXPECT_GE(accepted, 400);
   EXPECT_GE(rejected, 400);

@@ -162,6 +162,9 @@ const RuleCase kRuleCases[] = {
      "net 0 2\n(2 2 0)\n(3 3 0)\n"},
     {"L2L-R006", Format::kRouteProblem,
      "grid 4 4 1\nobstacles 0\nnets 1\nnet 0 2\n(0 0 0)\n(0 0 0)\n"},
+    {"L2L-R007", Format::kRouteProblem,
+     "grid 4 4 1\nobstacles 0\nnets 2\nnet 0 2\n(0 0 0)\n(1 1 0)\n"
+     "net 1 2\n(1 1 0)\n(3 3 0)\n"},
     // routing solution (checked against test_problem())
     {"L2L-S001", Format::kRouteSolution, "1\nnet banana\n"},
     {"L2L-S002", Format::kRouteSolution,

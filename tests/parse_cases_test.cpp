@@ -9,6 +9,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "api/espresso.hpp"
 #include "espresso/pla.hpp"
@@ -207,6 +208,44 @@ TEST(ParseCases, DuplicateNetIdIsRejectedLikeLintSays) {
   EXPECT_EQ(parsed.defects[0].kind,
             route::ProblemDefect::Kind::kDuplicateId);
   EXPECT_EQ(parsed.defects[1].line, 9);
+}
+
+// Two nets with a pin on one point: no route can give the point to both,
+// so the grader scored the router's own answer 1 of 2 legal nets.
+TEST(ParseCases, SharedPinCellIsRejectedLikeLintSays) {
+  const std::string text =
+      "grid 4 4 1\nobstacles 0\nnets 2\nnet 0 2\n(0 0 0)\n(3 0 0)\n"
+      "net 1 2\n(0 3 0)\n(3 0 0)\n";
+  EXPECT_THROW(route::parse_problem(text), std::invalid_argument);
+  const auto fr = lint::lint_text("x.problem", text);
+  EXPECT_TRUE(has_finding(fr, "L2L-R007", 9));
+  EXPECT_EQ(fr.errors(), 1);
+  const auto parsed = route::parse_problem_lenient(text);
+  ASSERT_EQ(parsed.defects.size(), 1u);
+  EXPECT_EQ(parsed.defects[0].kind, route::ProblemDefect::Kind::kSharedPin);
+  EXPECT_EQ(parsed.defects[0].message,
+            "pin (3 0 0) of net 1 is also a pin of net 0 (line 6)");
+  // A net that repeats its own pin only warns (R006), and the same point
+  // on the other layer is another point.
+  const std::string own =
+      "grid 4 4 2\nobstacles 0\nnets 2\nnet 0 3\n(0 0 0)\n(3 0 0)\n"
+      "(3 0 0)\nnet 1 2\n(0 3 0)\n(3 0 1)\n";
+  EXPECT_NO_THROW(route::parse_problem(own));
+  EXPECT_EQ(lint::lint_text("x.problem", own).errors(), 0);
+  // Every pin of a later net on a point, repeats included, is named
+  // against the point's first pin in file order.
+  const auto three = route::parse_problem_lenient(
+      "grid 4 4 1\nobstacles 0\nnets 3\nnet 0 3\n(0 0 0)\n(3 0 0)\n"
+      "(3 0 0)\nnet 1 3\n(0 3 0)\n(3 0 0)\n(3 0 0)\nnet 2 2\n(3 0 0)\n"
+      "(3 3 0)\n");
+  ASSERT_EQ(three.defects.size(), 3u);
+  for (const auto& [d, line, net] :
+       {std::tuple{0, 10, 1}, std::tuple{1, 11, 1}, std::tuple{2, 13, 2}}) {
+    EXPECT_EQ(three.defects[d].line, line);
+    EXPECT_EQ(three.defects[d].message,
+              "pin (3 0 0) of net " + std::to_string(net) +
+                  " is also a pin of net 0 (line 6)");
+  }
 }
 
 // ---- fuzzer finds -------------------------------------------------------
