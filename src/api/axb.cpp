@@ -17,25 +17,12 @@ namespace {
 
 constexpr std::uint64_t kAxbFormatVersion = 1;
 
-std::string serialize(const AxbResult& res) {
-  std::string out;
-  cache::append_record(out, res.output);
-  cache::append_record(out, res.error_output);
-  cache::append_i64(out, res.exit_code);
-  detail::append_status(out, res.status);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, AxbResult& res) {
-  cache::RecordReader in(bytes);
-  std::int64_t exit_code = 0;
-  if (!in.next_string(res.output) || !in.next_string(res.error_output) ||
-      !in.next_i64(exit_code) || !detail::read_status(in, res.status) ||
-      !in.complete())
-    return false;
-  res.exit_code = static_cast<int>(exit_code);
-  return true;
-}
+constexpr auto result_fields = [](auto& io, auto& r) {
+  io.str(r.output);
+  io.str(r.error_output);
+  io.i64(r.exit_code);
+  cache::wire::status(io, r.status);
+};
 
 AxbResult fail_with(util::Status status) {
   AxbResult res;
@@ -133,7 +120,7 @@ AxbResult solve_axb(const AxbRequest& req) {
     key = cache::CacheKey{"axb", cache::digest_bytes(req.input), h.finish()};
   }
   return detail::cached_call<AxbResult>(
-      key, deserialize, [&] { return run_solver(req); }, serialize);
+      key, [&] { return run_solver(req); }, result_fields);
 }
 
 }  // namespace l2l::api

@@ -222,23 +222,11 @@ class Calculator {
   std::size_t pos_ = 0;
 };
 
-std::string serialize(const BddScriptResult& res) {
-  std::string out;
-  cache::append_record(out, res.output);
-  cache::append_i64(out, res.exit_code);
-  detail::append_status(out, res.status);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, BddScriptResult& res) {
-  cache::RecordReader in(bytes);
-  std::int64_t exit_code = 0;
-  if (!in.next_string(res.output) || !in.next_i64(exit_code) ||
-      !detail::read_status(in, res.status) || !in.complete())
-    return false;
-  res.exit_code = static_cast<int>(exit_code);
-  return true;
-}
+constexpr auto result_fields = [](auto& io, auto& r) {
+  io.str(r.output);
+  io.i64(r.exit_code);
+  cache::wire::status(io, r.status);
+};
 
 BddScriptResult run_script(const BddScriptRequest& req) {
   BddScriptResult res;
@@ -266,7 +254,7 @@ BddScriptResult run_bdd_script(const BddScriptRequest& req) {
     key = cache::CacheKey{"bdd", cache::digest_bytes(req.script), h.finish()};
   }
   return detail::cached_call<BddScriptResult>(
-      key, deserialize, [&] { return run_script(req); }, serialize);
+      key, [&] { return run_script(req); }, result_fields);
 }
 
 }  // namespace l2l::api

@@ -18,30 +18,14 @@ namespace {
 
 constexpr std::uint64_t kEsopFormatVersion = 1;
 
-std::string serialize(const EsopResult& res) {
-  std::string out;
-  cache::append_record(out, res.output);
-  cache::append_record(out, res.stats_output);
-  cache::append_i64(out, res.terms);
-  cache::append_i64(out, res.minimal ? 1 : 0);
-  cache::append_i64(out, res.exit_code);
-  detail::append_status(out, res.status);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, EsopResult& res) {
-  cache::RecordReader in(bytes);
-  std::int64_t terms = 0, minimal = 0, exit_code = 0;
-  if (!in.next_string(res.output) || !in.next_string(res.stats_output) ||
-      !in.next_i64(terms) || !in.next_i64(minimal) ||
-      !in.next_i64(exit_code) || !detail::read_status(in, res.status) ||
-      !in.complete())
-    return false;
-  res.terms = static_cast<int>(terms);
-  res.minimal = minimal != 0;
-  res.exit_code = static_cast<int>(exit_code);
-  return true;
-}
+constexpr auto result_fields = [](auto& io, auto& r) {
+  io.str(r.output);
+  io.str(r.stats_output);
+  io.i64(r.terms);
+  io.boolean(r.minimal);
+  io.i64(r.exit_code);
+  cache::wire::status(io, r.status);
+};
 
 /// One function to synthesize: a name plus its care truth table.
 struct Job {
@@ -218,7 +202,7 @@ EsopResult synthesize_esop(const EsopRequest& req) {
     key = cache::CacheKey{"esop", cache::digest_bytes(req.input), h.finish()};
   }
   return detail::cached_call<EsopResult>(
-      key, deserialize, [&] { return run_synthesis(req); }, serialize);
+      key, [&] { return run_synthesis(req); }, result_fields);
 }
 
 }  // namespace l2l::api

@@ -15,25 +15,12 @@ namespace {
 
 constexpr std::uint64_t kEspressoFormatVersion = 1;
 
-std::string serialize(const EspressoResult& res) {
-  std::string out;
-  cache::append_record(out, res.output);
-  cache::append_record(out, res.stats_output);
-  cache::append_i64(out, res.exit_code);
-  detail::append_status(out, res.status);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, EspressoResult& res) {
-  cache::RecordReader in(bytes);
-  std::int64_t exit_code = 0;
-  if (!in.next_string(res.output) || !in.next_string(res.stats_output) ||
-      !in.next_i64(exit_code) || !detail::read_status(in, res.status) ||
-      !in.complete())
-    return false;
-  res.exit_code = static_cast<int>(exit_code);
-  return true;
-}
+constexpr auto result_fields = [](auto& io, auto& r) {
+  io.str(r.output);
+  io.str(r.stats_output);
+  io.i64(r.exit_code);
+  cache::wire::status(io, r.status);
+};
 
 EspressoResult run_minimizer(const EspressoRequest& req) {
   EspressoResult res;
@@ -82,7 +69,7 @@ EspressoResult minimize_pla(const EspressoRequest& req) {
                           h.finish()};
   }
   return detail::cached_call<EspressoResult>(
-      key, deserialize, [&] { return run_minimizer(req); }, serialize);
+      key, [&] { return run_minimizer(req); }, result_fields);
 }
 
 }  // namespace l2l::api

@@ -18,94 +18,42 @@ constexpr std::uint64_t kGradeFormatVersion = 2;
 // records keep kGradeFormatVersion and their v2 layout.
 constexpr std::uint64_t kPlaceGradeFormatVersion = 3;
 
-std::string serialize_route(const RouteGradeResult& res) {
-  const grader::RouteGrade& g = res.grade;
-  std::string out;
-  cache::append_i64(out, static_cast<std::int64_t>(g.nets.size()));
-  for (const auto& net : g.nets) {
-    cache::append_i64(out, net.net_id);
-    cache::append_i64(out, net.legal ? 1 : 0);
-    cache::append_record(out, net.reason);
-    cache::append_i64(out, net.wirelength);
-    cache::append_i64(out, net.vias);
-  }
-  cache::append_i64(out, g.legal_nets);
-  cache::append_i64(out, g.total_nets);
-  cache::append_i64(out, g.total_wirelength);
-  cache::append_i64(out, g.total_vias);
-  cache::append_f64(out, g.score);
-  cache::append_record(out, g.report);
-  detail::append_diagnostics(out, g.diagnostics);
-  detail::append_diagnostics(out, g.lint);
-  detail::append_diagnostics(out, g.sema);
-  detail::append_status(out, g.status);
-  return out;
-}
+// Both grade records end with the score-neutral diagnostic blocks.
+constexpr auto diagnostic_blocks = [](auto& io, auto& g) {
+  io.list(g.diagnostics, cache::wire::diagnostic);
+  io.list(g.lint, cache::wire::diagnostic);
+  io.list(g.sema, cache::wire::diagnostic);
+};
 
-bool deserialize_route(std::string_view bytes, RouteGradeResult& res) {
-  cache::RecordReader in(bytes);
-  grader::RouteGrade& g = res.grade;
-  std::int64_t num_nets = 0;
-  if (!in.next_i64(num_nets) || num_nets < 0) return false;
-  g.nets.clear();
-  for (std::int64_t k = 0; k < num_nets; ++k) {
-    grader::NetGrade net;
-    std::int64_t id = 0, legal = 0, wirelength = 0, vias = 0;
-    if (!in.next_i64(id) || !in.next_i64(legal) ||
-        !in.next_string(net.reason) || !in.next_i64(wirelength) ||
-        !in.next_i64(vias))
-      return false;
-    net.net_id = static_cast<int>(id);
-    net.legal = legal != 0;
-    net.wirelength = static_cast<int>(wirelength);
-    net.vias = static_cast<int>(vias);
-    g.nets.push_back(std::move(net));
-  }
-  std::int64_t legal_nets = 0, total_nets = 0, wirelength = 0, vias = 0;
-  if (!in.next_i64(legal_nets) || !in.next_i64(total_nets) ||
-      !in.next_i64(wirelength) || !in.next_i64(vias) ||
-      !in.next_f64(g.score) || !in.next_string(g.report) ||
-      !detail::read_diagnostics(in, g.diagnostics) ||
-      !detail::read_diagnostics(in, g.lint) ||
-      !detail::read_diagnostics(in, g.sema) ||
-      !detail::read_status(in, g.status))
-    return false;
-  g.legal_nets = static_cast<int>(legal_nets);
-  g.total_nets = static_cast<int>(total_nets);
-  g.total_wirelength = static_cast<int>(wirelength);
-  g.total_vias = static_cast<int>(vias);
-  return in.complete();
-}
+constexpr auto route_grade_fields = [](auto& io, auto& r) {
+  auto& g = r.grade;
+  io.list(g.nets, [](auto& io, auto& net) {
+    io.i64(net.net_id);
+    io.boolean(net.legal);
+    io.str(net.reason);
+    io.i64(net.wirelength);
+    io.i64(net.vias);
+  });
+  io.i64(g.legal_nets);
+  io.i64(g.total_nets);
+  io.i64(g.total_wirelength);
+  io.i64(g.total_vias);
+  io.f64(g.score);
+  io.str(g.report);
+  diagnostic_blocks(io, g);
+  cache::wire::status(io, g.status);
+};
 
-std::string serialize_place(const PlaceGradeResult& res) {
-  const grader::PlaceGrade& g = res.grade;
-  std::string out;
-  cache::append_i64(out, g.legal ? 1 : 0);
-  cache::append_record(out, g.reason);
-  cache::append_f64(out, g.hpwl);
-  cache::append_f64(out, g.quality_ratio);
-  cache::append_f64(out, g.score);
-  cache::append_record(out, g.report);
-  detail::append_diagnostics(out, g.diagnostics);
-  detail::append_diagnostics(out, g.lint);
-  detail::append_diagnostics(out, g.sema);
-  return out;
-}
-
-bool deserialize_place(std::string_view bytes, PlaceGradeResult& res) {
-  cache::RecordReader in(bytes);
-  grader::PlaceGrade& g = res.grade;
-  std::int64_t legal = 0;
-  if (!in.next_i64(legal) || !in.next_string(g.reason) ||
-      !in.next_f64(g.hpwl) || !in.next_f64(g.quality_ratio) ||
-      !in.next_f64(g.score) || !in.next_string(g.report) ||
-      !detail::read_diagnostics(in, g.diagnostics) ||
-      !detail::read_diagnostics(in, g.lint) ||
-      !detail::read_diagnostics(in, g.sema))
-    return false;
-  g.legal = legal != 0;
-  return in.complete();
-}
+constexpr auto place_grade_fields = [](auto& io, auto& r) {
+  auto& g = r.grade;
+  io.boolean(g.legal);
+  io.str(g.reason);
+  io.f64(g.hpwl);
+  io.f64(g.quality_ratio);
+  io.f64(g.score);
+  io.str(g.report);
+  diagnostic_blocks(io, g);
+};
 
 }  // namespace
 
@@ -128,7 +76,7 @@ RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
                           h.finish()};
   }
   return detail::cached_call<RouteGradeResult>(
-      key, deserialize_route,
+      key,
       [&] {
         RouteGradeResult res;
         util::Budget budget;
@@ -141,7 +89,7 @@ RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
         res.grade = grader::grade_routing_text(problem, req.submission, guard);
         return res;
       },
-      serialize_route);
+      route_grade_fields);
 }
 
 PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
@@ -170,14 +118,14 @@ PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
                           h.finish()};
   }
   return detail::cached_call<PlaceGradeResult>(
-      key, deserialize_place,
+      key,
       [&] {
         PlaceGradeResult res;
         res.grade = grader::grade_placement_text(problem, grid, req.submission,
                                                  req.reference_hpwl);
         return res;
       },
-      serialize_place);
+      place_grade_fields);
 }
 
 }  // namespace l2l::api

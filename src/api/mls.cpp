@@ -19,46 +19,20 @@ cache::Digest128 config_digest(const mls::ScriptOptions& opt) {
   return h.finish();
 }
 
-void append_stats(std::string& out, const mls::ScriptStats& s) {
-  cache::append_i64(out, s.literals_before);
-  cache::append_i64(out, s.literals_after);
-  cache::append_i64(out, s.nodes_before);
-  cache::append_i64(out, s.nodes_after);
-  cache::append_i64(out, s.swept);
-  cache::append_i64(out, s.eliminated);
-  cache::append_i64(out, s.kernels_extracted);
-  cache::append_i64(out, s.cubes_extracted);
-  cache::append_i64(out, s.resubstitutions);
-}
-
-bool read_stats(cache::RecordReader& in, mls::ScriptStats& s) {
-  std::int64_t v[9];
-  for (auto& f : v)
-    if (!in.next_i64(f)) return false;
-  s.literals_before = static_cast<int>(v[0]);
-  s.literals_after = static_cast<int>(v[1]);
-  s.nodes_before = static_cast<int>(v[2]);
-  s.nodes_after = static_cast<int>(v[3]);
-  s.swept = static_cast<int>(v[4]);
-  s.eliminated = static_cast<int>(v[5]);
-  s.kernels_extracted = static_cast<int>(v[6]);
-  s.cubes_extracted = static_cast<int>(v[7]);
-  s.resubstitutions = static_cast<int>(v[8]);
-  return true;
-}
-
-std::string serialize(const std::string& blif, const mls::ScriptStats& s) {
-  std::string out;
-  cache::append_record(out, blif);
-  append_stats(out, s);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, std::string& blif,
-                 mls::ScriptStats& s) {
-  cache::RecordReader in(bytes);
-  return in.next_string(blif) && read_stats(in, s) && in.complete();
-}
+// One record for both entry points: the optimized BLIF, then the stats.
+constexpr auto result_fields = [](auto& io, auto& r) {
+  io.str(r.blif);
+  auto& s = r.stats;
+  io.i64(s.literals_before);
+  io.i64(s.literals_after);
+  io.i64(s.nodes_before);
+  io.i64(s.nodes_after);
+  io.i64(s.swept);
+  io.i64(s.eliminated);
+  io.i64(s.kernels_extracted);
+  io.i64(s.cubes_extracted);
+  io.i64(s.resubstitutions);
+};
 
 }  // namespace
 
@@ -69,9 +43,6 @@ MlsResult optimize_blif(const MlsRequest& req) {
                           config_digest(req.options)};
   return detail::cached_call<MlsResult>(
       key,
-      [](std::string_view bytes, MlsResult& res) {
-        return deserialize(bytes, res.blif, res.stats);
-      },
       [&] {
         MlsResult res;
         network::Network net;
@@ -85,29 +56,32 @@ MlsResult optimize_blif(const MlsRequest& req) {
         res.blif = network::write_blif(net);
         return res;
       },
-      [](const MlsResult& res) -> std::optional<std::string> {
-        // An unparsable input is answered afresh every time, never stored.
-        if (!res.status.ok()) return std::nullopt;
-        return serialize(res.blif, res.stats);
-      });
+      // An unparsable input is answered afresh every time, never stored.
+      result_fields, [](const MlsResult& res) { return res.status.ok(); });
 }
 
 MlsNetworkResult optimize_network(network::Network& net,
                                   const mls::ScriptOptions& opt) {
-  return detail::cached_call<MlsNetworkResult>(
-      cache::CacheKey{"mls", cache::digest_bytes(network::write_blif(net)),
-                      config_digest(opt)},
-      [&](std::string_view bytes, MlsNetworkResult& res) {
-        std::string blif;
-        if (!deserialize(bytes, blif, res.stats)) return false;
-        net = network::parse_blif(blif);
-        return true;
-      },
-      // Miss: optimize in place -- bit-for-bit the uncached code path.
-      [&] { return MlsNetworkResult{mls::optimize(net, opt)}; },
-      [&](const MlsNetworkResult& res) {
-        return serialize(network::write_blif(net), res.stats);
-      });
+  // The record holds the network as BLIF, so a hit replaces `net` and
+  // the lookup and insert are made here rather than in cached_call.
+  const cache::CacheKey key{
+      "mls", cache::digest_bytes(network::write_blif(net)), config_digest(opt)};
+  auto& store = cache::Cache::global();
+  MlsResult rec;
+  if (const auto hit = store.lookup(key);
+      hit && cache::wire::decode(*hit, rec, result_fields)) {
+    try {
+      net = network::parse_blif(rec.blif);
+      return {rec.stats, true};
+    } catch (const std::exception&) {
+      // A forged entry's BLIF: recompute as on a miss.
+    }
+  }
+  // Miss: optimize in place -- bit-for-bit the uncached code path.
+  rec.stats = mls::optimize(net, opt);
+  rec.blif = network::write_blif(net);
+  store.insert(key, cache::wire::encode(rec, result_fields));
+  return {rec.stats, false};
 }
 
 }  // namespace l2l::api

@@ -24,33 +24,13 @@ cache::Digest128 config_digest(const PlaceRequest& req) {
   return h.finish();
 }
 
-std::string serialize(const PlaceResult& res) {
-  std::string out;
-  cache::append_i64(out, static_cast<std::int64_t>(res.placement.col.size()));
-  for (const int c : res.placement.col) cache::append_i64(out, c);
-  for (const int r : res.placement.row) cache::append_i64(out, r);
-  cache::append_f64(out, res.hpwl);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, PlaceResult& res) {
-  cache::RecordReader in(bytes);
-  std::int64_t n = 0;
-  if (!in.next_i64(n) || n < 0) return false;
-  res.placement.col.resize(static_cast<std::size_t>(n));
-  res.placement.row.resize(static_cast<std::size_t>(n));
-  for (auto& c : res.placement.col) {
-    std::int64_t v = 0;
-    if (!in.next_i64(v)) return false;
-    c = static_cast<int>(v);
-  }
-  for (auto& r : res.placement.row) {
-    std::int64_t v = 0;
-    if (!in.next_i64(v)) return false;
-    r = static_cast<int>(v);
-  }
-  return in.next_f64(res.hpwl) && in.complete();
-}
+// The column list's count also sizes the row list that follows it.
+constexpr auto result_fields = [](auto& io, auto& r) {
+  constexpr auto site = [](auto& io, auto& v) { io.i64(v); };
+  io.list(r.placement.col, site);
+  io.elements(r.placement.row, r.placement.col.size(), site);
+  io.f64(r.hpwl);
+};
 
 }  // namespace
 
@@ -61,7 +41,7 @@ PlaceResult place_and_legalize(const gen::PlacementProblem& problem,
     key = cache::CacheKey{"place", placement_problem_digest(problem),
                           config_digest(req)};
   return detail::cached_call<PlaceResult>(
-      key, deserialize,
+      key,
       [&] {
         PlaceResult res;
         const auto continuous = place::place_quadratic(problem, req.options);
@@ -69,7 +49,7 @@ PlaceResult place_and_legalize(const gen::PlacementProblem& problem,
         res.hpwl = place::hpwl(problem, res.placement.to_continuous(req.grid));
         return res;
       },
-      serialize);
+      result_fields);
 }
 
 cache::Digest128 placement_problem_digest(const gen::PlacementProblem& p) {

@@ -13,23 +13,11 @@ namespace {
 
 constexpr std::uint64_t kSatFormatVersion = 1;
 
-std::string serialize(const SatResult& res) {
-  std::string out;
-  cache::append_record(out, res.output);
-  cache::append_i64(out, res.exit_code);
-  detail::append_status(out, res.status);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, SatResult& res) {
-  cache::RecordReader in(bytes);
-  std::int64_t exit_code = 0;
-  if (!in.next_string(res.output) || !in.next_i64(exit_code) ||
-      !detail::read_status(in, res.status) || !in.complete())
-    return false;
-  res.exit_code = static_cast<int>(exit_code);
-  return true;
-}
+constexpr auto result_fields = [](auto& io, auto& r) {
+  io.str(r.output);
+  io.i64(r.exit_code);
+  cache::wire::status(io, r.status);
+};
 
 SatResult run_solver(const SatRequest& req) {
   SatResult res;
@@ -95,7 +83,7 @@ SatResult solve_sat(const SatRequest& req) {
     key = cache::CacheKey{"sat", cache::digest_bytes(req.dimacs), h.finish()};
   }
   return detail::cached_call<SatResult>(
-      key, deserialize, [&] { return run_solver(req); }, serialize);
+      key, [&] { return run_solver(req); }, result_fields);
 }
 
 }  // namespace l2l::api

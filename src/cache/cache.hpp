@@ -8,7 +8,8 @@
 // cache delivers that as deterministic memoization:
 //
 //   key   = (engine id, canonical-input digest, config digest)
-//   value = the engine's result, serialized to bytes by the facade
+//   value = the engine's result, encoded by the facade's field list
+//           (cache/wire.hpp)
 //
 // Both digests come from the seedless 128-bit hash in digest.hpp, so keys
 // are stable across processes, machines, and time -- which is what makes
@@ -124,12 +125,13 @@ class Cache {
   std::unique_ptr<Impl> impl_;
 };
 
-// ---- serialization helpers ----------------------------------------------
-// Length-prefixed records: the facades serialize results as a sequence of
-// byte strings ("<len>\n<bytes>"), immune to any escaping concerns. A
-// Reader that runs past the end or over a malformed prefix reports
-// failure instead of throwing -- a corrupt disk entry must degrade to a
-// miss, never a crash.
+// ---- length-prefixed records ---------------------------------------------
+// The byte layer under every stored record: a sequence of byte strings
+// ("<len>\n<bytes>"), immune to any escaping concerns. A reader that
+// runs past the end or over a malformed prefix reports failure instead
+// of throwing -- a corrupt disk entry must degrade to a miss, never a
+// crash. Records are described once, as field lists over these
+// (cache/wire.hpp); nothing outside src/cache/ calls them directly.
 
 /// Append one length-prefixed record to `out`.
 void append_record(std::string& out, std::string_view record);
@@ -149,10 +151,11 @@ class RecordReader {
   bool next_f64(double& v);
   bool next_string(std::string& s);
 
-  /// True when every byte was consumed and nothing failed -- facades
-  /// require this before trusting a deserialized result.
+  /// True when every byte was consumed and nothing failed -- a decoded
+  /// record is trusted only then (wire::decode requires it).
   bool complete() const { return !failed_ && pos_ == data_.size(); }
   bool failed() const { return failed_; }
+  std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;

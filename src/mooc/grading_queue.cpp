@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "cache/cache.hpp"
 #include "util/strings.hpp"
 
 namespace l2l::mooc {
@@ -130,38 +129,6 @@ void grade_one_submission(std::uint64_t fault_key,
   }
   // All attempts consumed without a graded result.
   out.kind = grader_threw ? OutcomeKind::kFailed : OutcomeKind::kExhausted;
-}
-
-std::string serialize_outcome(const SubmissionOutcome& out) {
-  std::string bytes;
-  cache::append_i64(bytes, static_cast<std::int64_t>(out.kind));
-  cache::append_f64(bytes, out.score);
-  cache::append_i64(bytes, out.attempts);
-  cache::append_i64(bytes, out.backoff_ticks);
-  cache::append_i64(bytes, static_cast<std::int64_t>(out.status.code));
-  cache::append_record(bytes, out.status.message);
-  cache::append_record(bytes, out.diagnostic);
-  return bytes;
-}
-
-bool deserialize_outcome(std::string_view bytes, SubmissionOutcome& out) {
-  cache::RecordReader in(bytes);
-  std::int64_t kind = 0, attempts = 0, backoff = 0, code = 0;
-  if (!in.next_i64(kind) || !in.next_f64(out.score) ||
-      !in.next_i64(attempts) || !in.next_i64(backoff) || !in.next_i64(code) ||
-      !in.next_string(out.status.message) || !in.next_string(out.diagnostic) ||
-      !in.complete())
-    return false;
-  if (kind < 0 || kind > static_cast<std::int64_t>(OutcomeKind::kRejected))
-    return false;
-  if (code < 0 ||
-      code > static_cast<std::int64_t>(util::StatusCode::kInternalError))
-    return false;
-  out.kind = static_cast<OutcomeKind>(kind);
-  out.attempts = static_cast<int>(attempts);
-  out.backoff_ticks = static_cast<int>(backoff);
-  out.status.code = static_cast<util::StatusCode>(code);
-  return true;
 }
 
 }  // namespace l2l::mooc

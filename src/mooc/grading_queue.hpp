@@ -22,9 +22,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "cache/wire.hpp"
 #include "util/budget.hpp"
 #include "util/status.hpp"
 
@@ -123,11 +123,18 @@ void grade_one_submission(std::uint64_t fault_key,
 bool lint_pre_grade_rejects(const std::string& submission,
                             const QueueOptions& opt, SubmissionOutcome& out);
 
-/// The result-cache wire format for a finished outcome (engine id
-/// "mooc.service"; the journal frames reuse it). deserialize returns false
-/// on any truncated/corrupt/out-of-range payload -- a failed decode is a
-/// cache miss, never a trusted outcome.
-std::string serialize_outcome(const SubmissionOutcome& out);
-bool deserialize_outcome(std::string_view bytes, SubmissionOutcome& out);
+/// The field list (cache/wire.hpp) of a finished outcome's record: the
+/// result-cache value under engine id "mooc.service", nested whole in the
+/// journal's outcome and cache-replay frames. A record that fails
+/// cache::wire::decode (truncated, corrupt, out of range) is a cache
+/// miss, never a trusted outcome.
+inline constexpr auto outcome_fields = [](auto& io, auto& o) {
+  io.upto(o.kind, OutcomeKind::kRejected);
+  io.f64(o.score);
+  io.i64(o.attempts);
+  io.i64(o.backoff_ticks);
+  cache::wire::status(io, o.status);
+  io.str(o.diagnostic);
+};
 
 }  // namespace l2l::mooc

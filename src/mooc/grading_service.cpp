@@ -598,7 +598,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
                                           body_digests[e.body], config};
                 SubmissionOutcome out;
                 if (const auto hit = cache::Cache::global().lookup(key);
-                    hit && deserialize_outcome(*hit, out)) {
+                    hit && cache::wire::decode(*hit, out, outcome_fields)) {
                   ++stats.cache_hits;
                   const Disposition d = to_disposition(out.kind, false);
                   if (writing) writer.cache_hit(e.id, d, e.lane, out);
@@ -703,7 +703,7 @@ ServiceResult GradingService::run(const SubmissionTrace& trace,
           if (cross_run)
             cache::Cache::global().insert(
                 {"mooc.service", body_digests[item.e.body], config},
-                serialize_outcome(out));
+                cache::wire::encode(out, outcome_fields));
           memo.remember_full(item.e.id, out);
         }
       }

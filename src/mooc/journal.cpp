@@ -4,10 +4,13 @@
 #include <sstream>
 
 #include "cache/cache.hpp"
+#include "cache/wire.hpp"
 #include "obs/metrics.hpp"
 
 namespace l2l::mooc {
 namespace {
+
+using cache::wire::decode;
 
 // Frame sizes: 1 type byte + 4 length bytes + payload + 4 CRC bytes.
 constexpr std::size_t kFrameOverhead = 9;
@@ -51,121 +54,80 @@ bool next_frame(std::string_view data, std::size_t& pos,
 }
 
 // ---- payload codecs ------------------------------------------------------
-// Built from the cache layer's length-prefixed records; every decode
-// range-checks enums and requires reader.complete(), so a syntactically
-// valid frame with semantic garbage is still rejected.
+// One field list per frame payload (cache/wire.hpp): JournalWriter encodes
+// with it and scan_impl decodes with it. Decoding range-checks every enum,
+// lane and flag and requires every byte consumed, so a syntactically valid
+// frame with semantic garbage is still rejected.
 
-void append_u64(std::string& out, std::uint64_t v) {
-  cache::append_i64(out, static_cast<std::int64_t>(v));
-}
+constexpr auto header_fields = [](auto& io, auto& h) {
+  io.i64(h.version);
+  io.i64(h.trace_digest.hi);
+  io.i64(h.trace_digest.lo);
+  io.i64(h.config_digest.hi);
+  io.i64(h.config_digest.lo);
+  io.i64(h.num_events);
+};
 
-bool next_u64(cache::RecordReader& r, std::uint64_t& v) {
-  std::int64_t s = 0;
-  if (!r.next_i64(s)) return false;
-  v = static_cast<std::uint64_t>(s);
-  return true;
-}
+/// kTickBegin carries the tick, kTickEnd the tick and the stats
+/// checksum, kRunEnd the checksum.
+struct TickMark {
+  std::uint32_t tick = 0;
+  std::uint64_t check = 0;
+};
 
-bool next_enum(cache::RecordReader& r, std::int64_t max, std::uint8_t& v) {
-  std::int64_t s = 0;
-  if (!r.next_i64(s) || s < 0 || s > max) return false;
-  v = static_cast<std::uint8_t>(s);
-  return true;
-}
+constexpr auto tick_begin_fields = [](auto& io, auto& m) { io.i64(m.tick); };
 
-void encode_header(std::string& p, const JournalHeader& h) {
-  append_u64(p, h.version);
-  append_u64(p, h.trace_digest.hi);
-  append_u64(p, h.trace_digest.lo);
-  append_u64(p, h.config_digest.hi);
-  append_u64(p, h.config_digest.lo);
-  append_u64(p, h.num_events);
-}
+constexpr auto tick_end_fields = [](auto& io, auto& m) {
+  io.i64(m.tick);
+  io.i64(m.check);
+};
 
-bool decode_header(std::string_view payload, JournalHeader& h) {
-  cache::RecordReader r(payload);
-  return next_u64(r, h.version) && next_u64(r, h.trace_digest.hi) &&
-         next_u64(r, h.trace_digest.lo) && next_u64(r, h.config_digest.hi) &&
-         next_u64(r, h.config_digest.lo) && next_u64(r, h.num_events) &&
-         r.complete();
-}
+constexpr auto run_end_fields = [](auto& io, auto& m) { io.i64(m.check); };
 
-constexpr std::int64_t kMaxDisposition =
-    static_cast<std::int64_t>(Disposition::kShed);
+constexpr auto rejection_fields = [](auto& io, auto& r) {
+  io.i64(r.id);
+  io.upto(r.disposition, Disposition::kShed);
+  io.upto(r.lane, 1);
+};
+
+constexpr auto shed_fields = [](auto& io, auto& s) {
+  io.i64(s.id);
+  io.upto(s.lane, 1);
+};
+
+/// A memo replay names its source; a cache replay carries its outcome.
+constexpr auto replay_fields = [](auto& io, auto& r) {
+  io.i64(r.id);
+  io.upto(r.source, ReplaySource::kCache);
+  io.upto(r.disposition, Disposition::kShed);
+  io.upto(r.lane, 1);
+  if (r.source == ReplaySource::kCache) {
+    io.nested(r.outcome, outcome_fields);
+  } else {
+    io.i64(r.source_id);
+  }
+};
+
+constexpr auto outcome_frame_fields = [](auto& io, auto& o) {
+  io.i64(o.id);
+  io.upto(o.disposition, Disposition::kShed);
+  io.upto(o.lane, 1);
+  io.boolean(o.degraded);
+  io.boolean(o.probe);
+  io.nested(o.outcome, outcome_fields);
+  io.i64(o.tally.transients);
+  io.i64(o.tally.stalls);
+};
+
+constexpr auto breaker_fields = [](auto& io, auto& b) {
+  io.i64(b.course);
+  io.upto(b.action, BreakerAction::kRecover);
+};
 
 bool decode_rejected(std::string_view payload, JournaledRejection& out) {
-  cache::RecordReader r(payload);
-  std::uint8_t d = 0;
-  if (!next_u64(r, out.id) || !next_enum(r, kMaxDisposition, d) ||
-      !next_enum(r, 1, out.lane) || !r.complete())
-    return false;
-  out.disposition = static_cast<Disposition>(d);
-  return out.disposition == Disposition::kRejectedQuota ||
-         out.disposition == Disposition::kRejectedFull;
-}
-
-bool decode_shed(std::string_view payload, JournaledShed& out) {
-  cache::RecordReader r(payload);
-  return next_u64(r, out.id) && next_enum(r, 1, out.lane) && r.complete();
-}
-
-bool decode_replayed(std::string_view payload, JournaledReplay& out) {
-  cache::RecordReader r(payload);
-  std::uint8_t src = 0, d = 0;
-  if (!next_u64(r, out.id) ||
-      !next_enum(r, static_cast<std::int64_t>(ReplaySource::kCache), src) ||
-      !next_enum(r, kMaxDisposition, d) || !next_enum(r, 1, out.lane))
-    return false;
-  out.source = static_cast<ReplaySource>(src);
-  out.disposition = static_cast<Disposition>(d);
-  if (out.source != ReplaySource::kCache)
-    return next_u64(r, out.source_id) && r.complete();
-  std::string_view body;
-  return r.next(body) && r.complete() &&
-         deserialize_outcome(body, out.outcome);
-}
-
-bool decode_outcome(std::string_view payload, JournaledOutcome& out) {
-  cache::RecordReader r(payload);
-  std::uint8_t d = 0, degraded = 0, probe = 0;
-  std::string_view body;
-  std::int64_t transients = 0, stalls = 0;
-  if (!next_u64(r, out.id) || !next_enum(r, kMaxDisposition, d) ||
-      !next_enum(r, 1, out.lane) || !next_enum(r, 1, degraded) ||
-      !next_enum(r, 1, probe) || !r.next(body) || !r.next_i64(transients) ||
-      !r.next_i64(stalls) || !r.complete())
-    return false;
-  out.disposition = static_cast<Disposition>(d);
-  out.degraded = degraded != 0;
-  out.probe = probe != 0;
-  out.tally.transients = static_cast<int>(transients);
-  out.tally.stalls = static_cast<int>(stalls);
-  return deserialize_outcome(body, out.outcome);
-}
-
-bool decode_breaker(std::string_view payload, JournaledBreaker& out) {
-  cache::RecordReader r(payload);
-  std::uint64_t course = 0;
-  std::uint8_t action = 0;
-  if (!next_u64(r, course) ||
-      !next_enum(r, static_cast<std::int64_t>(BreakerAction::kRecover),
-                 action) ||
-      !r.complete())
-    return false;
-  out.course = static_cast<std::uint32_t>(course);
-  out.action = static_cast<BreakerAction>(action);
-  return true;
-}
-
-bool decode_tick_mark(std::string_view payload, std::uint32_t& tick,
-                      std::uint64_t* check) {
-  cache::RecordReader r(payload);
-  std::uint64_t t = 0;
-  if (!next_u64(r, t)) return false;
-  if (check != nullptr && !next_u64(r, *check)) return false;
-  if (!r.complete()) return false;
-  tick = static_cast<std::uint32_t>(t);
-  return true;
+  return decode(payload, out, rejection_fields) &&
+         (out.disposition == Disposition::kRejectedQuota ||
+          out.disposition == Disposition::kRejectedFull);
 }
 
 /// The cache tier's write discipline: full bytes to "<path>.tmp", then
@@ -212,7 +174,8 @@ JournalScan scan_impl(const std::string& path, std::string* raw_out) {
   JournalFrameType type{};
   std::string_view payload;
   if (!next_frame(data, pos, type, payload) ||
-      type != JournalFrameType::kHeader || !decode_header(payload, out.header) ||
+      type != JournalFrameType::kHeader ||
+      !decode(payload, out.header, header_fields) ||
       out.header.version != kJournalFormatVersion) {
     // No trustworthy header: the whole file is a torn tail and the drain
     // starts from scratch.
@@ -223,6 +186,7 @@ JournalScan scan_impl(const std::string& path, std::string* raw_out) {
   out.valid_bytes = static_cast<std::int64_t>(pos);
 
   JournalTick cur;
+  TickMark mark;
   bool in_tick = false;
   while (pos < data.size() && !out.run_complete) {
     if (!next_frame(data, pos, type, payload)) break;
@@ -232,9 +196,10 @@ JournalScan scan_impl(const std::string& path, std::string* raw_out) {
         ok = false;  // a second header is corruption, not a format
         break;
       case JournalFrameType::kTickBegin:
-        ok = !in_tick && decode_tick_mark(payload, cur.tick, nullptr);
+        ok = !in_tick && decode(payload, mark, tick_begin_fields);
         if (ok) {
           in_tick = true;
+          cur.tick = mark.tick;
           cur.rejections.clear();
           cur.sheds.clear();
           cur.replays.clear();
@@ -247,22 +212,25 @@ JournalScan scan_impl(const std::string& path, std::string* raw_out) {
         ok = in_tick && decode_rejected(payload, cur.rejections.emplace_back());
         break;
       case JournalFrameType::kShed:
-        ok = in_tick && decode_shed(payload, cur.sheds.emplace_back());
+        ok = in_tick && decode(payload, cur.sheds.emplace_back(), shed_fields);
         break;
       case JournalFrameType::kReplayed:
-        ok = in_tick && decode_replayed(payload, cur.replays.emplace_back());
+        ok = in_tick &&
+             decode(payload, cur.replays.emplace_back(), replay_fields);
         break;
       case JournalFrameType::kOutcome:
-        ok = in_tick && decode_outcome(payload, cur.outcomes.emplace_back());
+        ok = in_tick && decode(payload, cur.outcomes.emplace_back(),
+                               outcome_frame_fields);
         break;
       case JournalFrameType::kBreaker:
-        ok = in_tick && decode_breaker(payload, cur.breakers.emplace_back());
+        ok = in_tick &&
+             decode(payload, cur.breakers.emplace_back(), breaker_fields);
         break;
       case JournalFrameType::kTickEnd: {
-        std::uint32_t tick = 0;
-        ok = in_tick && decode_tick_mark(payload, tick, &cur.stats_check) &&
-             tick == cur.tick;
+        ok = in_tick && decode(payload, mark, tick_end_fields) &&
+             mark.tick == cur.tick;
         if (ok) {
+          cur.stats_check = mark.check;
           out.ticks.push_back(cur);
           in_tick = false;
           out.valid_bytes = static_cast<std::int64_t>(pos);
@@ -270,12 +238,10 @@ JournalScan scan_impl(const std::string& path, std::string* raw_out) {
         break;
       }
       case JournalFrameType::kRunEnd: {
-        std::uint64_t check = 0;
-        cache::RecordReader r(payload);
         // The closing checksum must agree with the last tick's -- one
         // more way a spliced or fabricated tail fails to parse.
-        ok = !in_tick && next_u64(r, check) && r.complete() &&
-             (out.ticks.empty() || out.ticks.back().stats_check == check);
+        ok = !in_tick && decode(payload, mark, run_end_fields) &&
+             (out.ticks.empty() || out.ticks.back().stats_check == mark.check);
         if (ok) {
           out.run_complete = true;
           out.valid_bytes = static_cast<std::int64_t>(pos);
@@ -341,20 +307,17 @@ util::Status JournalWriter::open(const std::string& path,
                          : std::ios::binary | std::ios::trunc);
   if (!out_) return util::Status::internal("journal: cannot open " + path);
   if (append) return util::Status::okay();
-  const std::size_t f = begin_frame(JournalFrameType::kHeader);
-  encode_header(pending_, header);
-  end_frame(f);
+  append_frame(JournalFrameType::kHeader, header, header_fields);
   return flush();
 }
 
-std::size_t JournalWriter::begin_frame(JournalFrameType type) {
+template <typename T, typename Fields>
+void JournalWriter::append_frame(JournalFrameType type, const T& payload,
+                                 Fields fields) {
   const std::size_t start = pending_.size();
   pending_.push_back(static_cast<char>(type));
-  pending_.append(4, '\0');
-  return start;
-}
-
-void JournalWriter::end_frame(std::size_t start) {
+  pending_.append(4, '\0');  // length, patched below
+  cache::wire::encode_into(pending_, payload, fields);
   const std::size_t len = pending_.size() - start - 5;
   put_u32le(pending_.data() + start + 1, static_cast<std::uint32_t>(len));
   const std::uint32_t crc = cache::crc32(
@@ -383,87 +346,69 @@ util::Status JournalWriter::flush() {
 }
 
 void JournalWriter::tick_begin(std::uint32_t tick) {
-  const std::size_t f = begin_frame(JournalFrameType::kTickBegin);
-  append_u64(pending_, tick);
-  end_frame(f);
+  append_frame(JournalFrameType::kTickBegin, TickMark{.tick = tick},
+               tick_begin_fields);
 }
 
 void JournalWriter::rejected(std::uint64_t id, Disposition d,
                              std::uint8_t lane) {
-  const std::size_t f = begin_frame(JournalFrameType::kRejected);
-  append_u64(pending_, id);
-  append_u64(pending_, static_cast<std::uint64_t>(d));
-  append_u64(pending_, lane);
-  end_frame(f);
+  append_frame(JournalFrameType::kRejected, JournaledRejection{id, d, lane},
+               rejection_fields);
 }
 
 void JournalWriter::shed(std::uint64_t id, std::uint8_t lane) {
-  const std::size_t f = begin_frame(JournalFrameType::kShed);
-  append_u64(pending_, id);
-  append_u64(pending_, lane);
-  end_frame(f);
+  append_frame(JournalFrameType::kShed, JournaledShed{id, lane}, shed_fields);
 }
 
 void JournalWriter::replayed(std::uint64_t id, ReplaySource source,
                              Disposition d, std::uint8_t lane,
                              std::uint64_t source_id) {
-  const std::size_t f = begin_frame(JournalFrameType::kReplayed);
-  append_u64(pending_, id);
-  append_u64(pending_, static_cast<std::uint64_t>(source));
-  append_u64(pending_, static_cast<std::uint64_t>(d));
-  append_u64(pending_, lane);
-  append_u64(pending_, source_id);
-  end_frame(f);
+  append_frame(JournalFrameType::kReplayed,
+               JournaledReplay{.id = id,
+                               .source = source,
+                               .disposition = d,
+                               .lane = lane,
+                               .source_id = source_id,
+                               .outcome = {}},
+               replay_fields);
 }
 
 void JournalWriter::cache_hit(std::uint64_t id, Disposition d,
                               std::uint8_t lane,
                               const SubmissionOutcome& out) {
-  const std::size_t f = begin_frame(JournalFrameType::kReplayed);
-  append_u64(pending_, id);
-  append_u64(pending_, static_cast<std::uint64_t>(ReplaySource::kCache));
-  append_u64(pending_, static_cast<std::uint64_t>(d));
-  append_u64(pending_, lane);
-  cache::append_record(pending_, serialize_outcome(out));
-  end_frame(f);
+  append_frame(JournalFrameType::kReplayed,
+               JournaledReplay{.id = id,
+                               .source = ReplaySource::kCache,
+                               .disposition = d,
+                               .lane = lane,
+                               .outcome = out},
+               replay_fields);
 }
 
 void JournalWriter::outcome(std::uint64_t id, Disposition d,
                             std::uint8_t lane, bool degraded, bool probe,
                             const SubmissionOutcome& out,
                             const FaultTally& tally) {
-  const std::size_t f = begin_frame(JournalFrameType::kOutcome);
-  append_u64(pending_, id);
-  append_u64(pending_, static_cast<std::uint64_t>(d));
-  append_u64(pending_, lane);
-  append_u64(pending_, degraded ? 1 : 0);
-  append_u64(pending_, probe ? 1 : 0);
-  cache::append_record(pending_, serialize_outcome(out));
-  cache::append_i64(pending_, tally.transients);
-  cache::append_i64(pending_, tally.stalls);
-  end_frame(f);
+  append_frame(JournalFrameType::kOutcome,
+               JournaledOutcome{id, d, lane, degraded, probe, out, tally},
+               outcome_frame_fields);
 }
 
 void JournalWriter::breaker(std::uint32_t course, BreakerAction action) {
-  const std::size_t f = begin_frame(JournalFrameType::kBreaker);
-  append_u64(pending_, course);
-  append_u64(pending_, static_cast<std::uint64_t>(action));
-  end_frame(f);
+  append_frame(JournalFrameType::kBreaker, JournaledBreaker{course, action},
+               breaker_fields);
 }
 
 util::Status JournalWriter::tick_end(std::uint32_t tick,
                                      std::uint64_t stats_check) {
-  const std::size_t f = begin_frame(JournalFrameType::kTickEnd);
-  append_u64(pending_, tick);
-  append_u64(pending_, stats_check);
-  end_frame(f);
+  append_frame(JournalFrameType::kTickEnd,
+               TickMark{.tick = tick, .check = stats_check}, tick_end_fields);
   return flush();
 }
 
 util::Status JournalWriter::run_end(std::uint64_t stats_check) {
-  const std::size_t f = begin_frame(JournalFrameType::kRunEnd);
-  append_u64(pending_, stats_check);
-  end_frame(f);
+  append_frame(JournalFrameType::kRunEnd, TickMark{.check = stats_check},
+               run_end_fields);
   return flush();
 }
 

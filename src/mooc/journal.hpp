@@ -38,9 +38,9 @@
 //
 //   [u8 type][u32 payload_len][payload][u32 crc32(type|len|payload)]
 //
-// with payloads built from the cache layer's length-prefixed records
-// (cache::append_record / RecordReader), and SubmissionOutcome bodies
-// reusing the result-cache wire format (serialize_outcome). CRC-32 is
+// with each payload one field list (cache/wire.hpp) over the cache
+// layer's length-prefixed records, and SubmissionOutcome bodies nesting
+// the result-cache record (mooc::outcome_fields). CRC-32 is
 // cache::crc32. A header frame opens the file carrying the format
 // version, the trace/config digests and the event count; a recovery
 // against a journal whose digests do not match the live run is refused
@@ -232,11 +232,10 @@ class JournalWriter {
   std::int64_t bytes_written() const { return bytes_written_; }
 
  private:
-  // Payloads are encoded straight into pending_: begin_frame writes the
-  // type and a length placeholder, end_frame patches the length and
-  // appends the CRC.
-  std::size_t begin_frame(JournalFrameType type);
-  void end_frame(std::size_t start);
+  // Encodes `payload` through its field list straight into pending_,
+  // between the type byte plus length and the CRC.
+  template <typename T, typename Fields>
+  void append_frame(JournalFrameType type, const T& payload, Fields fields);
   util::Status flush();
 
   std::ofstream out_;

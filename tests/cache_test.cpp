@@ -19,6 +19,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/digest.hpp"
+#include "cache/wire.hpp"
 #include "mooc/grading_service.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
@@ -212,6 +213,115 @@ TEST(RecordTest, TruncatedAndMalformedInputFailsCleanly) {
   cache::RecordReader garbage("banana\nsplit");
   EXPECT_FALSE(garbage.next_string(s));
   EXPECT_FALSE(garbage.complete());
+}
+
+// ---- field lists ----------------------------------------------------------
+
+struct WireSample {
+  std::string name;
+  int count = 0;
+  std::uint64_t id = 0;
+  double weight = 0.0;
+  bool flag = false;
+  util::Severity severity = util::Severity::kError;
+  std::uint8_t lane = 0;
+  std::vector<util::Diagnostic> diags;
+  util::Status status;
+  std::vector<int> values;
+};
+
+constexpr auto kSampleFields = [](auto& io, auto& r) {
+  io.str(r.name);
+  io.i64(r.count);
+  io.i64(r.id);
+  io.f64(r.weight);
+  io.boolean(r.flag);
+  io.upto(r.severity, util::Severity::kNote);
+  io.upto(r.lane, 1);
+  io.list(r.diags, cache::wire::diagnostic);
+  cache::wire::status(io, r.status);
+  io.nested(r.values, [](auto& io, auto& v) {
+    io.list(v, [](auto& io, auto& x) { io.i64(x); });
+  });
+};
+
+WireSample wire_sample() {
+  WireSample s;
+  s.name = "two\nlines";
+  s.count = -7;
+  s.id = ~std::uint64_t{0};
+  s.weight = 0.1;
+  s.flag = true;
+  s.severity = util::Severity::kNote;
+  s.lane = 1;
+  s.diags = {util::make_error(3, 4, "bad"), util::make_error(0, 0, "")};
+  s.status = util::Status::parse_error("oops");
+  s.values = {1, -2, 3};
+  return s;
+}
+
+TEST(WireTest, OneFieldListEncodesAndDecodes) {
+  const WireSample s = wire_sample();
+  const std::string bytes = cache::wire::encode(s, kSampleFields);
+  // The same records a hand-written encoder would append.
+  std::string want;
+  cache::append_record(want, s.name);
+  cache::append_i64(want, -7);
+  cache::append_i64(want, -1);
+  cache::append_f64(want, 0.1);
+  cache::append_i64(want, 1);
+  cache::append_i64(want, 2);
+  cache::append_i64(want, 1);
+  cache::append_i64(want, 2);
+  for (const auto& d : s.diags) {
+    cache::append_i64(want, 0);
+    cache::append_i64(want, d.line);
+    cache::append_i64(want, d.column);
+    cache::append_record(want, d.message);
+  }
+  cache::append_i64(want, static_cast<int>(util::StatusCode::kParseError));
+  cache::append_record(want, "oops");
+  cache::append_record(want, "1\n31\n12\n-21\n3");
+  EXPECT_EQ(bytes, want);
+
+  WireSample got;
+  ASSERT_TRUE(cache::wire::decode(bytes, got, kSampleFields));
+  EXPECT_EQ(cache::wire::encode(got, kSampleFields), bytes);
+  EXPECT_EQ(got.id, s.id);
+  EXPECT_EQ(got.values, s.values);
+  EXPECT_EQ(got.diags.size(), 2u);
+}
+
+TEST(WireTest, DecodeRefusesEveryOutOfRangeOrTruncatedRecord) {
+  const std::string good = cache::wire::encode(wire_sample(), kSampleFields);
+  WireSample got;
+  for (std::size_t n = 0; n < good.size(); ++n)
+    EXPECT_FALSE(cache::wire::decode(good.substr(0, n), got, kSampleFields))
+        << "prefix " << n;
+  EXPECT_FALSE(cache::wire::decode(good + "0\n", got, kSampleFields));
+
+  // Swap one encoded field for another record.
+  auto with = [&](std::size_t field, std::string_view swapped) {
+    cache::RecordReader in(good);
+    std::string out;
+    std::string_view rec;
+    for (std::size_t k = 0; in.next(rec); ++k)
+      cache::append_record(out, k == field ? swapped : rec);
+    return out;
+  };
+  EXPECT_TRUE(cache::wire::decode(with(4, "0"), got, kSampleFields));
+  EXPECT_FALSE(cache::wire::decode(with(4, "2"), got, kSampleFields));  // bool
+  EXPECT_FALSE(cache::wire::decode(with(5, "3"), got, kSampleFields));  // enum
+  EXPECT_FALSE(cache::wire::decode(with(5, "-1"), got, kSampleFields));
+  EXPECT_FALSE(cache::wire::decode(with(6, "2"), got, kSampleFields));  // lane
+  EXPECT_FALSE(cache::wire::decode(with(7, "-1"), got, kSampleFields));
+  EXPECT_FALSE(cache::wire::decode(with(7, "3"), got, kSampleFields));
+  EXPECT_FALSE(cache::wire::decode(with(8, "3"), got, kSampleFields));
+  EXPECT_FALSE(cache::wire::decode(with(16, "7"), got, kSampleFields));
+  // A nested record must be consumed whole, like the outer one.
+  EXPECT_TRUE(cache::wire::decode(with(18, "1\n0"), got, kSampleFields));
+  EXPECT_FALSE(
+      cache::wire::decode(with(18, "1\n01\n5"), got, kSampleFields));
 }
 
 // ---- in-memory tier -----------------------------------------------------

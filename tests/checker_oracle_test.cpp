@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/wire.hpp"
 #include "gen/routing_gen.hpp"
 #include "grader/route_grader.hpp"
 #include "lint/lint.hpp"
@@ -1210,6 +1211,30 @@ TEST(CheckerOracle, HostileCountsAllocateByTheBytesNotTheValues) {
   const std::size_t legal_bytes =
       bytes_allocated_by([&] { EXPECT_TRUE(place::is_legal(far, huge)); });
   EXPECT_LT(legal_bytes, kBudget);
+}
+
+TEST(CheckerOracle, WireListCountsAllocateByTheBytes) {
+  // A stored record claiming a list of 2^30 or 2^62 elements with 12
+  // bytes behind it fails before the list allocates at all; a vector
+  // sized by the count would take gigabytes. A count the bytes could
+  // hold (6) grows the list only as elements decode.
+  const auto fields = [](auto& io, auto& v) {
+    io.list(v, [](auto& io, auto& x) { io.i64(x); });
+  };
+  for (const std::int64_t count : {std::int64_t{1} << 30,
+                                   std::int64_t{1} << 62, std::int64_t{6}}) {
+    std::string bytes;
+    cache::append_i64(bytes, count);
+    for (int k = 0; k < 2; ++k) cache::append_i64(bytes, 1000 + k);
+    std::vector<std::int64_t> v;
+    const std::size_t used = bytes_allocated_by(
+        [&] { EXPECT_FALSE(cache::wire::decode(bytes, v, fields)) << count; });
+    if (count == 6) {
+      EXPECT_LT(used, 1024u);
+    } else {
+      EXPECT_EQ(used, 0u) << count;
+    }
+  }
 }
 
 // ---- keys chosen to collide ---------------------------------------------

@@ -31,15 +31,6 @@
 #include "util/arg_parser.hpp"
 #include "util/status.hpp"
 
-namespace {
-
-int fail(const l2l::util::Status& status) {
-  std::cerr << "error: " << status.to_string() << "\n";
-  return l2l::util::exit_code_for(status);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   l2l::obs::ExportOnExit obs_export;
   l2l::api::AxbRequest req;
@@ -50,22 +41,16 @@ int main(int argc, char** argv) try {
   l2l::tools::add_cache_flags(parser, common);
   parser.flag("--cg", &req.use_cg, "conjugate gradient (needs symmetric A)");
   l2l::tools::add_request_flags(parser, req);
-  if (const auto st = parser.parse(argc, argv); !st.ok()) return fail(st);
+  if (const auto st = parser.parse(argc, argv); !st.ok()) return l2l::tools::fail(st);
   l2l::tools::apply_cache_flags(common);
 
   if (!l2l::tools::read_input_text(parser, req.input))
     return l2l::util::kExitUsage;
 
-  if (common.lint) {
-    const auto findings = l2l::lint::lint_axb(req.input);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cerr << "# lint: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal)
-      return fail(l2l::util::Status::parse_error("lint found errors"));
-  }
+  if (common.lint && l2l::tools::print_findings(
+                         std::cerr, "# lint: ", l2l::lint::lint_axb(req.input)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("lint found errors"));
 
   const auto res = l2l::api::solve_axb(req);
   std::cout << res.output;

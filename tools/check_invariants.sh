@@ -20,6 +20,9 @@
 #      run around every real grade (CNF sema, placement lint, the route
 #      and placement graders); they use flat arrays and sorts, so
 #      checking an upload costs less than grading it
+#   6. no hand-written record codec outside src/cache/: a stored record
+#      (cache value, journal frame) is one field list run through
+#      cache::wire, never RecordReader or append_i64/f64/record calls
 #
 # False positives go in check_invariants_allowlist.txt next to this
 # script: one literal substring per line ('#' comments); any violation
@@ -55,11 +58,12 @@ scan() {
 }
 
 scan_in() {
-  # scan_in <rule-name> <extended-regex> <dir-prefix-regex> -- like scan,
-  # but only for files whose path matches the prefix. Used for per-engine
-  # layout invariants that should not constrain the rest of the tree.
-  rule="$1"; pattern="$2"; prefix="$3"
-  scoped=$(echo "$files" | grep -E "$prefix")
+  # scan_in <rule-name> <extended-regex> <dir-prefix-regex> [<exclude-regex>]
+  # -- like scan, but only for files whose path matches the prefix (and
+  # not the exclusion). Used for per-engine layout invariants that should
+  # not constrain the rest of the tree.
+  rule="$1"; pattern="$2"; prefix="$3"; exclude="${4:-^$}"
+  scoped=$(echo "$files" | grep -E "$prefix" | grep -vE "$exclude")
   [ -n "$scoped" ] || return 0
   # shellcheck disable=SC2086
   grep -nE "$pattern" $scoped /dev/null 2>/dev/null |
@@ -108,6 +112,12 @@ scan_in no-own-tokenizer 'std::getline|std::istringstream' '^src/(lint/rules_(pl
 # engines above they may not go back to them. Nor may the maze search and
 # the router around it (count_vias merge-walks sorted cells).
 scan_in checker-no-node-maps 'std::(map|set|multimap|multiset)<' '^src/(sema/cnf_sema|lint/rules_(cnf|place)|grader/(route|place)_grader|route/(maze|router))[.]cpp$'
+# One description per stored record: each cache record and journal frame
+# layout is a field list (cache/wire.hpp) that both encodes and decodes,
+# so the two directions cannot drift. A second, hand-paired codec would
+# read the bytes by its own rules -- and trust counts the wire Reader
+# refuses.
+scan_in one-field-list 'RecordReader|append_(i64|f64|record)[[:space:]]*\(' '^src/' '^src/cache/'
 
 # Apply the allowlist (literal substrings, comments stripped).
 if [ -f "$allow" ]; then

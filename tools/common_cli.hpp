@@ -27,11 +27,13 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "api/base.hpp"
 #include "cache/cache.hpp"
 #include "obs/trace.hpp"
 #include "util/arg_parser.hpp"
+#include "util/status.hpp"
 
 namespace l2l::tools {
 
@@ -96,6 +98,25 @@ inline bool read_input_text(const util::ArgParser& parser, std::string& text) {
   }
   text = ss.str();
   return true;
+}
+
+/// Print "error: <status>" on stderr; return the status's exit code.
+inline int fail(const util::Status& status) {
+  std::cerr << "error: " << status.to_string() << "\n";
+  return util::exit_code_for(status);
+}
+
+/// The --lint / --sema gate: print each finding on `out` after `prefix`
+/// ("# lint: ", "c sema: ", ...) and return whether any is an error.
+template <typename Findings>
+bool print_findings(std::ostream& out, std::string_view prefix,
+                    const Findings& findings) {
+  bool fatal = false;
+  for (const auto& f : findings) {
+    out << prefix << f.to_string() << "\n";
+    fatal = fatal || f.severity == util::Severity::kError;
+  }
+  return fatal;
 }
 
 }  // namespace l2l::tools

@@ -57,36 +57,17 @@ int main(int argc, char** argv) try {
   if (!l2l::tools::read_input_text(parser, req.input))
     return l2l::util::kExitUsage;
 
-  if (common.lint && req.input.find('.') != std::string::npos) {
-    const auto findings = l2l::lint::lint_pla(req.input);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cerr << "# lint: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal) {
-      std::cerr << "error: "
-                << l2l::util::Status::parse_error("lint found errors")
-                       .to_string()
-                << "\n";
-      return l2l::util::kExitParse;
-    }
-  }
-  if (common.sema && req.input.find('.') != std::string::npos) {
-    const auto findings = l2l::sema::analyze_pla(req.input);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cerr << "# sema: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal) {
-      std::cerr << "error: "
-                << l2l::util::Status::parse_error("sema found errors")
-                       .to_string()
-                << "\n";
-      return l2l::util::kExitParse;
-    }
-  }
+  // A raw truth-table row has no PLA directives to check.
+  using l2l::tools::print_findings;
+  const bool is_pla = req.input.find('.') != std::string::npos;
+  if (common.lint && is_pla &&
+      print_findings(std::cerr, "# lint: ", l2l::lint::lint_pla(req.input)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("lint found errors"));
+  if (common.sema && is_pla &&
+      print_findings(std::cerr, "# sema: ", l2l::sema::analyze_pla(req.input)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("sema found errors"));
 
   const auto res = l2l::api::synthesize_esop(req);
   std::cerr << res.stats_output;

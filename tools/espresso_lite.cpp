@@ -44,36 +44,15 @@ int main(int argc, char** argv) try {
   if (!l2l::tools::read_input_text(parser, req.pla))
     return l2l::util::kExitUsage;
 
-  if (common.lint) {
-    const auto findings = l2l::lint::lint_pla(req.pla);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cerr << "# lint: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal) {
-      std::cerr << "error: "
-                << l2l::util::Status::parse_error("lint found errors")
-                       .to_string()
-                << "\n";
-      return l2l::util::kExitParse;
-    }
-  }
-  if (common.sema) {
-    const auto findings = l2l::sema::analyze_pla(req.pla);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cerr << "# sema: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal) {
-      std::cerr << "error: "
-                << l2l::util::Status::parse_error("sema found errors")
-                       .to_string()
-                << "\n";
-      return l2l::util::kExitParse;
-    }
-  }
+  using l2l::tools::print_findings;
+  if (common.lint &&
+      print_findings(std::cerr, "# lint: ", l2l::lint::lint_pla(req.pla)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("lint found errors"));
+  if (common.sema &&
+      print_findings(std::cerr, "# sema: ", l2l::sema::analyze_pla(req.pla)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("sema found errors"));
 
   const auto res = l2l::api::minimize_pla(req);
   if (!res.status.ok()) {

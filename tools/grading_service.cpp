@@ -60,11 +60,6 @@
 
 namespace {
 
-int fail(const l2l::util::Status& status) {
-  std::cerr << "error: " << status.to_string() << "\n";
-  return l2l::util::exit_code_for(status);
-}
-
 /// The stand-in grader: re-digests the submission a few dozen rounds,
 /// the cost shape of a real parse+verify pass. Deterministic, budget-
 /// aware (one step per round), so the cache may replay it.
@@ -139,7 +134,7 @@ int main(int argc, char** argv) try {
               "replay the existing journal before continuing the drain");
   parser.int64_value("--halt-after-tick", &halt_after_tick,
                      "stop cold before tick K (simulated crash)");
-  if (const auto st = parser.parse(argc, argv); !st.ok()) return fail(st);
+  if (const auto st = parser.parse(argc, argv); !st.ok()) return l2l::tools::fail(st);
 
   l2l::mooc::TraceOptions topt;
   for (const auto& st :
@@ -149,8 +144,8 @@ int main(int argc, char** argv) try {
         narrow_flag("--queue-cap", queue_cap, sopt.queue_cap),
         narrow_flag("--admit-quota", admit_quota, sopt.admit_quota),
         narrow_flag("--service-rate", service_rate, sopt.service_rate)})
-    if (!st.ok()) return fail(st);
-  if (const auto st = l2l::mooc::validate(topt); !st.ok()) return fail(st);
+    if (!st.ok()) return l2l::tools::fail(st);
+  if (const auto st = l2l::mooc::validate(topt); !st.ok()) return l2l::tools::fail(st);
   l2l::util::Rng rng(static_cast<std::uint64_t>(seed));
   const auto trace = l2l::mooc::generate_submission_trace(topt, rng);
 
@@ -187,7 +182,7 @@ int main(int argc, char** argv) try {
   const l2l::mooc::GradingService service(sopt, digest_grade);
   l2l::util::Status run_status;
   const auto res = service.run(trace, rreq, run_status);
-  if (!run_status.ok()) return fail(run_status);
+  if (!run_status.ok()) return l2l::tools::fail(run_status);
   const auto& s = res.stats;
 
   std::cout << "service: courses=" << trace.num_courses
@@ -238,7 +233,7 @@ int main(int argc, char** argv) try {
             << " us\n";
 
   if (!res.halted && !res.accounting_ok())
-    return fail(l2l::util::Status::internal(
+    return l2l::tools::fail(l2l::util::Status::internal(
         "accounting invariant broken: a submission was dropped silently"));
   return 0;
 } catch (const std::exception& e) {

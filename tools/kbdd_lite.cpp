@@ -55,21 +55,11 @@ int main(int argc, char** argv) try {
   if (!l2l::tools::read_input_text(parser, req.script))
     return l2l::util::kExitUsage;
 
-  if (common.lint) {
-    const auto findings = l2l::lint::lint_kbdd_script(req.script);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cout << "lint: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal) {
-      std::cerr << "error: "
-                << l2l::util::Status::parse_error("lint found errors")
-                       .to_string()
-                << "\n";
-      return l2l::util::kExitParse;
-    }
-  }
+  if (common.lint &&
+      l2l::tools::print_findings(std::cout, "lint: ",
+                                 l2l::lint::lint_kbdd_script(req.script)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("lint found errors"));
 
   const auto res = l2l::api::run_bdd_script(req);
   std::cout << res.output;

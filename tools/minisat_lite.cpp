@@ -26,15 +26,6 @@
 #include "util/arg_parser.hpp"
 #include "util/status.hpp"
 
-namespace {
-
-int fail(const l2l::util::Status& status) {
-  std::cerr << "error: " << status.to_string() << "\n";
-  return l2l::util::exit_code_for(status);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   l2l::obs::ExportOnExit obs_export;
   l2l::api::SatRequest req;
@@ -50,7 +41,7 @@ int main(int argc, char** argv) try {
   parser.flag("--stats", &req.show_stats, "print the solver statistics line");
   l2l::tools::add_request_flags(parser, req);
   parser.int64_value("--prop-limit", &req.prop_limit, "propagation budget");
-  if (const auto st = parser.parse(argc, argv); !st.ok()) return fail(st);
+  if (const auto st = parser.parse(argc, argv); !st.ok()) return l2l::tools::fail(st);
   l2l::tools::apply_cache_flags(common);
   req.options.use_vsids = !no_vsids;
   req.options.use_restarts = !no_restarts;
@@ -58,30 +49,19 @@ int main(int argc, char** argv) try {
   if (!l2l::tools::read_input_text(parser, req.dimacs))
     return l2l::util::kExitUsage;
 
-  if (common.lint) {
-    const auto findings = l2l::lint::lint_cnf(req.dimacs);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cout << "c lint: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal)
-      return fail(l2l::util::Status::parse_error("lint found errors"));
-  }
-  if (common.sema) {
-    const auto findings = l2l::sema::analyze_cnf(req.dimacs);
-    bool fatal = false;
-    for (const auto& f : findings) {
-      std::cout << "c sema: " << f.to_string() << "\n";
-      fatal = fatal || f.severity == l2l::util::Severity::kError;
-    }
-    if (fatal)
-      return fail(l2l::util::Status::parse_error("sema found errors"));
-  }
+  using l2l::tools::print_findings;
+  if (common.lint &&
+      print_findings(std::cout, "c lint: ", l2l::lint::lint_cnf(req.dimacs)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("lint found errors"));
+  if (common.sema &&
+      print_findings(std::cout, "c sema: ", l2l::sema::analyze_cnf(req.dimacs)))
+    return l2l::tools::fail(
+        l2l::util::Status::parse_error("sema found errors"));
 
   const auto res = l2l::api::solve_sat(req);
   std::cout << res.output;
-  if (!res.status.ok()) return fail(res.status);
+  if (!res.status.ok()) return l2l::tools::fail(res.status);
   return res.exit_code;
 } catch (const std::exception& e) {
   std::cerr << "error: " << l2l::util::Status::internal(e.what()).to_string()

@@ -73,24 +73,13 @@ int run(std::istream& in, std::ostream& out, bool lint, bool sema) {
           ss << f.rdbuf();
           text = ss.str();
         }
-        if (lint) {
-          const auto findings = l2l::lint::lint_blif(text);
-          bool fatal = false;
-          for (const auto& f : findings) {
-            out << "lint: " << f.to_string() << "\n";
-            fatal = fatal || f.severity == l2l::util::Severity::kError;
-          }
-          if (fatal) throw std::runtime_error("lint found errors in " + tok[1]);
-        }
-        if (sema) {
-          const auto analysis = l2l::sema::analyze_blif(text);
-          bool fatal = false;
-          for (const auto& f : analysis.findings) {
-            out << "sema: " << f.to_string() << "\n";
-            fatal = fatal || f.severity == l2l::util::Severity::kError;
-          }
-          if (fatal) throw std::runtime_error("sema found errors in " + tok[1]);
-        }
+        if (lint && l2l::tools::print_findings(out, "lint: ",
+                                               l2l::lint::lint_blif(text)))
+          throw std::runtime_error("lint found errors in " + tok[1]);
+        if (sema &&
+            l2l::tools::print_findings(
+                out, "sema: ", l2l::sema::analyze_blif(text).findings))
+          throw std::runtime_error("sema found errors in " + tok[1]);
         net = l2l::network::parse_blif(text);
         loaded = true;
         out << "read " << net.model_name() << ": " << net.inputs().size()
