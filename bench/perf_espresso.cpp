@@ -213,4 +213,31 @@ void BM_ComplementDisjointSupport(benchmark::State& state) {
 }
 BENCHMARK(BM_ComplementDisjointSupport)->Arg(5)->Arg(8);
 
+/// REDUCE on the cover minimize() hands it: the expanded, irredundant
+/// primes of the homework shape. Each cube's SCCC runs over the 2^(k-1)
+/// leaves of the other cubes' cofactor.
+void BM_ReduceDisjointSupport(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const auto f = disjoint_support_cover(k, 17);
+  const cubes::Cover dc(f.num_vars());
+  const auto primes = espresso::irredundant(
+      espresso::expand(f, cubes::complement(f)), dc);
+  for (auto _ : state) {
+    const auto r = espresso::reduce(primes, dc);
+    benchmark::DoNotOptimize(r);
+    state.counters["cubes_out"] = r.size();
+  }
+}
+BENCHMARK(BM_ReduceDisjointSupport)->Arg(5)->Arg(8);
+
+void BM_ScccDisjointSupport(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const auto f = disjoint_support_cover(k, 17);
+  for (auto _ : state) {
+    const auto s = cubes::sccc(f);
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_ScccDisjointSupport)->Arg(8);
+
 }  // namespace

@@ -2,14 +2,22 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "cache/digest.hpp"
 #include "cubes/urp.hpp"
 #include "espresso/minimize.hpp"
 #include "espresso/pla.hpp"
 #include "espresso/qm.hpp"
 #include "tt/truth_table.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace l2l::espresso {
 namespace {
@@ -188,6 +196,147 @@ TEST(Complement, OutputIsContainmentFreeAndExact) {
     ASSERT_EQ(s.has_value(), !r.empty()) << "trial " << trial;
     if (s) ASSERT_EQ(*s, supercube(r)) << "trial " << trial;
   }
+}
+
+// Compares `got` with tests/data/golden/`name`; with L2L_UPDATE_GOLDEN
+// set, rewrites the file instead and skips the test.
+void expect_golden(const std::string& name, const std::string& got) {
+  const std::string golden_path = L2L_TEST_DATA_DIR "/golden/" + name;
+  if (std::getenv("L2L_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated";
+  }
+  std::ifstream in(golden_path);
+  const std::string want((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(want.empty()) << "missing golden file " << golden_path;
+  EXPECT_EQ(got, want) << "actual:\n" << got;
+}
+
+// The graded-homework PLA shape: k cubes of two literals over disjoint
+// variables (2k + 2 inputs, shuffled) plus 1-4 rows contained in them.
+Cover disjoint_support_cover(int k, util::Rng& rng) {
+  const int n = 2 * k + 2;
+  std::vector<int> vars(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) vars[static_cast<std::size_t>(v)] = v;
+  rng.shuffle(vars);
+  Cover f(n);
+  for (int g = 0; g < k; ++g) {
+    Cube c(n);
+    for (int t = 0; t < 2; ++t)
+      c.set_code(vars[static_cast<std::size_t>(2 * g + t)],
+                 rng.next_bool() ? cubes::Pcn::kPos : cubes::Pcn::kNeg);
+    f.add(std::move(c));
+  }
+  const auto contained = 1 + static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < contained; ++e) {
+    Cube c = f.cube(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(k))));
+    const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+    if (c.code(v) == cubes::Pcn::kDontCare)
+      c.set_code(v, rng.next_bool() ? cubes::Pcn::kPos : cubes::Pcn::kNeg);
+    f.add(std::move(c));
+  }
+  return f;
+}
+
+// `k` cubes of 1-`max_lits` literals each, at random positions of `n`
+// variables: sparse enough that wide covers keep small complements.
+Cover sparse_cover(int n, int k, int max_lits, util::Rng& rng) {
+  Cover f(n);
+  for (int i = 0; i < k; ++i) {
+    Cube c(n);
+    const auto lits = 1 + rng.next_below(static_cast<std::uint64_t>(max_lits));
+    for (std::uint64_t l = 0; l < lits; ++l)
+      c.set_code(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n))),
+                 rng.next_bool() ? cubes::Pcn::kPos : cubes::Pcn::kNeg);
+    f.add(std::move(c));
+  }
+  return f;
+}
+
+// URP kernel golden: per seeded stream of (f, dc) pairs, one digest per
+// kernel over every case's output bytes
+// (tests/data/golden/urp_digests.txt; L2L_UPDATE_GOLDEN=1 regenerates).
+// complement() and reduce() order their cubes by the split choice and the
+// merge order, so the digests pin those orders too, not just the
+// functions. The streams: random covers of 2-16 variables, the
+// disjoint-support homework shape for k = 5-8, and covers of 65-100
+// variables, whose cubes keep their words on the heap.
+TEST(UrpGolden, KernelsMatchGolden) {
+  struct Stream {
+    const char* name;
+    std::uint64_t seed;
+    int cases;
+    std::function<std::pair<Cover, Cover>(int, util::Rng&)> make;
+  };
+  const std::vector<Stream> streams = {
+      {"random", 291, 600,
+       [](int t, util::Rng& rng) {
+         const int n = 2 + t % 15;
+         const int lit_pct = 20 + static_cast<int>(rng.next_below(60));
+         auto on = random_cover_density(
+             n, 1 + static_cast<int>(rng.next_below(12)), lit_pct, rng);
+         auto dc = random_cover_density(
+             n, static_cast<int>(rng.next_below(3)), lit_pct, rng);
+         return std::make_pair(std::move(on), std::move(dc));
+       }},
+      {"disjoint", 292, 48,
+       [](int t, util::Rng& rng) {
+         auto on = disjoint_support_cover(5 + t % 4, rng);
+         const int n = on.num_vars();
+         return std::make_pair(std::move(on), Cover(n));
+       }},
+      {"wide", 293, 120,
+       [](int t, util::Rng& rng) {
+         const int n = 65 + static_cast<int>(rng.next_below(36));
+         auto on = sparse_cover(n, 1 + t % 7, 4, rng);
+         auto dc = sparse_cover(n, static_cast<int>(rng.next_below(2)), 3, rng);
+         return std::make_pair(std::move(on), std::move(dc));
+       }},
+  };
+  std::string got;
+  for (const auto& s : streams) {
+    util::Rng rng(s.seed);
+    std::string comp, scc, taut, contains, red, mini;
+    for (int t = 0; t < s.cases; ++t) {
+      const auto [on, dc] = s.make(t, rng);
+      const Cover f = on | dc;
+      const Cover c = cubes::complement(f);
+      comp += c.to_string() + ";";
+      for (const Cover* g : {&on, &f, &c}) {
+        const auto sc = cubes::sccc(*g);
+        scc += (sc ? sc->to_string() : "none") + ";";
+      }
+      // f + f' is a tautology; without one of the complement's cubes it
+      // usually is not.
+      const Cover whole = f | c;
+      Cover holed = f;
+      for (int i = 1; i < c.size(); ++i) holed.add(c.cube(i));
+      for (const Cover* g : {&on, &f, &whole, static_cast<const Cover*>(&holed)})
+        taut += cubes::is_tautology(*g) ? '1' : '0';
+      const Cover m = minimize(on, dc);
+      // Contained (the minimized cubes), disjoint (the complement's) and
+      // random sparse cubes.
+      const Cover probes = m | c | sparse_cover(f.num_vars(), 4, 3, rng);
+      for (const auto& p : probes.cubes())
+        contains += cubes::cover_contains_cube(f, p) ? '1' : '0';
+      red += reduce(on, dc).to_string() + ";";
+      mini += m.to_string() + ";";
+    }
+    for (const auto& [kernel, bytes] :
+         {std::pair<const char*, const std::string&>{"complement", comp},
+          {"sccc", scc},
+          {"is_tautology", taut},
+          {"cover_contains_cube", contains},
+          {"reduce", red},
+          {"minimize", mini}})
+      got += util::format("%s %s cases=%d bytes=%zu %s\n", s.name, kernel,
+                          s.cases, bytes.size(),
+                          cache::digest_bytes(bytes).hex().c_str());
+  }
+  expect_golden("urp_digests.txt", got);
 }
 
 TEST(Minimize, TextbookExamples) {
