@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "api/esop.hpp"
 #include "cache/cache.hpp"
 #include "fault/faults.hpp"
@@ -795,8 +797,8 @@ TEST_F(DeterminismTest, QueueWarmRedrainReplaysByteIdenticalOutcomes) {
   // Halt after the first uploads' cache hits are journaled, then recover
   // against a cold cache: only the journal's kCache frames can reproduce
   // the replayed hits, and the live ticks after them replay from memo.
-  const std::string path =
-      ::testing::TempDir() + "l2l_determinism_warm_rerun.l2lj";
+  const std::string path = ::testing::TempDir() + "l2l_determinism_warm_rerun_" +
+                           std::to_string(::getpid()) + ".l2lj";
   mooc::RunRequest req;
   req.journal_path = path;
   req.halt_after_ticks = 12;

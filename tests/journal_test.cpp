@@ -20,6 +20,8 @@
 #include <string_view>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/cache.hpp"
 #include "mooc/cohort.hpp"
 #include "mooc/grading_service.hpp"
@@ -113,8 +115,11 @@ void expect_same_result(const mooc::ServiceResult& got,
         << label << ": outcome " << i << " diverged";
 }
 
+// Per process: ctest runs each case as its own process, and the kill
+// sweeps of two cases name the same ticks.
 std::string temp_journal(const std::string& name) {
-  return ::testing::TempDir() + "l2l_journal_test_" + name + ".l2lj";
+  return ::testing::TempDir() + "l2l_journal_test_" +
+         std::to_string(::getpid()) + "_" + name + ".l2lj";
 }
 
 void remove_journal(const std::string& path) {

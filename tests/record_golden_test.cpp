@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "l2l/api.hpp"
 #include "mooc/cohort.hpp"
 #include "mooc/grading_queue.hpp"
@@ -120,9 +122,11 @@ std::vector<JournalRun> journal_runs() {
 }
 
 /// The journal bytes of one run (after its unjournaled cold run, if warm).
+/// The path carries the pid: ctest runs each case as its own process, and
+/// two cases write these journals.
 std::string journal_of(const JournalRun& jr) {
-  const std::string path =
-      ::testing::TempDir() + "l2l_record_golden_" + jr.name + ".l2lj";
+  const std::string path = ::testing::TempDir() + "l2l_record_golden_" +
+                           std::to_string(::getpid()) + "_" + jr.name + ".l2lj";
   std::error_code ec;
   std::filesystem::remove(path, ec);
   cache::Cache::global().clear();

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/cache.hpp"
 #include "mooc/cohort.hpp"
 #include "mooc/grading_service.hpp"
@@ -205,8 +207,8 @@ std::string pinned_lines(const Scenario& sc) {
 std::string recovered_lines(const Scenario& sc, std::int64_t halt) {
   std::string file = sc.name;
   std::replace(file.begin(), file.end(), '/', '_');
-  const std::string path =
-      ::testing::TempDir() + "l2l_service_golden_" + file + ".l2lj";
+  const std::string path = ::testing::TempDir() + "l2l_service_golden_" +
+                           std::to_string(::getpid()) + "_" + file + ".l2lj";
   std::error_code ec;
   std::filesystem::remove(path, ec);
   std::filesystem::remove(path + ".quarantine", ec);
