@@ -4,6 +4,10 @@
 // Week 1 of the course: recursive cofactoring on a "most binate" splitting
 // variable, with unate covers as the easy terminal cases. These routines
 // are the computational heart of MOOC software Project 1.
+//
+// is_tautology, cover_contains_cube, complement and sccc build no Cover
+// per recursion node: each call recurses over index spans of one cube
+// arena it owns (DESIGN.md "URP over index spans of one cube arena").
 
 #include <optional>
 
