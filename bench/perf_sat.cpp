@@ -1,11 +1,19 @@
 // SAT solver microbenchmarks + heuristic ablations: VSIDS and restarts on
 // pigeonhole (UNSAT, learning-bound) and random 3-SAT near the phase
-// transition.
+// transition; plus the graded Week 4 path, DIMACS text through
+// api::solve_sat.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "api/sat.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -147,5 +155,90 @@ void BM_ClauseIngestion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n_clauses);
 }
 BENCHMARK(BM_ClauseIngestion)->Arg(2000)->Arg(20000);
+
+/// DIMACS text of `clauses` (1-based signed literals) in shuffled order.
+std::string dimacs_text(int num_vars, std::vector<std::vector<int>> clauses,
+                        util::Rng& rng) {
+  rng.shuffle(clauses);
+  std::string out = util::format("p cnf %d %d\n", num_vars,
+                                 static_cast<int>(clauses.size()));
+  for (const auto& cl : clauses) {
+    for (const int lit : cl) out += std::to_string(lit) + " ";
+    out += "0\n";
+  }
+  return out;
+}
+
+/// The Week 4 homework shapes the grading service sees: three in five are
+/// planted 3-SAT at clause ratio 4 over 50-80 variables, the rest PHP(5,4)
+/// or PHP(6,5) under a random variable relabelling.
+std::vector<std::string> course_formulas(int count, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::string> out;
+  for (int n = 0; n < count; ++n) {
+    std::vector<std::vector<int>> clauses;
+    int num_vars = 0;
+    if (n % 5 < 3) {
+      num_vars = 50 + static_cast<int>(rng.next_below(31));
+      std::vector<bool> planted(static_cast<std::size_t>(num_vars) + 1);
+      for (int v = 1; v <= num_vars; ++v)
+        planted[static_cast<std::size_t>(v)] = rng.next_bool();
+      while (static_cast<int>(clauses.size()) < 4 * num_vars) {
+        std::vector<int> cl;
+        bool satisfied = false;
+        while (cl.size() < 3) {
+          const int v = 1 + static_cast<int>(rng.next_below(
+                                static_cast<std::uint64_t>(num_vars)));
+          if (std::find(cl.begin(), cl.end(), v) != cl.end() ||
+              std::find(cl.begin(), cl.end(), -v) != cl.end())
+            continue;
+          const bool positive = rng.next_bool();
+          satisfied |= positive == planted[static_cast<std::size_t>(v)];
+          cl.push_back(positive ? v : -v);
+        }
+        if (satisfied) clauses.push_back(std::move(cl));
+      }
+    } else {
+      const int holes = 4 + (n / 5) % 2;
+      const int pigeons = holes + 1;
+      num_vars = pigeons * holes;
+      std::vector<int> label(static_cast<std::size_t>(num_vars));
+      std::iota(label.begin(), label.end(), 1);
+      rng.shuffle(label);
+      auto x = [&](int p, int h) {
+        return label[static_cast<std::size_t>(p * holes + h)];
+      };
+      for (int p = 0; p < pigeons; ++p) {
+        std::vector<int> cl;
+        for (int h = 0; h < holes; ++h) cl.push_back(x(p, h));
+        rng.shuffle(cl);
+        clauses.push_back(std::move(cl));
+      }
+      for (int h = 0; h < holes; ++h)
+        for (int p = 0; p < pigeons; ++p)
+          for (int q = p + 1; q < pigeons; ++q)
+            clauses.push_back({-x(p, h), -x(q, h)});
+    }
+    out.push_back(dimacs_text(num_vars, std::move(clauses), rng));
+  }
+  return out;
+}
+
+void BM_SolveSatCourse(benchmark::State& state) {
+  // One iteration grades 20 course-shaped formulas through the facade,
+  // cache off: parse, load, search and the model text.
+  const auto formulas = course_formulas(20, 4);
+  for (auto _ : state) {
+    for (const auto& text : formulas) {
+      api::SatRequest req;
+      req.dimacs = text;
+      req.use_cache = false;
+      benchmark::DoNotOptimize(api::solve_sat(req).exit_code);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(formulas.size()));
+}
+BENCHMARK(BM_SolveSatCourse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
