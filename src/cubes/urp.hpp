@@ -10,6 +10,7 @@
 // arena it owns (DESIGN.md "URP over index spans of one cube arena").
 
 #include <optional>
+#include <vector>
 
 #include "cubes/cover.hpp"
 
@@ -26,6 +27,11 @@ bool is_unate(const Cover& f);
 /// URP tautology check: does the cover equal constant 1?
 bool is_tautology(const Cover& f);
 
+/// is_tautology of the OR of `cubes`, a list the caller built (such as a
+/// cofactor): the list becomes the recursion's arena, with no Cover built
+/// around it. No cube may be empty; a Cover never holds one.
+bool is_tautology(int num_vars, std::vector<Cube> cubes);
+
 /// Does cover `f` contain cube `c` (c => f)? Implemented as the classic
 /// reduction: f contains c iff the cofactor of f with respect to c is a
 /// tautology.
@@ -39,8 +45,14 @@ Cover complement(const Cover& f);
 
 /// SCCC: the smallest cube containing the complement of f, by the same
 /// unate-recursive split as complement() but keeping one cube per node
-/// instead of a cover. nullopt when f is a tautology (empty complement).
+/// instead of a cover. A unate node ends at once: its supercube is the
+/// product of the opposite literals of its one-literal cubes. nullopt
+/// when f is a tautology (empty complement).
 std::optional<Cube> sccc(const Cover& f);
+
+/// sccc of the OR of `cubes`, taken as the arena like is_tautology's
+/// list overload. No cube may be empty.
+std::optional<Cube> sccc(int num_vars, std::vector<Cube> cubes);
 
 /// Sharp: the cover of f AND NOT g.
 Cover sharp(const Cover& f, const Cover& g);

@@ -1,6 +1,7 @@
 #include "espresso/minimize.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "cubes/urp.hpp"
 #include "obs/metrics.hpp"
@@ -71,10 +72,18 @@ Cover irredundant(const Cover& f, const Cover& dc) {
   });
   std::vector<bool> alive(static_cast<std::size_t>(f.size()), true);
   for (const int i : order) {
-    Cover rest = dc;
+    // dc plus the other live cubes contain c iff their cofactor by c is a
+    // tautology: the arena is built from them directly, no union Cover.
+    const Cube& c = f.cube(i);
+    std::vector<Cube> rest_c;
+    rest_c.reserve(static_cast<std::size_t>(dc.size() + f.size()));
+    auto add_cofactor = [&](const Cube& d) {
+      if (auto cf = d.cofactor(c)) rest_c.push_back(std::move(*cf));
+    };
+    for (const auto& d : dc.cubes()) add_cofactor(d);
     for (int j = 0; j < f.size(); ++j)
-      if (j != i && alive[static_cast<std::size_t>(j)]) rest.add(f.cube(j));
-    if (cubes::cover_contains_cube(rest, f.cube(i)))
+      if (j != i && alive[static_cast<std::size_t>(j)]) add_cofactor(f.cube(j));
+    if (cubes::is_tautology(f.num_vars(), std::move(rest_c)))
       alive[static_cast<std::size_t>(i)] = false;
   }
   Cover out(f.num_vars());
@@ -97,14 +106,15 @@ Cover reduce(const Cover& f, const Cover& dc) {
     const Cube& c = current[static_cast<std::size_t>(i)];
     // The exclusive part of c is c AND NOT rest; its supercube is
     // c ∩ sccc(rest|c), with rest cofactored by c's literals.
-    Cover rest_c(f.num_vars());
+    std::vector<Cube> rest_c;
+    rest_c.reserve(static_cast<std::size_t>(dc.size()) + current.size());
     auto add_cofactor = [&](const Cube& d) {
-      if (auto cf = d.cofactor(c)) rest_c.add(std::move(*cf));
+      if (auto cf = d.cofactor(c)) rest_c.push_back(std::move(*cf));
     };
     for (const auto& d : dc.cubes()) add_cofactor(d);
     for (std::size_t j = 0; j < current.size(); ++j)
       if (static_cast<int>(j) != i) add_cofactor(current[j]);
-    const auto s = cubes::sccc(rest_c);
+    const auto s = cubes::sccc(f.num_vars(), std::move(rest_c));
     if (!s) continue;  // fully covered; irredundant removes it
     current[static_cast<std::size_t>(i)] = c.intersect(*s);
   }
