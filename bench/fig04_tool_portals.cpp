@@ -34,7 +34,7 @@ int main() {
   // miniSAT: DIMACS text round trip.
   {
     const char* dimacs = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n";
-    const auto formula = sat::parse_dimacs(dimacs);
+    const auto formula = sat::parse_dimacs_lenient(dimacs);
     sat::Solver solver;
     sat::load_into_solver(formula, solver);
     const auto result = solver.solve();

@@ -1,6 +1,6 @@
 #include "api/sat.hpp"
 
-#include <sstream>
+#include <string>
 
 #include "api/detail.hpp"
 #include "cache/cache.hpp"
@@ -29,26 +29,25 @@ SatResult run_solver(const SatRequest& req) {
     opt.budget = &budget;
   }
 
-  sat::CnfFormula formula;
-  try {
-    formula = sat::parse_dimacs(req.dimacs);
-  } catch (const std::exception& e) {
-    res.status = util::Status::parse_error(e.what());
+  const sat::ParsedDimacs parsed = sat::parse_dimacs_lenient(req.dimacs);
+  if (!parsed.clean()) {
+    res.status =
+        util::Status::parse_error(sat::defect_text(parsed.defects.front()));
     res.exit_code = util::exit_code_for(res.status);
     return res;
   }
   sat::Solver solver(opt);
   sat::LBool result = sat::LBool::kFalse;
-  if (sat::load_into_solver(formula, solver)) result = solver.solve();
-  std::ostringstream out;
-  out << sat::result_text(solver, result);
+  if (sat::load_into_solver(parsed, solver)) result = solver.solve();
+  res.output = sat::result_text(solver, result);
   if (req.show_stats) {
     const auto& s = solver.stats();
-    out << "c decisions " << s.decisions << " propagations " << s.propagations
-        << " conflicts " << s.conflicts << " restarts " << s.restarts
-        << " learnts " << s.learnt_clauses << "\n";
+    res.output += "c decisions " + std::to_string(s.decisions) +
+                  " propagations " + std::to_string(s.propagations) +
+                  " conflicts " + std::to_string(s.conflicts) +
+                  " restarts " + std::to_string(s.restarts) + " learnts " +
+                  std::to_string(s.learnt_clauses) + "\n";
   }
-  res.output = out.str();
   if (result == sat::LBool::kTrue) {
     res.exit_code = util::kExitSat;
   } else if (result == sat::LBool::kFalse) {

@@ -1,6 +1,7 @@
 #include "sat/dimacs.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -106,14 +107,15 @@ ParsedDimacs parse_dimacs_lenient(std::string_view text) {
   return out;
 }
 
+std::string defect_text(const DimacsDefect& d) {
+  return (d.line > 0 ? util::format("DIMACS line %d: ", d.line) : "DIMACS: ") +
+         d.message;
+}
+
 CnfFormula parse_dimacs(const std::string& text) {
   const ParsedDimacs parsed = parse_dimacs_lenient(text);
-  if (!parsed.clean()) {
-    const auto& d = parsed.defects.front();
-    throw std::invalid_argument(
-        (d.line > 0 ? util::format("DIMACS line %d: ", d.line) : "DIMACS: ") +
-        d.message);
-  }
+  if (!parsed.clean())
+    throw std::invalid_argument(defect_text(parsed.defects.front()));
   CnfFormula f;
   f.num_vars = parsed.num_vars;
   f.clauses.reserve(parsed.clauses.size());
@@ -152,17 +154,20 @@ std::string write_dimacs(const CnfFormula& f) {
   return out;
 }
 
-bool load_into_solver(const CnfFormula& f, Solver& solver) {
+bool load_into_solver(const ParsedDimacs& f, Solver& solver) {
+  if (!f.clean()) throw std::invalid_argument(defect_text(f.defects.front()));
   solver.reserve_vars(f.num_vars);
-  // Literal-count pre-pass: one arena reservation up front means clause
-  // ingestion never reallocates the clause store.
-  std::int64_t total_lits = 0;
-  for (const auto& clause : f.clauses)
-    total_lits += static_cast<std::int64_t>(clause.size());
-  solver.reserve_clauses(total_lits,
+  // One arena reservation up front: clause ingestion never reallocates
+  // the clause store.
+  solver.reserve_clauses(static_cast<std::int64_t>(f.lits.size()),
                          static_cast<std::int64_t>(f.clauses.size()));
+  std::vector<Lit> lits(f.lits.size());
+  std::transform(f.lits.begin(), f.lits.end(), lits.begin(),
+                 [](int v) { return Lit(std::abs(v) - 1, v < 0); });
   for (const auto& clause : f.clauses)
-    if (!solver.add_clause(clause)) return false;
+    if (!solver.add_clause(std::span<const Lit>(lits).subspan(
+            clause.begin, clause.end - clause.begin)))
+      return false;
   return true;
 }
 
@@ -170,8 +175,12 @@ std::string result_text(Solver& solver, LBool result) {
   if (result == LBool::kFalse) return "UNSATISFIABLE\n";
   if (result == LBool::kUndef) return "INDETERMINATE\n";
   std::string out = "SATISFIABLE\nv";
-  for (Var v = 0; v < solver.num_vars(); ++v)
-    out += util::format(" %d", solver.model_value(v) ? v + 1 : -(v + 1));
+  char buf[16];
+  for (Var v = 0; v < solver.num_vars(); ++v) {
+    const int lit = solver.model_value(v) ? v + 1 : -(v + 1);
+    out += ' ';
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, lit).ptr);
+  }
   out += " 0\n";
   return out;
 }

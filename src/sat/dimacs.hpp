@@ -64,6 +64,10 @@ struct ParsedDimacs {
 
 ParsedDimacs parse_dimacs_lenient(std::string_view text);
 
+/// A defect as one line: "DIMACS line N: message" ("DIMACS: message" for
+/// the file as a whole). The text parse_dimacs throws and solve_sat reports.
+std::string defect_text(const DimacsDefect& d);
+
 /// Whether a clause whose literals are sorted ascending holds some
 /// variable in both signs (a tautology). One walk: the negative literals
 /// from the front, the positive ones from the back, both in falling
@@ -80,9 +84,12 @@ std::string write_dimacs(const CnfFormula& f);
 
 class Solver;
 
-/// Load a parsed formula into a solver. Returns false if the formula is
-/// detected unsatisfiable already while adding clauses.
-bool load_into_solver(const CnfFormula& f, Solver& solver);
+/// Load a clean lenient parse into a solver: its flat literals go to
+/// add_clause clause by clause, with no per-clause container in between.
+/// Returns false if the formula is detected unsatisfiable already while
+/// adding clauses. Throws std::invalid_argument, as parse_dimacs does,
+/// when the parse has a defect.
+bool load_into_solver(const ParsedDimacs& f, Solver& solver);
 
 /// MiniSat-style result text: "SATISFIABLE" + "v ..." model line, or
 /// "UNSATISFIABLE" / "INDETERMINATE".

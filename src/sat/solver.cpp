@@ -62,21 +62,23 @@ Solver::~Solver() = default;
 
 Var Solver::new_var() {
   const Var v = num_vars();
-  assigns_.push_back(LBool::kUndef);
-  polarity_.push_back(true);
-  activity_.push_back(0.0);
-  reason_.push_back(kInvalidClauseRef);
-  level_.push_back(0);
-  seen_.push_back(0);
-  heap_pos_.push_back(-1);
-  watches_.emplace_back();  // positive literal
-  watches_.emplace_back();  // negative literal
-  heap_insert(v);
+  reserve_vars(v + 1);
   return v;
 }
 
 void Solver::reserve_vars(int n) {
-  while (num_vars() < n) new_var();
+  const Var first = num_vars();
+  if (n <= first) return;
+  const auto size = static_cast<std::size_t>(n);
+  assigns_.resize(size, LBool::kUndef);
+  polarity_.resize(size, true);
+  activity_.resize(size, 0.0);
+  reason_.resize(size, kInvalidClauseRef);
+  level_.resize(size, 0);
+  seen_.resize(size, 0);
+  heap_pos_.resize(size, -1);
+  watches_.resize(2 * size);  // one list per literal
+  for (Var v = first; v < n; ++v) heap_insert(v);
 }
 
 void Solver::reserve_clauses(std::int64_t total_lits,
@@ -85,7 +87,7 @@ void Solver::reserve_clauses(std::int64_t total_lits,
   clauses_.reserve(static_cast<std::size_t>(num_clauses));
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
   if (decision_level() != 0)
     throw std::logic_error("Solver::add_clause: only legal at level 0");
@@ -93,28 +95,30 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     if (p.var() < 0 || p.var() >= num_vars())
       throw std::invalid_argument("Solver::add_clause: unknown variable");
 
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> kept;
+  // Sort a copy, then keep its first `kept` literals in place.
+  auto& buf = add_buf_;
+  buf.assign(lits.begin(), lits.end());
+  std::sort(buf.begin(), buf.end());
+  std::size_t kept = 0;
   Lit prev;
-  for (const Lit p : lits) {
+  for (const Lit p : buf) {
     if (value(p) == LBool::kTrue) return true;      // satisfied at level 0
     if (p == ~prev) return true;                    // tautology (x | ~x)
     if (p == prev || value(p) == LBool::kFalse) continue;  // dup / false
-    kept.push_back(p);
+    buf[kept++] = p;
     prev = p;
   }
 
-  if (kept.empty()) {
+  if (kept == 0) {
     ok_ = false;
     return false;
   }
-  if (kept.size() == 1) {
-    if (!enqueue(kept[0], kInvalidClauseRef)) ok_ = false;
+  if (kept == 1) {
+    if (!enqueue(buf[0], kInvalidClauseRef)) ok_ = false;
     if (ok_ && propagate() != kInvalidClauseRef) ok_ = false;
     return ok_;
   }
-  const ClauseRef c =
-      arena_.alloc(kept.data(), static_cast<int>(kept.size()), false);
+  const ClauseRef c = arena_.alloc(buf.data(), static_cast<int>(kept), false);
   attach_clause(c);
   clauses_.push_back(c);
   return true;
@@ -151,14 +155,19 @@ ClauseRef Solver::propagate() {
     const Lit p = trail_[qhead_++];
     ++stats_.propagations;
     const Lit false_lit = ~p;
+    // MiniSat's i/j walk: i reads every watcher, j writes back the ones
+    // that stay. A migrated watch goes to another literal's list, never
+    // this one (its literal is not false), so the pointers stay valid.
     auto& ws = watches_[static_cast<std::size_t>(false_lit.index())];
-    std::size_t i = 0, j = 0;
-    while (i < ws.size()) {
-      const Watcher w = ws[i++];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i++;
       // Fast path: the blocker is true, the clause is satisfied -- skip it
       // without touching the clause body at all.
       if (value(w.blocker) == LBool::kTrue) {
-        ws[j++] = w;
+        *j++ = w;
         continue;
       }
       const ClauseRef c = w.cref;
@@ -170,7 +179,7 @@ ClauseRef Solver::propagate() {
       const Lit first = arena_.lit(c, 0);
       const Watcher keep{c, first};
       if (first != w.blocker && value(first) == LBool::kTrue) {
-        ws[j++] = keep;  // clause already satisfied
+        *j++ = keep;  // clause already satisfied
         continue;
       }
       // Look for a non-false literal to watch instead.
@@ -188,23 +197,23 @@ ClauseRef Solver::propagate() {
         }
       }
       if (moved) continue;  // watch migrated; drop from this list
-      ws[j++] = keep;
+      *j++ = keep;
       if (value(first) == LBool::kFalse) {
         // Conflict: compact the list and halt propagation.
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         qhead_ = trail_.size();
         return c;
       }
       enqueue(first, c);  // unit propagation
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
   return kInvalidClauseRef;
 }
 
-void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
-                     int& out_level) {
+int Solver::analyze(ClauseRef conflict) {
+  std::vector<Lit>& out_learnt = learnt_;
   out_learnt.clear();
   out_learnt.push_back(Lit());  // slot for the asserting literal
   int path_count = 0;
@@ -239,9 +248,8 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
 
   // Basic (non-recursive) learnt-clause minimization: drop a literal when
   // its reason clause is entirely subsumed by the rest of the learnt.
-  std::vector<Var> to_clear;
-  to_clear.reserve(out_learnt.size());
-  for (const Lit q : out_learnt) to_clear.push_back(q.var());
+  to_clear_.clear();
+  for (const Lit q : out_learnt) to_clear_.push_back(q.var());
   std::size_t kept = 1;
   for (std::size_t n = 1; n < out_learnt.size(); ++n) {
     const Lit q = out_learnt[n];
@@ -261,22 +269,19 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
     }
     if (!redundant) out_learnt[kept++] = q;
   }
-  for (const Var v : to_clear) seen_[static_cast<std::size_t>(v)] = 0;
+  for (const Var v : to_clear_) seen_[static_cast<std::size_t>(v)] = 0;
   out_learnt.resize(kept);
 
   // Compute the backtrack level: highest level among the non-asserting
   // literals, and move that literal to the second watch position.
-  if (out_learnt.size() == 1) {
-    out_level = 0;
-  } else {
-    std::size_t max_i = 1;
-    for (std::size_t n = 2; n < out_learnt.size(); ++n)
-      if (level_[static_cast<std::size_t>(out_learnt[n].var())] >
-          level_[static_cast<std::size_t>(out_learnt[max_i].var())])
-        max_i = n;
-    std::swap(out_learnt[1], out_learnt[max_i]);
-    out_level = level_[static_cast<std::size_t>(out_learnt[1].var())];
-  }
+  if (out_learnt.size() == 1) return 0;
+  std::size_t max_i = 1;
+  for (std::size_t n = 2; n < out_learnt.size(); ++n)
+    if (level_[static_cast<std::size_t>(out_learnt[n].var())] >
+        level_[static_cast<std::size_t>(out_learnt[max_i].var())])
+      max_i = n;
+  std::swap(out_learnt[1], out_learnt[max_i]);
+  return level_[static_cast<std::size_t>(out_learnt[1].var())];
 }
 
 void Solver::backtrack(int target_level) {
@@ -428,15 +433,12 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
         result = LBool::kFalse;
         break;
       }
-      std::vector<Lit> learnt;
-      int bt_level = 0;
-      analyze(conflict, learnt, bt_level);
-      backtrack(bt_level);
-      if (learnt.size() == 1) {
-        enqueue(learnt[0], kInvalidClauseRef);
+      backtrack(analyze(conflict));
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], kInvalidClauseRef);
       } else {
-        const ClauseRef c =
-            arena_.alloc(learnt.data(), static_cast<int>(learnt.size()), true);
+        const ClauseRef c = arena_.alloc(
+            learnt_.data(), static_cast<int>(learnt_.size()), true);
         arena_.set_activity(c, clause_inc_);
         attach_clause(c);
         enqueue(arena_.lit(c, 0), c);

@@ -4,7 +4,8 @@
 //
 // Features: two-watched-literal propagation with blocker literals, VSIDS
 // decision heuristic with phase saving, first-UIP conflict analysis with
-// recursive clause minimization (the cheap local variant), Luby-sequence
+// basic (non-recursive) learnt-clause minimization -- a literal goes when
+// its reason's other literals are all in the clause -- Luby-sequence
 // restarts, and activity-driven learnt-clause database reduction. VSIDS
 // and restarts can be disabled individually -- the perf bench uses this
 // as an ablation.
@@ -14,7 +15,9 @@
 // compacted after learnt-clause reduction once a fifth of it is garbage.
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sat/types.hpp"
@@ -61,7 +64,8 @@ class Solver {
   Var new_var();
   int num_vars() const { return static_cast<int>(assigns_.size()); }
 
-  /// Ensure variables [0, n) exist.
+  /// Ensure variables [0, n) exist: each per-variable array is resized
+  /// once, not grown a variable at a time.
   void reserve_vars(int n);
 
   /// Size the clause arena for a known ingestion (e.g. a parsed DIMACS
@@ -70,10 +74,12 @@ class Solver {
   void reserve_clauses(std::int64_t total_lits, std::int64_t num_clauses);
 
   /// Add a clause (OR of literals). Returns false if the formula is already
-  /// unsatisfiable at level 0 (e.g. an empty clause was derived).
-  bool add_clause(std::vector<Lit> lits);
+  /// unsatisfiable at level 0 (e.g. an empty clause was derived). The
+  /// literals are sorted and filtered in a member buffer; `lits` is only
+  /// read.
+  bool add_clause(std::span<const Lit> lits);
   bool add_clause(std::initializer_list<Lit> lits) {
-    return add_clause(std::vector<Lit>(lits));
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
   bool add_unit(Lit p) { return add_clause({p}); }
 
@@ -113,8 +119,9 @@ class Solver {
   void detach_clause(ClauseRef c);
   bool enqueue(Lit p, ClauseRef reason);
   ClauseRef propagate();
-  void analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
-               int& out_level);
+  /// First-UIP analysis of `conflict` into learnt_ (asserting literal
+  /// first); returns the backtrack level.
+  int analyze(ClauseRef conflict);
   void backtrack(int level);
   Lit pick_branch_lit();
   void bump_var(Var v);
@@ -158,7 +165,12 @@ class Solver {
   std::vector<int> heap_pos_;   // var -> position in heap_ or -1
 
   std::vector<LBool> model_;
-  std::vector<char> seen_;  // scratch for analyze()
+  // Scratch reused across calls: add_clause's sorted copy, analyze()'s
+  // learnt clause and the variables it marked seen.
+  std::vector<Lit> add_buf_;
+  std::vector<Lit> learnt_;
+  std::vector<Var> to_clear_;
+  std::vector<char> seen_;
 
   double var_inc_ = 1.0;
   double clause_inc_ = 1.0;

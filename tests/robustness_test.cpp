@@ -347,7 +347,7 @@ TEST(Budgets, SatSolverStopsOnStepBudget) {
         cnf += "-" + std::to_string(v(p1, h)) + " -" +
                std::to_string(v(p2, h)) + " 0\n";
 
-  const auto f = sat::parse_dimacs(cnf);
+  const auto f = sat::parse_dimacs_lenient(cnf);
   const auto budget = util::Budget::with_step_limit(1);
   sat::SolverOptions opt;
   opt.budget = &budget;
