@@ -221,8 +221,10 @@ TEST(CubesPacked, OrderingIsTotalAndSortStable) {
   for (const int vars : {31, 32, 33, 64, 65, 200}) {
     std::vector<Cube> cubes;
     for (int i = 0; i < 128; ++i) cubes.push_back(random_cube(vars, rng));
-    // A few deliberate near-duplicates differing only at word boundaries.
+    // A few deliberate near-duplicates differing only at word boundaries
+    // (those inside the cube: set_code past num_vars writes out of range).
     for (const int v : {0, 31, 32, 63, 64, vars - 1}) {
+      if (v >= vars) continue;
       Cube c = cubes[0];
       c.set_code(v, Pcn::kPos);
       cubes.push_back(c);
